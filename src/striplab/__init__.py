@@ -12,7 +12,6 @@ diagnostics).
 __version__ = "0.1.0"
 
 from .grid import (
-    Arm,
     Bloch,
     BoundarySpec,
     Dirichlet,
@@ -22,7 +21,6 @@ from .grid import (
     bc_all_dirichlet,
     bc_all_neumann,
     build_grid,
-    neighbors,
 )
 from .instances import SurfaceModel, classical_model, default_model, pinned_model
 from .operator import GroundStateRef, Hamiltonian, assemble, quadratic_form

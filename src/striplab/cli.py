@@ -24,6 +24,7 @@ from .errors import ConfigInvalid, StripLabError
 from .floquet import band_curve, default_theta_grid, gap_certificate, ground_state_cell
 from .grid import build_grid
 from .idss import (
+    StripEnsemble,
     bracketing_check,
     classical_campaign,
     idss_estimate,
@@ -40,9 +41,8 @@ from .localization import (
     initial_scale_probe,
     transverse_bound_rate,
     wegner_probe,
-    x1_localization,
 )
-from .operator import GroundStateRef, assemble
+from .operator import GroundStateRef
 from .reports import ensure_dir, write_csv, write_sidecar
 from .spectral import lowest_k
 
@@ -207,14 +207,9 @@ def run_decay(cfg, out, workers):
     run = cfg.get("run", {})
     L = geo["L"] or 8
     seed = int(run.get("master_seed", 0))
-    from .idss import StripEnsemble, bc_for_tag
-    from .potential import make_field
-
     eng = StripEnsemble(model, L, geo["M"], bc=run.get("bc", "chi"),
                         M_ref=geo["M_ref"], master_seed=seed)
-    fld = make_field(eng.grid, v_s=eng.sample_diag(0))
-    H = assemble(eng.grid, fld, bc_for_tag(eng.bc_tag, eng.ref))
-    res = lowest_k(H, 1, tol=1e-9)
+    res = lowest_k(eng.hamiltonian(0), 1, tol=1e-9)
     fit = decay_profile(eng.grid, float(res.eigenvalues[0]), res.eigenvectors[:, 0])
     write_csv(os.path.join(out, "decay.csv"), ["abs_x2", "sup_profile"],
               list(zip(fit.shells, fit.profile)))
@@ -281,12 +276,8 @@ def run_dynamics(cfg, out, workers):
     p = float(run.get("p", 2.0))
     t_max = float(run.get("t_max", 1000.0))
     times = np.linspace(0.0, t_max, int(run.get("t_points", 60)))
-    from .idss import StripEnsemble, bc_for_tag
-    from .potential import make_field
-
     eng = StripEnsemble(model, L, geo["M"], bc="D", M_ref=geo["M_ref"], master_seed=seed)
-    fld = make_field(eng.grid, v_s=eng.sample_diag(0))
-    H = assemble(eng.grid, fld, bc_for_tag("D", None))
+    H = eng.hamiltonian(0)
     grid = eng.grid
     coords = grid.coords_of(np.arange(grid.n_sites))
     center = grid.shape[0] // 2
@@ -311,9 +302,7 @@ def run_bounds(cfg, out, workers):
     seed = int(run.get("master_seed", 0))
     L = geo["L"] or 8
     ref = cached_reference(model, geo["M"], geo["M_ref"])
-    from .floquet import gap_certificate as _gc
-
-    gap = _gc(model.u_per(), [L], ref, M=geo["M"])[0].gap
+    gap = gap_certificate(model.u_per(), [L], ref, M=geo["M"])[0].gap
     n_x1 = (model.a * L) ** model.d1
     w = np.zeros(n_x1)
     w[n_x1 // 2] = gap / 4

@@ -29,13 +29,6 @@ class NoConvergence(StripLabError):
         self.achieved = achieved
 
 
-class FactorizationBreakdown(StripLabError):
-    """Inertia factorization hit an eigenvalue beyond regularization.
-
-    Callers may retry count_below with a slightly perturbed energy.
-    """
-
-
 class DenominatorNonpositive(StripLabError):
     """Temple bound precondition failed: gap floor does not exceed the mean."""
 

@@ -17,26 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidParam
 
 HARD_SITE_CAP = 2_000_000
-
-
-class Arm(NamedTuple):
-    """One stencil arm of a site.
-
-    ``neighbor`` is the flat index of the adjacent site, or ``None`` when
-    the arm leaves the domain; then ``(axis, direction)`` names the
-    boundary face it crosses.
-    """
-
-    neighbor: Optional[int]
-    axis: int
-    direction: int
 
 
 @dataclass(frozen=True)
@@ -152,27 +138,6 @@ def build_grid(d1: int, d2: int, L: int, a: int, M: int, cap: int = HARD_SITE_CA
     if grid.n_sites > cap:
         raise CapExceeded(f"{grid.n_sites} sites exceeds cap {cap}")
     return grid
-
-
-def neighbors(grid: GridSpec, site: int) -> list:
-    """All 2*(d1+d2) stencil arms of a site.
-
-    Arms that stay inside the domain carry the neighbor's flat index; arms
-    that leave it carry ``None`` plus the face (axis, direction) they cross.
-    """
-    if not 0 <= site < grid.n_sites:
-        raise InvalidParam(f"site {site} out of range for grid with {grid.n_sites} sites")
-    coords = np.array(np.unravel_index(site, grid.shape))
-    arms = []
-    for axis in range(grid.n_axes):
-        for direction in (-1, +1):
-            c = coords.copy()
-            c[axis] += direction
-            if 0 <= c[axis] < grid.shape[axis]:
-                arms.append(Arm(int(np.ravel_multi_index(tuple(c), grid.shape)), axis, direction))
-            else:
-                arms.append(Arm(None, axis, direction))
-    return arms
 
 
 # -- boundary condition specs ---------------------------------------------

@@ -41,7 +41,7 @@ from .grid import (
     bc_all_dirichlet,
 )
 from .instances import SurfaceModel
-from .operator import GroundStateRef, assemble, quadratic_form
+from .operator import GroundStateRef, Hamiltonian, assemble, quadratic_form
 from .potential import (
     ZeroBulk,
     contract_couplings,
@@ -69,7 +69,14 @@ def bc_for_tag(tag: str, ref: Optional[GroundStateRef]) -> BoundarySpec:
 
 
 class StripEnsemble:
-    """Shared-structure disorder ensemble on one strip geometry."""
+    """Shared-structure disorder ensemble on one strip geometry.
+
+    The one way to build a disordered realization: sample ``i`` is
+    ``U_b + V_b + V_s`` under the ensemble's boundary spec, with V_b and V_s
+    drawn from the streams of ``sample_seed(master_seed, i)``.  ``U_b`` and
+    the boundary terms live in ``base_band``; the per-sample diagonal
+    additions come from ``sample_diags``.
+    """
 
     def __init__(
         self,
@@ -83,28 +90,39 @@ class StripEnsemble:
         self.model = model
         self.L = int(L)
         self.M = int(M)
-        self.bc_tag = bc
         self.master_seed = int(master_seed)
         if M_ref is None:
             M_ref = M + 4
-        self.M_ref = int(M_ref)
         self.grid = model.strip_grid(self.L, self.M)
-        self.u_per_fn = model.u_per()
-        self.ref = ground_state_cell(model.cell_grid(self.M), self.u_per_fn, self.M_ref)
+        self.ref = ground_state_cell(model.cell_grid(self.M), model.u_per(), int(M_ref))
         self.e0 = self.ref.e0
-        bcs = bc_for_tag(bc, self.ref)
-        base_field = periodic_bulk(self.grid, model.bulk_periodic.as_callable())
-        self.base_band = lower_band(assemble(self.grid, base_field, bcs).matrix)
+        self.bcs = bc_for_tag(bc, self.ref)
+        self.u_b = periodic_bulk(self.grid, model.bulk_periodic.as_callable()).values
+        self.base_band = lower_band(assemble(self.grid, self.u_b, self.bcs).matrix)
         self.F = f_weight_matrix(self.grid, model.profile)
         self.n_window_cells = self.F.shape[0]
 
+    def sample_diags(self, indices: Sequence[int]) -> np.ndarray:
+        """Diagonal additions V_b + V_s of the given samples, shape (len(indices), n_sites).
+
+        Every sample draws from its own streams, and one contraction covers
+        all of them; its per-row accumulation order keeps each row
+        bit-identical to a one-sample draw.
+        """
+        seeds = [sample_seed(self.master_seed, i) for i in indices]
+        q = np.array([self.model.dist.sample(stream(s, ROLE_SURFACE), self.n_window_cells)
+                      for s in seeds])
+        v_b = np.array([self.model.bulk_random.sample(stream(s, ROLE_BULK), self.grid.n_sites)
+                        for s in seeds])
+        return v_b + contract_couplings(q, self.F)
+
     def sample_diag(self, index: int) -> np.ndarray:
         """Per-sample diagonal addition V_b + V_s (U_b lives in the base band)."""
-        seed_i = sample_seed(self.master_seed, index)
-        q = self.model.dist.sample(stream(seed_i, ROLE_SURFACE), self.n_window_cells)
-        v_s = contract_couplings(q, self.F)
-        v_b = self.model.bulk_random.sample(stream(seed_i, ROLE_BULK), self.grid.n_sites)
-        return v_b + v_s
+        return self.sample_diags([index])[0]
+
+    def hamiltonian(self, index: int) -> Hamiltonian:
+        """Operator of sample ``index``: U_b + V_b + V_s under the ensemble's boundary spec."""
+        return assemble(self.grid, self.u_b + self.sample_diag(index), self.bcs)
 
     def counts(self, indices: Sequence[int], energies, chunk: int = CHUNK) -> np.ndarray:
         """Eigenvalue counts, shape (len(indices), len(energies))."""
@@ -113,40 +131,29 @@ class StripEnsemble:
         out = np.empty((len(indices), len(energies)), dtype=np.int64)
         for lo in range(0, len(indices), chunk):
             block = indices[lo : lo + chunk]
-            diags = np.stack([self.sample_diag(i) for i in block])
-            out[lo : lo + len(block)] = count_below_ensemble(self.base_band, diags, energies)
+            out[lo : lo + len(block)] = count_below_ensemble(
+                self.base_band, self.sample_diags(block), energies
+            )
         return out
 
 
 def _counts_block(args):
-    model, L, M, bc, M_ref, master_seed, indices, energies = args
-    eng = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
-    return eng.counts(indices, energies)
+    engine, indices, energies = args
+    return engine.counts(indices, energies)
 
 
 def ensemble_counts(engine: StripEnsemble, n_samples: int, energies, workers: int = 1) -> np.ndarray:
     """Counts for samples 0..n_samples-1, optionally fanned out to processes.
 
     The partition into worker blocks never affects the result: each sample's
-    seed is derived from its index alone.
+    seed is derived from its index alone.  Each worker receives the built
+    engine.
     """
     if workers <= 1:
         return engine.counts(range(n_samples), energies)
     blocks = np.array_split(np.arange(n_samples), workers)
-    args = [
-        (
-            engine.model,
-            engine.L,
-            engine.M,
-            engine.bc_tag,
-            engine.M_ref,
-            engine.master_seed,
-            list(b),
-            np.asarray(energies, dtype=float),
-        )
-        for b in blocks
-        if len(b)
-    ]
+    energies = np.asarray(energies, dtype=float)
+    args = [(engine, list(b), energies) for b in blocks if len(b)]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         parts = list(ex.map(_counts_block, args))
     return np.concatenate(parts, axis=0)
@@ -354,8 +361,8 @@ def sandwich_check(
     counts_chi = ensemble_counts(eng_chi, n_samples, energies, workers=workers)
     counts_d = ensemble_counts(eng_d, n_samples, energies, workers=workers)
 
-    u_per = periodic_bulk(eng_chi.grid, eng_chi.u_per_fn)
-    H_per = assemble(eng_chi.grid, u_per, bc_for_tag("chi", eng_chi.ref))
+    u_per = periodic_bulk(eng_chi.grid, model.u_per())
+    H_per = assemble(eng_chi.grid, u_per, eng_chi.bcs)
     n_per = np.array([count_below(H_per, E) for E in energies], dtype=float)
 
     vol = float(L**model.d1)

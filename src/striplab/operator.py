@@ -22,7 +22,6 @@ phase has a nonzero sine.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +81,6 @@ class Hamiltonian:
     bcs: BoundarySpec
     matrix: sp.csr_matrix
     is_complex: bool
-    potential_hash: str
 
     @property
     def n(self) -> int:
@@ -175,8 +173,7 @@ def assemble(grid: GridSpec, potential, bcs: BoundarySpec) -> Hamiltonian:
     ).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
-    pot_hash = hashlib.sha256(vals.tobytes()).hexdigest()[:16]
-    return Hamiltonian(grid=grid, bcs=bcs, matrix=mat, is_complex=use_complex, potential_hash=pot_hash)
+    return Hamiltonian(grid=grid, bcs=bcs, matrix=mat, is_complex=use_complex)
 
 
 def quadratic_form(H, u: np.ndarray) -> float:
@@ -189,12 +186,3 @@ def quadratic_form(H, u: np.ndarray) -> float:
     if abs(val.imag) > 1e-12 * (abs(val.real) + 1.0):
         raise ShapeMismatch(f"quadratic form unexpectedly complex: {val}")
     return float(val.real)
-
-
-def dump_coordinate_text(H, path):
-    """Write the matrix in coordinate text format: row col real imag."""
-    mat = getattr(H, "matrix", H).tocoo()
-    with open(path, "w") as fh:
-        for i, j, v in zip(mat.row, mat.col, mat.data):
-            z = complex(v)
-            fh.write(f"{i} {j} {z.real:.17g} {z.imag:.17g}\n")

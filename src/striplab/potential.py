@@ -21,10 +21,10 @@ ordering ``U_s <= V_s <= 0`` term by term.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,8 +78,8 @@ class PowerLawProfile:
     f(x1, x2) = f0 * max(|x1|_inf, 1)^(-alpha) * 1[x2 in box], so that
     f_lower * |x1|^(-alpha) * 1_box <= f <= f0 * |x1|^(-alpha) for |x1| >= 1
     holds with f_lower = f0 (and any smaller declared f_lower).  Lattice
-    sums are truncated at ``truncation_radius`` cells; the neglected tail is
-    bounded and recorded in the field provenance.
+    sums are truncated at ``truncation_radius`` cells; ``tail_bound`` bounds
+    the neglected tail.
     """
 
     alpha: float
@@ -236,10 +236,6 @@ class CosineBulk:
 # -- fields -------------------------------------------------------------------
 
 
-def _sha(a: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class PotentialField:
     """Realized potential with its component decomposition.
@@ -253,27 +249,9 @@ class PotentialField:
     v_b: np.ndarray
     v_s: np.ndarray
     values: np.ndarray
-    provenance: dict
-
-    def to_csv(self, path):
-        """Dump site index, coordinates and components at full precision."""
-        x1 = self.grid.x1_positions()
-        x2 = self.grid.x2_positions()
-        cols = ["site"]
-        cols += [f"x1_{j}" for j in range(self.grid.d1)]
-        cols += [f"x2_{j}" for j in range(self.grid.d2)]
-        cols += ["U_b", "V_b", "V_s"]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for s in range(self.grid.n_sites):
-                row = [str(s)]
-                row += [f"{v:.17g}" for v in x1[s]]
-                row += [f"{v:.17g}" for v in x2[s]]
-                row += [f"{self.u_b[s]:.17g}", f"{self.v_b[s]:.17g}", f"{self.v_s[s]:.17g}"]
-                fh.write(",".join(row) + "\n")
 
 
-def make_field(grid, u_b=None, v_b=None, v_s=None, provenance=None) -> PotentialField:
+def make_field(grid, u_b=None, v_b=None, v_s=None) -> PotentialField:
     n = grid.n_sites
     u_b = np.zeros(n) if u_b is None else np.asarray(u_b, dtype=float)
     v_b = np.zeros(n) if v_b is None else np.asarray(v_b, dtype=float)
@@ -284,16 +262,10 @@ def make_field(grid, u_b=None, v_b=None, v_s=None, provenance=None) -> Potential
         if not np.all(np.isfinite(part)):
             raise ShapeMismatch("potential component contains non-finite values")
     values = (u_b + v_b) + v_s
-    prov = dict(provenance or {})
-    prov.setdefault("hash_u_b", _sha(u_b))
-    prov.setdefault("hash_v_b", _sha(v_b))
-    prov.setdefault("hash_v_s", _sha(v_s))
-    return PotentialField(grid=grid, u_b=u_b, v_b=v_b, v_s=v_s, values=values, provenance=prov)
+    return PotentialField(grid=grid, u_b=u_b, v_b=v_b, v_s=v_s, values=values)
 
 
 # -- alloy machinery ----------------------------------------------------------
-
-_WEIGHT_CACHE: dict = {}
 
 
 def window_cells(grid: GridSpec, radius: int) -> list:
@@ -302,16 +274,14 @@ def window_cells(grid: GridSpec, radius: int) -> list:
     return list(itertools.product(rng, repeat=grid.d1))
 
 
+@functools.lru_cache(maxsize=16)
 def f_weight_matrix(grid: GridSpec, profile) -> np.ndarray:
     """Profile weights, shape (n_window_cells, n_sites).
 
     Row ``c`` holds f(x1 - c, x2) masked to sites whose own cell is within
-    the truncation radius of ``c``.  Cached per (grid, profile).
+    the truncation radius of ``c``.  The most recent (grid, profile) pairs
+    are cached; the returned array is shared between callers and read-only.
     """
-    key = (grid, profile)
-    cached = _WEIGHT_CACHE.get(key)
-    if cached is not None:
-        return cached
     if isinstance(profile, PowerLawProfile):
         profile.validate_for_dimension(grid.d1)
     radius = profile.window_radius(grid)
@@ -325,7 +295,7 @@ def f_weight_matrix(grid: GridSpec, profile) -> np.ndarray:
         dist = np.max(np.abs(site_cells - np.asarray(c)), axis=-1)
         vals = profile.evaluate(x1 - cvec, x2)
         F[row] = np.where(dist <= radius, vals, 0.0)
-    _WEIGHT_CACHE[key] = F
+    F.setflags(write=False)
     return F
 
 
@@ -355,12 +325,10 @@ def surface_floor(grid: GridSpec, profile, q_min: float, tol: float = DEFAULT_TA
     """Deterministic floor: every coupling pinned to q_min (<= 0)."""
     if q_min > 0:
         raise InvalidParam(f"floor coupling must be <= 0, got {q_min}")
-    tail = _check_tail(profile, q_min, tol, grid.d1)
+    _check_tail(profile, q_min, tol, grid.d1)
     F = f_weight_matrix(grid, profile)
     pinned = np.full(F.shape[0], float(q_min))
-    v_s = contract_couplings(pinned, F)
-    prov = {"kind": "surface_floor", "q_min": q_min, "tail_bound": tail * abs(q_min)}
-    return make_field(grid, v_s=v_s, provenance=prov)
+    return make_field(grid, v_s=contract_couplings(pinned, F))
 
 
 def sample_surface(grid: GridSpec, profile, dist, seed: int, tol: float = DEFAULT_TAIL_TOL):
@@ -373,16 +341,13 @@ def sample_surface(grid: GridSpec, profile, dist, seed: int, tol: float = DEFAUL
     F = f_weight_matrix(grid, profile)
     rng = stream(seed, ROLE_SURFACE)
     couplings = dist.sample(rng, F.shape[0])
-    v_s = contract_couplings(couplings, F)
-    prov = {"kind": "surface_sample", "seed": seed, "q_window": [dist.q_min, dist.q_max]}
-    return couplings, make_field(grid, v_s=v_s, provenance=prov)
+    return couplings, make_field(grid, v_s=contract_couplings(couplings, F))
 
 
 def sample_bulk(grid: GridSpec, spec, seed: int) -> PotentialField:
     """Per-site nonnegative random bulk field (zero for NoBulk)."""
     rng = stream(seed, ROLE_BULK)
-    v_b = spec.sample(rng, grid.n_sites)
-    return make_field(grid, v_b=v_b, provenance={"kind": "bulk_sample", "seed": seed})
+    return make_field(grid, v_b=spec.sample(rng, grid.n_sites))
 
 
 def periodic_bulk(grid: GridSpec, cell_function: Callable) -> PotentialField:
@@ -397,7 +362,7 @@ def periodic_bulk(grid: GridSpec, cell_function: Callable) -> PotentialField:
     vals = np.asarray(cell_function(x1f, x2), dtype=float)
     if vals.shape != (grid.n_sites,):
         raise ShapeMismatch(f"cell function returned shape {vals.shape}, expected ({grid.n_sites},)")
-    return make_field(grid, u_b=vals, provenance={"kind": "periodic_bulk"})
+    return make_field(grid, u_b=vals)
 
 
 def surface_cell_potential(profile, q_min: float, tol: float = DEFAULT_TAIL_TOL) -> Callable:

@@ -3,12 +3,13 @@
 Counting below an energy uses the inertia of the shifted operator: an
 unpivoted LDL^T pass over the lower band storage counts negative pivots,
 which equals the number of eigenvalues below the shift in exact
-arithmetic.  Near-zero pivots are nudged by a tie-regularization of
-1e-12 * ||H|| and flagged; flagged instances are recounted densely (or
-reported via FactorizationBreakdown above the dense cap, in which case the
-caller retries with a perturbed energy).  The same factorization kernel
-runs batched across ensemble members that share their off-diagonal
-structure, one lane per sample, so batching never changes a result.
+arithmetic.  One batched kernel does all counting, one lane per operator
+sharing the off-diagonal structure; a single operator is the one-lane
+case.  Each lane shifts by E plus a tie of 1e-12 * (||H_s||_inf + |E| + 1)
+computed from its own operator, and nudges near-zero pivots to that scale
+and flags them.  A flagged lane is recounted from the eigenvalues of its
+banded storage, so every call returns a count and a lane's count never
+depends on its batch.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
     DenominatorNonpositive,
-    FactorizationBreakdown,
     GramDegenerate,
     HypothesisViolated,
     InvalidParam,
@@ -104,26 +105,28 @@ def lower_band(mat) -> np.ndarray:
     return band
 
 
-def band_inf_norm(band: np.ndarray) -> float:
-    """Infinity norm of the symmetric matrix held in lower band storage."""
-    absb = np.abs(band)
-    s = absb.sum(axis=0)
+def _offdiag_row_sums(band: np.ndarray) -> np.ndarray:
+    """Row sums of |A| off the diagonal, A symmetric in lower band storage."""
     n = band.shape[1]
+    absb = np.abs(band[1:])
+    s = absb.sum(axis=0)
     for r in range(1, band.shape[0]):
-        s[r:] += absb[r, : n - r]
-    return float(s.max()) if n else 0.0
+        s[r:] += absb[r - 1, : n - r]
+    return s
 
 
-def banded_inertia(band: np.ndarray, reg: float):
+def banded_inertia(band: np.ndarray, reg):
     """Negative-pivot counts of batched banded LDL^T (in place).
 
-    ``band`` has shape (S, bw+1, n).  Returns (neg_counts, hit_reg) where
-    ``hit_reg`` marks lanes whose factorization met a pivot below ``reg``
-    in magnitude (nudged to +-reg to continue).  Lanes are independent:
-    results do not depend on the batch size.
+    ``band`` has shape (S, bw+1, n); ``reg`` is a scalar or one value per
+    lane.  Returns (neg_counts, hit_reg) where ``hit_reg`` marks lanes whose
+    factorization met a pivot below the lane's ``reg`` in magnitude (nudged
+    to +-reg to continue).  Lanes are independent: results do not depend on
+    the batch size.
     """
     S, bwp1, n = band.shape
     bw = bwp1 - 1
+    reg = np.broadcast_to(np.asarray(reg, dtype=float), (S,))
     is_complex = np.iscomplexobj(band)
     neg = np.zeros(S, dtype=np.int64)
     hit = np.zeros(S, dtype=bool)
@@ -132,7 +135,7 @@ def banded_inertia(band: np.ndarray, reg: float):
         small = np.abs(d) < reg
         if small.any():
             hit |= small
-            d[small] = np.where(d[small] < 0, -reg, reg)
+            d[small] = np.where(d[small] < 0, -reg[small], reg[small])
         neg += d < 0
         m = min(bw, n - 1 - j)
         if m == 0:
@@ -144,84 +147,51 @@ def banded_inertia(band: np.ndarray, reg: float):
     return neg, hit
 
 
-def _dense_count(mat, E: float, tie: float) -> int:
-    evals = np.linalg.eigvalsh(mat.toarray())
-    return int(np.sum(evals <= E + tie))
-
-
-def count_below(H, E: float, dense_cap: int = DENSE_CAP) -> int:
+def count_below(H, E: float) -> int:
     """Number of eigenvalues <= E, multiplicity counted.
 
-    Eigenvalues within 1e-12 * ||H|| of E count as below.  Raises
-    FactorizationBreakdown when the shift hits an eigenvalue beyond
-    regularization and the operator is too large for the dense fallback.
+    The one-lane case of count_below_ensemble, so single operators and
+    ensembles share one tie rule: eigenvalues within 1e-12 * (||H||_inf +
+    |E| + 1) of E count as below.  A near-tie pivot is resolved by the
+    banded eigenvalue recount, so no size of operator raises and no caller
+    retries with a perturbed energy.
     """
-    mat = _as_matrix(H)
-    n = mat.shape[0]
-    band = lower_band(mat)
-    scale = band_inf_norm(band) + abs(E) + 1.0
-    tie = TIE_REL * scale
-    if band.shape[0] - 1 > max(64, n // 3) and n <= dense_cap:
-        return _dense_count(mat, E, tie)
-    band[0] -= E + tie
-    neg, hit = banded_inertia(band[None], reg=TIE_REL * scale)
-    if hit[0]:
-        if n <= dense_cap:
-            return _dense_count(mat, E, tie)
-        raise FactorizationBreakdown(
-            f"pivot below regularization at E={E}; retry with perturbed energy"
-        )
-    return int(neg[0])
+    band = lower_band(_as_matrix(H))
+    return int(count_below_ensemble(band, np.zeros((1, band.shape[1])), [E])[0, 0])
 
 
-def count_below_ensemble(
-    base_band: np.ndarray,
-    diag_samples: np.ndarray,
-    energies,
-    dense_cap: int = DENSE_CAP,
-) -> np.ndarray:
+def count_below_ensemble(base_band: np.ndarray, diag_samples: np.ndarray, energies) -> np.ndarray:
     """Counts for an ensemble sharing off-diagonal structure.
 
     ``base_band`` is the lower band of the sample-independent part
     (boundary terms and floor included as assembled), ``diag_samples``
     holds per-sample diagonal additions, shape (S, n).  Returns an
-    integer array of shape (S, n_energies).  Lanes flagged by the
-    regularization are recounted densely, so results match per-sample
-    count_below calls.
+    integer array of shape (S, n_energies).
+
+    Each lane's tie and regularization scale is 1e-12 * (||H_s||_inf +
+    |E| + 1), taken from that lane's own operator, so a count never
+    depends on which samples share the batch.  A lane whose
+    factorization meets a pivot below that scale is recounted from the
+    eigenvalues of its unshifted band (LAPACK banded solver), at any n.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     S, n = diag_samples.shape
     counts = np.empty((S, len(energies)), dtype=np.int64)
-    base_scale = band_inf_norm(base_band)
-    scale = base_scale + float(np.abs(diag_samples).max(initial=0.0))
+    # ||H_s||_inf from the shared off-diagonal row sums and each lane's diagonal
+    off = _offdiag_row_sums(base_band)
+    lane_norm = (np.abs(base_band[0] + diag_samples) + off).max(axis=1, initial=0.0)
     for ei, E in enumerate(energies):
-        reg = TIE_REL * (scale + abs(E) + 1.0)
-        tie = reg
+        tie = TIE_REL * (lane_norm + abs(E) + 1.0)
         band = np.broadcast_to(base_band, (S,) + base_band.shape).copy()
-        band[:, 0, :] += diag_samples - (E + tie)
-        neg, hit = banded_inertia(band, reg=reg)
+        band[:, 0, :] += diag_samples - (E + tie)[:, None]
+        neg, hit = banded_inertia(band, reg=tie)
         counts[:, ei] = neg
-        if hit.any():
-            if n > dense_cap:
-                raise FactorizationBreakdown(
-                    f"pivot below regularization at E={E} for {hit.sum()} samples"
-                )
-            for s in np.nonzero(hit)[0]:
-                full = _band_to_dense(base_band, diag_samples[s])
-                counts[s, ei] = int(np.sum(np.linalg.eigvalsh(full) <= E + tie))
+        for s in np.nonzero(hit)[0]:
+            lane = base_band.copy()
+            lane[0] += diag_samples[s]
+            evals = sla.eigvals_banded(lane, lower=True)
+            counts[s, ei] = int(np.sum(evals <= E + tie[s]))
     return counts
-
-
-def _band_to_dense(base_band: np.ndarray, diag_add: np.ndarray) -> np.ndarray:
-    bwp1, n = base_band.shape
-    full = np.zeros((n, n), dtype=base_band.dtype)
-    for r in range(bwp1):
-        idx = np.arange(n - r)
-        full[idx + r, idx] = base_band[r, idx]
-        if r > 0:
-            full[idx, idx + r] = np.conj(base_band[r, idx])
-    full[np.arange(n), np.arange(n)] += diag_add
-    return full
 
 
 # -- certified variational bounds ---------------------------------------------
@@ -326,8 +296,6 @@ def variational_count_bound(apply_A, phis, alpha: float, eps1: float, eps2: floa
     num = alpha + e2s
     denom = g_eigs[0] if num >= 0 else g_eigs[-1]
     threshold = num / denom
-
-    import scipy.linalg as sla
 
     rayleigh_max = float(sla.eigh(B, G, eigvals_only=True)[-1])
     return CountCertificate(

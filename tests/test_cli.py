@@ -43,12 +43,15 @@ def test_band_free_closed_form(tmp_path):
 
 
 def test_csv_reruns_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    out1.mkdir(), out2.mkdir()
-    cfg_path = write_cfg(tmp_path, base_config(out1))
-    assert main(["idss", "--config", cfg_path, "--out", str(out1)]) == 0
-    assert main(["idss", "--config", cfg_path, "--out", str(out2)]) == 0
-    assert (out1 / "idss.csv").read_bytes() == (out2 / "idss.csv").read_bytes()
+    # the rerun fans out to two worker processes; neither rerun nor worker
+    # count may change a byte
+    for sub, csv in (("idss", "idss.csv"), ("initial-scale", "initial_scale.csv")):
+        out1, out2 = tmp_path / sub / "a", tmp_path / sub / "b"
+        out1.mkdir(parents=True), out2.mkdir()
+        cfg_path = write_cfg(tmp_path, base_config(out1))
+        assert main([sub, "--config", cfg_path, "--out", str(out1)]) == 0
+        assert main([sub, "--config", cfg_path, "--workers", "2", "--out", str(out2)]) == 0
+        assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
 
 
 def test_malformed_config_names_field(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from striplab.errors import CapExceeded, InvalidParam
-from striplab.grid import Bloch, BoundarySpec, Dirichlet, build_grid, neighbors
+from striplab.grid import Bloch, BoundarySpec, Dirichlet, build_grid
 
 grids = st.builds(
     lambda d1, d2, L, a, M: (d1, d2, L, a, 2 * M),
@@ -43,27 +43,26 @@ def test_x2_centered_between_middle_layers():
     assert np.allclose(x2 + x2[::-1], 0.0)
 
 
+def boundary_faces(g, site):
+    """(axis, direction) of every face the site lies on."""
+    return [(axis, direction) for axis in range(g.n_axes) for direction in (-1, +1)
+            if site in g.face_sites(axis, direction)]
+
+
 def test_neighbors_corner_and_interior():
     g = build_grid(1, 1, L=2, a=1, M=2)
-    corner = g.index_of((0, 0))
-    arms = neighbors(g, int(corner))
-    assert len(arms) == 4
-    assert sum(a.neighbor is not None for a in arms) == 2
-    assert sum(a.neighbor is None for a in arms) == 2
+    corner = int(g.index_of((0, 0)))
+    assert boundary_faces(g, corner) == [(0, -1), (1, -1)]
 
     g2 = build_grid(1, 1, L=4, a=1, M=4)
-    inner = g2.index_of((2, 2))
-    arms = neighbors(g2, int(inner))
-    assert all(a.neighbor is not None for a in arms)
-    assert len(arms) == 2 * (g2.d1 + g2.d2)
+    inner = int(g2.index_of((2, 2)))
+    assert boundary_faces(g2, inner) == []
 
 
 def test_x2_face_tagging():
     g = build_grid(1, 1, L=4, a=1, M=4)
-    top = g.index_of((1, 3))
-    arms = neighbors(g, int(top))
-    boundary = [(a.axis, a.direction) for a in arms if a.neighbor is None]
-    assert boundary == [(1, 1)]
+    top = int(g.index_of((1, 3)))
+    assert boundary_faces(g, top) == [(1, 1)]
 
 
 @given(grids, st.integers(0, 10_000))
@@ -86,10 +85,8 @@ def test_bond_parity_and_arm_budget(shape):
         np.add.at(interior, dst, 1)
     assert interior.sum() % 2 == 0
     for site in (0, g.n_sites - 1, g.n_sites // 2):
-        arms = neighbors(g, site)
-        n_int = sum(a.neighbor is not None for a in arms)
-        assert n_int == interior[site]
-        assert sum(a.neighbor is None for a in arms) == 2 * (d1 + d2) - n_int
+        # every arm of a site is an interior bond or crosses a boundary face
+        assert interior[site] + len(boundary_faces(g, site)) == 2 * (d1 + d2)
 
 
 def test_bloch_only_on_x1():

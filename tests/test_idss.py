@@ -21,7 +21,7 @@ from striplab.idss import (
 )
 from striplab.instances import classical_model, default_model, pinned_model
 from striplab.operator import assemble
-from striplab.potential import TwoPointCouplings, make_field, periodic_bulk
+from striplab.potential import CosineBulk, TwoPointCouplings, make_field, periodic_bulk
 from striplab.spectral import count_below
 
 
@@ -30,13 +30,17 @@ def energies(e0_default):
     return np.linspace(e0_default + 0.06, -0.1, 9)
 
 
-def test_engine_matches_direct_counts(model, energies):
-    eng = StripEnsemble(model, L=7, M=10, bc="chi", master_seed=42)
-    for i in (0, 5):
-        fld = make_field(eng.grid, v_s=eng.sample_diag(i))
-        H = assemble(eng.grid, fld, bc_for_tag("chi", eng.ref))
-        direct = [count_below(H, E) for E in energies]
-        assert list(eng.counts([i], energies)[0]) == direct
+def test_engine_matches_direct_counts(model, energies, e0_default):
+    # the counted operator is the assembled one, periodic bulk U_b included
+    for m in (model, replace(model, bulk_periodic=CosineBulk(0.3))):
+        eng = StripEnsemble(m, L=7, M=10, bc="chi", master_seed=42)
+        grid_energies = energies - e0_default + eng.e0
+        for i in (0, 5):
+            H = eng.hamiltonian(i)
+            direct = [count_below(H, E) for E in grid_energies]
+            assert list(eng.counts([i], grid_energies)[0]) == direct
+            diag = H.matrix.diagonal()
+            assert np.max(np.abs(diag - (eng.base_band[0] + eng.sample_diag(i)))) <= 1e-12
 
 
 def test_engine_counts_batch_size_invariant(model, energies):
@@ -58,7 +62,7 @@ def test_idss_pinned_distribution_zero_variance(model, energies):
     curve = idss_estimate(pm, L=8, M=10, energies=energies, n_samples=4, master_seed=1)
     assert np.all(curve.ses == 0)
     eng = StripEnsemble(pm, L=8, M=10, bc="chi", master_seed=1)
-    H_per = assemble(eng.grid, periodic_bulk(eng.grid, eng.u_per_fn), bc_for_tag("chi", eng.ref))
+    H_per = assemble(eng.grid, periodic_bulk(eng.grid, pm.u_per()), bc_for_tag("chi", eng.ref))
     per = np.array([count_below(H_per, E) for E in energies]) / 8.0
     assert np.allclose(curve.means, per)
 

@@ -12,7 +12,7 @@ from striplab.grid import (
     bc_all_neumann,
     build_grid,
 )
-from striplab.operator import assemble, dump_coordinate_text, quadratic_form
+from striplab.operator import assemble, quadratic_form
 from striplab.potential import periodic_bulk, sample_surface
 
 
@@ -143,16 +143,3 @@ def test_quadratic_form_dense_oracle():
     for _ in range(5):
         u = rng.standard_normal(g.n_sites)
         assert abs(quadratic_form(H, u) - u @ dense @ u) <= 1e-12 * (1 + abs(u @ dense @ u))
-
-
-def test_coordinate_dump_round_trip(tmp_path, model):
-    g = model.strip_grid(2, 4)
-    H = assemble(g, np.zeros(g.n_sites), bc_all_dirichlet())
-    path = tmp_path / "matrix.txt"
-    dump_coordinate_text(H, path)
-    rebuilt = np.zeros((g.n_sites, g.n_sites))
-    for line in path.read_text().splitlines():
-        i, j, re, im = line.split()
-        rebuilt[int(i), int(j)] += float(re)
-        assert float(im) == 0.0
-    assert np.array_equal(rebuilt, H.dense())

@@ -192,17 +192,3 @@ def test_estimate_bulk_bottom_refines():
     lo1, hi1 = estimate_bulk_bottom(fn, 1, 1, 1, M_probe=12)
     lo2, hi2 = estimate_bulk_bottom(fn, 1, 1, 1, M_probe=24)
     assert (hi2 - lo2) < (hi1 - lo1)
-
-
-def test_potential_csv_dump(tmp_path):
-    m = default_model()
-    g = m.strip_grid(3, 4)
-    _, fld = sample_surface(g, m.profile, m.dist, seed=2)
-    path = tmp_path / "field.csv"
-    fld.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "site,x1_0,x2_0,U_b,V_b,V_s"
-    assert len(lines) == 1 + g.n_sites
-    # full precision round-trip
-    first = lines[1].split(",")
-    assert float(first[5]) == fld.v_s[0]

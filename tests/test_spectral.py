@@ -16,6 +16,7 @@ from striplab.grid import Bloch, BoundarySpec, Dirichlet, bc_all_neumann, build_
 from striplab.operator import assemble
 from striplab.spectral import (
     count_below,
+    count_below_ensemble,
     lowest_k,
     rayleigh_ritz_upper,
     temple_lower_bound,
@@ -124,16 +125,24 @@ def test_count_monotone_in_energy():
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
-def test_count_below_breakdown_signalling():
-    from striplab.errors import FactorizationBreakdown
+def test_count_below_near_tie_beyond_dense_size():
+    # an eigenvalue strictly inside the regularization band around E + tie,
+    # on an operator past the old dense-fallback size: the flagged pivot is
+    # recounted from the banded eigenvalues, with no exception
+    diag = np.full(2001, 3.0)
+    diag[:2] = [1.0 + 2.5e-12, 1.0]
+    assert count_below(sp.csr_matrix(np.diag([1.0 + 2.5e-12, 1.0, 3.0])), 1.0) == 2
+    assert count_below(sp.diags(diag, format="csr"), 1.0) == 2
 
-    # an eigenvalue strictly inside the regularization band around E + tie:
-    # dense fallback under the cap, explicit breakdown above it so the
-    # caller can perturb and retry
-    A = sp.csr_matrix(np.diag([1.0 + 2.5e-12, 1.0, 3.0]))
-    assert count_below(A, 1.0) == 2
-    with pytest.raises(FactorizationBreakdown):
-        count_below(A, 1.0, dense_cap=0)
+
+def test_ensemble_count_independent_of_chunkmates():
+    # the tie scale is the lane's own norm, so a large-diagonal chunkmate
+    # cannot widen it
+    base = np.zeros((1, 3))
+    lane = np.array([1.0 + 1e-9, 1.0, 3.0])
+    alone = count_below_ensemble(base, lane[None], [1.0])
+    beside = count_below_ensemble(base, np.stack([lane, [1e6, 0.0, 0.0]]), [1.0])
+    assert alone[0, 0] == beside[0, 0] == count_below(sp.diags(lane, format="csr"), 1.0) == 1
 
 
 def test_temple_exact_eigenvector():
