@@ -136,7 +136,7 @@ def run_idss(cfg, out, workers):
     seed = int(run.get("master_seed", 0))
     bc = run.get("bc", "chi")
     curve = idss_estimate(model, geo["L"], geo["M"], energies, n_samples, seed,
-                          bc=bc, M_ref=geo["M_ref"], workers=workers)
+                          bc=bc, M_ref=geo["M_ref"], workers=workers, ref=ref)
     write_csv(
         os.path.join(out, "idss.csv"),
         ["E", "mean", "se", "p0_upper", "n_samples", "L", "M"],
@@ -152,8 +152,8 @@ def run_idss(cfg, out, workers):
         except StripLabError as exc:
             ok &= _check(False, "bracketing count ordering", str(exc))
         try:
-            sandwich_check(model, geo["L"], geo["M"], energies,
-                           min(n_samples, 200), seed, M_ref=geo["M_ref"], workers=workers)
+            sandwich_check(model, geo["L"], geo["M"], energies, min(n_samples, 200), seed,
+                           M_ref=geo["M_ref"], workers=workers, ref=ref)
             ok &= _check(True, "IDSS sandwich within 3 SE")
         except StripLabError as exc:
             ok &= _check(False, "IDSS sandwich within 3 SE", str(exc))

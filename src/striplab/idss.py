@@ -76,6 +76,11 @@ class StripEnsemble:
     drawn from the streams of ``sample_seed(master_seed, i)``.  ``U_b`` and
     the boundary terms live in ``base_band``; the per-sample diagonal
     additions come from ``sample_diags``.
+
+    ``ref`` is the ground-state reference of ``model.cell_grid(M)`` at
+    depth ``M_ref``; when given, it is used as is instead of being solved,
+    and its depth must be ``M_ref``.  It does not depend on L, so ensembles
+    of one (model, M, M_ref) share it.
     """
 
     def __init__(
@@ -86,6 +91,7 @@ class StripEnsemble:
         bc: str = "chi",
         M_ref: Optional[int] = None,
         master_seed: int = 0,
+        ref: Optional[GroundStateRef] = None,
     ):
         self.model = model
         self.L = int(L)
@@ -94,7 +100,11 @@ class StripEnsemble:
         if M_ref is None:
             M_ref = M + 4
         self.grid = model.strip_grid(self.L, self.M)
-        self.ref = ground_state_cell(model.cell_grid(self.M), model.u_per(), int(M_ref))
+        if ref is None:
+            ref = ground_state_cell(model.cell_grid(self.M), model.u_per(), int(M_ref))
+        elif ref.grid.M != M_ref:
+            raise InvalidParam(f"reference depth {ref.grid.M} differs from M_ref={M_ref}")
+        self.ref = ref
         self.e0 = self.ref.e0
         self.bcs = bc_for_tag(bc, self.ref)
         self.u_b = periodic_bulk(self.grid, model.bulk_periodic.as_callable()).values
@@ -187,17 +197,19 @@ def idss_estimate(
     bc: str = "chi",
     M_ref: Optional[int] = None,
     workers: int = 1,
+    ref: Optional[GroundStateRef] = None,
 ) -> IdssCurve:
     """Monte Carlo reduced-volume IDSS over an energy grid.
 
     Requires the periodic background to be in the surface regime (ground
     energy below zero) and all grid energies below the recentered bulk
-    bottom.
+    bottom.  ``ref`` is a precomputed ground-state reference (see
+    StripEnsemble).
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     if np.any(np.diff(energies) <= 0):
         raise InvalidParam("energy grid must be strictly ascending")
-    engine = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
+    engine = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed, ref=ref)
     if engine.e0 >= 0:
         raise S4Violated(f"periodic ground energy {engine.e0:.6g} is not negative")
     if isinstance(model.bulk_periodic, ZeroBulk):
@@ -281,7 +293,7 @@ def bracketing_check(
         fld = make_field(grid, u_b=u_b, v_b=v_b, v_s=v_s)
         for tag, store in (("D", counts_dd), ("N", counts_nd)):
             H = assemble(grid, fld, bc_for_tag(tag, None))
-            store[M] = np.array([count_below(H, E) for E in energies])
+            store[M] = count_below(H, energies)
         bad = counts_dd[M] > counts_nd[M]
         if np.any(bad):
             raise InequalityViolated(
@@ -348,22 +360,26 @@ def sandwich_check(
     M_ref: Optional[int] = None,
     workers: int = 1,
     tol_se: float = 3.0,
+    ref: Optional[GroundStateRef] = None,
 ) -> SandwichReport:
     """Empirical two-sided bound chain for the IDSS at every grid energy.
 
     Couplings are shared between the Dirichlet and the chi ensembles, so
     the comparison is paired.  Violations beyond ``tol_se`` combined
-    standard errors raise InequalityViolated.
+    standard errors raise InequalityViolated.  Both ensembles use one
+    ground-state reference: ``ref`` when given, else one solved here.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    eng_chi = StripEnsemble(model, L, M, bc="chi", M_ref=M_ref, master_seed=master_seed)
-    eng_d = StripEnsemble(model, L, M, bc="D", M_ref=M_ref, master_seed=master_seed)
+    eng_chi = StripEnsemble(model, L, M, bc="chi", M_ref=M_ref, master_seed=master_seed, ref=ref)
+    eng_d = StripEnsemble(
+        model, L, M, bc="D", M_ref=M_ref, master_seed=master_seed, ref=eng_chi.ref
+    )
     counts_chi = ensemble_counts(eng_chi, n_samples, energies, workers=workers)
     counts_d = ensemble_counts(eng_d, n_samples, energies, workers=workers)
 
     u_per = periodic_bulk(eng_chi.grid, model.u_per())
     H_per = assemble(eng_chi.grid, u_per, eng_chi.bcs)
-    n_per = np.array([count_below(H_per, E) for E in energies], dtype=float)
+    n_per = count_below(H_per, energies).astype(float)
 
     vol = float(L**model.d1)
     rt_n = math.sqrt(n_samples)
@@ -662,7 +678,8 @@ def quantum_campaign(
     ses = np.empty(len(deltas))
     for i, (d, L) in enumerate(zip(deltas, L_values)):
         eng = StripEnsemble(
-            model, int(L), M, bc=bc, M_ref=M_ref, master_seed=mix64(master_seed, 7000 + i)
+            model, int(L), M, bc=bc, M_ref=M_ref, master_seed=mix64(master_seed, 7000 + i),
+            ref=probe.ref,
         )
         counts = ensemble_counts(eng, n_samples, [e0 + d], workers=workers)
         vol = float(int(L) ** model.d1)

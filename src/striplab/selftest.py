@@ -83,18 +83,20 @@ def _gap():
 
 
 def _count_oracle():
+    # a single energy takes the LDL^T pass and a 12-point grid the eigenvalues
     rng = np.random.default_rng(2024)
     for _ in range(20):
         n = int(rng.integers(10, 120))
         bw = int(rng.integers(1, 8))
         A = rng.standard_normal((n, n))
-        A = np.triu(np.tril(A + A.T, bw), -bw)
-        E = float(rng.standard_normal() * 2)
-        want = int(np.sum(np.linalg.eigvalsh(A) <= E + 1e-12 * (np.abs(A).sum(axis=1).max() + abs(E) + 1)))
-        got = count_below(sp.csr_matrix(A), E)
-        if got != want:
-            return False, f"count {got} != dense {want} (n={n})"
-    return True, "20 random instances"
+        A = sp.csr_matrix(np.triu(np.tril(A + A.T, bw), -bw))
+        energies = np.append(rng.standard_normal() * 2, np.sort(rng.standard_normal(12) * 2))
+        tie = 1e-12 * (abs(A).sum(axis=1).max() + np.abs(energies) + 1)
+        want = np.searchsorted(np.linalg.eigvalsh(A.toarray()), energies + tie, side="right")
+        one, grid = count_below(A, energies[0]), count_below(A, energies[1:])
+        if one != want[0] or not np.array_equal(grid, want[1:]):
+            return False, f"counts {one}, {grid.tolist()} != dense {want.tolist()} (n={n})"
+    return True, "20 random instances, one energy and a 12-point grid"
 
 
 def _ordering():

@@ -1,15 +1,35 @@
 """Eigenvalue machinery: lowest eigenpairs, counting, certified bounds.
 
-Counting below an energy uses the inertia of the shifted operator: an
-unpivoted LDL^T pass over the lower band storage counts negative pivots,
-which equals the number of eigenvalues below the shift in exact
-arithmetic.  One batched kernel does all counting, one lane per operator
-sharing the off-diagonal structure; a single operator is the one-lane
-case.  Each lane shifts by E plus a tie of 1e-12 * (||H_s||_inf + |E| + 1)
-computed from its own operator, and nudges near-zero pivots to that scale
-and flags them.  A flagged lane is recounted from the eigenvalues of its
-banded storage, so every call returns a count and a lane's count never
-depends on its batch.
+Counting below energies runs through ``count_below_ensemble``, one lane per
+operator sharing the off-diagonal structure; a single operator is the
+one-lane case.  Two kernels answer the same question:
+
+* the inertia of the shifted operator: an unpivoted batched LDL^T pass
+  over the lower band storage counts negative pivots at one energy;
+* the eigenvalues of each lane's band (LAPACK ``?sbevx``/``?hbevx`` over a
+  range), found once and searched for every energy.
+
+A pass costs about n bw^2 multiply-adds, interpreter-bound across the
+lanes; a banded eigensolve about n^2 bw.  The cost of one lane's
+eigensolve, counted in LDL^T passes per lane on ensembles of 96-192 real
+strip operators (2-core x86 VM, numpy 2.4, scipy 1.17), was 1.4-1.9 at
+n=192/bw24, 2.0-2.2 at n=256/bw16, 1.1-2.4 at n=384/bw24, 4.6-4.8 at
+n=720/bw24, 5.8-6.1 at n=1152/bw24 and 1.4 at n=512/bw32: above one pass
+on every shape tried, and below the ten or more energies of an IDSS or
+classical-tail grid.  So a single energy takes the LDL^T pass and more
+than one take the eigenvalues.  The campaigns send one energy (the
+quantum tail) or grids of ten to twelve (the IDSS curve, the classical
+tail); two to six energies on large operators would be cheaper by LDL^T
+(up to about 3x at n=1152), but no campaign sends them.  The rule reads
+only the number of energies, never the lane count, so a chunk or a worker
+block never changes the kernel a sample is counted with.
+
+Both kernels keep one tie contract: each lane counts eigenvalues <= E +
+tie with tie = 1e-12 * (||H_s||_inf + |E| + 1) from its own operator.
+The LDL^T pass shifts by E + tie, nudges near-zero pivots to the tie
+scale and flags them; a flagged lane is recounted from its eigenvalues.
+So every call returns a count, counts never depend on the batch, and the
+eigenvalue kernel is nondecreasing in E by construction.
 """
 
 from __future__ import annotations
@@ -147,17 +167,38 @@ def banded_inertia(band: np.ndarray, reg):
     return neg, hit
 
 
-def count_below(H, E: float) -> int:
+def count_below(H, E):
     """Number of eigenvalues <= E, multiplicity counted.
 
-    The one-lane case of count_below_ensemble, so single operators and
-    ensembles share one tie rule: eigenvalues within 1e-12 * (||H||_inf +
-    |E| + 1) of E count as below.  A near-tie pivot is resolved by the
-    banded eigenvalue recount, so no size of operator raises and no caller
-    retries with a perturbed energy.
+    ``E`` is a scalar or an array of energies, with numpy semantics: a
+    scalar gives an ``int``, an array an int64 array of its shape, counted
+    by one call of count_below_ensemble with one lane.  So single operators
+    and ensembles share the kernels and their tie rule: eigenvalues within
+    1e-12 * (||H||_inf + |E| + 1) of E count as below.  A near-tie pivot
+    is resolved by the banded eigenvalue recount, so no size of operator
+    raises and no caller retries with a perturbed energy.
     """
     band = lower_band(_as_matrix(H))
-    return int(count_below_ensemble(band, np.zeros((1, band.shape[1])), [E])[0, 0])
+    counts = count_below_ensemble(band, np.zeros((1, band.shape[1])), np.ravel(E))[0]
+    return int(counts[0]) if np.ndim(E) == 0 else counts.reshape(np.shape(E))
+
+
+def _lane_counts(base_band, diag, thresholds: np.ndarray, lane_norm: float) -> np.ndarray:
+    """Eigenvalues <= each threshold of the lane ``base_band`` plus ``diag`` on its diagonal.
+
+    Only eigenvalues in (-||H_s||_inf - 1, max threshold] are computed;
+    no eigenvalue lies below that range, so thresholds at or below its
+    lower end count zero.
+    """
+    low = -lane_norm - 1.0
+    if thresholds.max(initial=low) <= low:
+        return np.zeros(len(thresholds), dtype=np.int64)
+    lane = base_band.copy()
+    lane[0] += diag
+    evals = sla.eigvals_banded(
+        lane, lower=True, select="v", select_range=(low, thresholds.max())
+    )
+    return np.searchsorted(evals, thresholds, side="right")
 
 
 def count_below_ensemble(base_band: np.ndarray, diag_samples: np.ndarray, energies) -> np.ndarray:
@@ -166,31 +207,33 @@ def count_below_ensemble(base_band: np.ndarray, diag_samples: np.ndarray, energi
     ``base_band`` is the lower band of the sample-independent part
     (boundary terms and floor included as assembled), ``diag_samples``
     holds per-sample diagonal additions, shape (S, n).  Returns an
-    integer array of shape (S, n_energies).
+    integer array of shape (S, n_energies): the eigenvalues of each lane
+    <= E + tie, with tie = 1e-12 * (||H_s||_inf + |E| + 1) taken from that
+    lane's own operator, so a count never depends on which samples share
+    the batch.
 
-    Each lane's tie and regularization scale is 1e-12 * (||H_s||_inf +
-    |E| + 1), taken from that lane's own operator, so a count never
-    depends on which samples share the batch.  A lane whose
-    factorization meets a pivot below that scale is recounted from the
-    eigenvalues of its unshifted band (LAPACK banded solver), at any n.
+    For more than one energy, each lane's eigenvalues below the largest
+    E + tie are found once with the LAPACK banded solver and searched for
+    every energy; the counts are then nondecreasing in E.  A single energy
+    takes one batched LDL^T pass, and a lane whose factorization meets a
+    pivot below its tie scale is recounted from its eigenvalues, at any n.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    S, n = diag_samples.shape
+    S = diag_samples.shape[0]
     counts = np.empty((S, len(energies)), dtype=np.int64)
     # ||H_s||_inf from the shared off-diagonal row sums and each lane's diagonal
     off = _offdiag_row_sums(base_band)
     lane_norm = (np.abs(base_band[0] + diag_samples) + off).max(axis=1, initial=0.0)
-    for ei, E in enumerate(energies):
-        tie = TIE_REL * (lane_norm + abs(E) + 1.0)
+    tie = TIE_REL * (lane_norm[:, None] + np.abs(energies) + 1.0)
+    if len(energies) == 1:
         band = np.broadcast_to(base_band, (S,) + base_band.shape).copy()
-        band[:, 0, :] += diag_samples - (E + tie)[:, None]
-        neg, hit = banded_inertia(band, reg=tie)
-        counts[:, ei] = neg
-        for s in np.nonzero(hit)[0]:
-            lane = base_band.copy()
-            lane[0] += diag_samples[s]
-            evals = sla.eigvals_banded(lane, lower=True)
-            counts[s, ei] = int(np.sum(evals <= E + tie[s]))
+        band[:, 0, :] += diag_samples - (energies + tie)
+        counts[:, 0], hit = banded_inertia(band, reg=tie[:, 0])
+        lanes = np.nonzero(hit)[0]
+    else:
+        lanes = range(S)
+    for s in lanes:
+        counts[s] = _lane_counts(base_band, diag_samples[s], energies + tie[s], lane_norm[s])
     return counts
 
 

@@ -54,6 +54,26 @@ def test_csv_reruns_byte_identical(tmp_path):
         assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
 
 
+def test_idss_solves_one_reference(tmp_path, monkeypatch):
+    # the cached reference serves the curve's and the sandwich's ensembles
+    import striplab.cli
+    import striplab.idss
+
+    monkeypatch.delenv("STRIPLAB_CACHE_DIR", raising=False)
+    calls = []
+    solve = striplab.idss.ground_state_cell
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(striplab.cli, "ground_state_cell", counting)
+    monkeypatch.setattr(striplab.idss, "ground_state_cell", counting)
+    path = write_cfg(tmp_path, base_config(tmp_path))
+    assert main(["idss", "--config", path, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_malformed_config_names_field(tmp_path, capsys):
     cfg = base_config(tmp_path)
     cfg["geometry"]["M"] = 13  # odd

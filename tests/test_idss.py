@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import striplab.idss as idss_module
 from striplab.errors import GapTooSmall, InvalidParam, S4Violated, TooFewPoints
 from striplab.floquet import gap_certificate
 from striplab.grid import bc_all_dirichlet
@@ -41,6 +42,39 @@ def test_engine_matches_direct_counts(model, energies, e0_default):
             assert list(eng.counts([i], grid_energies)[0]) == direct
             diag = H.matrix.diagonal()
             assert np.max(np.abs(diag - (eng.base_band[0] + eng.sample_diag(i)))) <= 1e-12
+
+
+def test_engine_counts_same_with_given_reference(model, energies, e0_default):
+    # a reference solved once serves ensembles of any L, periodic bulk U_b included
+    m = replace(model, bulk_periodic=CosineBulk(0.3))
+    probe = StripEnsemble(m, L=6, M=10, bc="chi", master_seed=5)
+    grid_energies = energies - e0_default + probe.e0
+    for L in (6, 9):
+        solved = StripEnsemble(m, L=L, M=10, bc="chi", master_seed=5)
+        given = StripEnsemble(m, L=L, M=10, bc="chi", master_seed=5, ref=probe.ref)
+        assert given.e0 == solved.e0
+        assert np.array_equal(given.base_band, solved.base_band)
+        assert np.array_equal(given.counts(range(6), grid_energies),
+                              solved.counts(range(6), grid_energies))
+
+
+def test_ground_state_reference_solved_once(model, monkeypatch):
+    calls = []
+    solve = idss_module.ground_state_cell
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(idss_module, "ground_state_cell", counting)
+    quantum_campaign(model, [0.2, 0.4, 0.7], c_factor=4.0, M=8, n_samples=4, master_seed=3,
+                     L_bounds=(4, 8))
+    assert len(calls) == 1
+    ref = solve(model.cell_grid(8), model.u_per(), 12)
+    StripEnsemble(model, L=5, M=8, bc="chi", master_seed=3, ref=ref)
+    assert len(calls) == 1
+    with pytest.raises(InvalidParam):
+        StripEnsemble(model, L=5, M=8, bc="chi", M_ref=14, master_seed=3, ref=ref)
 
 
 def test_engine_counts_batch_size_invariant(model, energies):

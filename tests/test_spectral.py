@@ -15,6 +15,7 @@ from striplab.errors import (
 from striplab.grid import Bloch, BoundarySpec, Dirichlet, bc_all_neumann, build_grid
 from striplab.operator import assemble
 from striplab.spectral import (
+    banded_inertia,
     count_below,
     count_below_ensemble,
     lowest_k,
@@ -125,24 +126,108 @@ def test_count_monotone_in_energy():
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
+def test_count_below_energy_array():
+    rng = np.random.default_rng(11)
+    Hs, A = random_banded_symmetric(rng, n=60, bw=3)
+    energies = np.linspace(-4, 4, 9)
+    got = count_below(Hs, energies)
+    assert got.dtype == np.int64
+    assert got.tolist() == [count_below(Hs, E) for E in energies] == [dense_count(A, E) for E in energies]
+    assert count_below(Hs, energies.reshape(3, 3)).tolist() == got.reshape(3, 3).tolist()
+    assert type(count_below(Hs, 0.5)) is int
+    assert type(count_below(Hs, np.float64(0.5))) is int
+    # the lowest eigenvalue sits at -||A||_inf + 1, inside the searched range
+    A = sp.csr_matrix(np.diag([-1.0, 0.0, 2.0]))
+    assert count_below(A, [-1.0, 0.0, 2.0]).tolist() == [1, 2, 3]
+
+
+def _random_lower_band(rng, n, bw, is_complex):
+    band = rng.standard_normal((bw + 1, n))
+    if is_complex:
+        band = band + 1j * rng.standard_normal((bw + 1, n))
+        band[0] = band[0].real
+    for r in range(1, bw + 1):
+        band[r, n - r :] = 0
+    return band
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_ensemble_kernels_agree_by_column(is_complex, monkeypatch):
+    # an energy grid takes the eigenvalues and each of its columns the LDL^T
+    # pass: the same counts, nondecreasing along the grid
+    import striplab.spectral
+
+    passes = []
+    inertia = striplab.spectral.banded_inertia
+
+    def counting(band, reg):
+        passes.append(band.shape)
+        return inertia(band, reg)
+
+    monkeypatch.setattr(striplab.spectral, "banded_inertia", counting)
+    rng = np.random.default_rng(19 + is_complex)
+    for n, bw, n_e in ((12, 2, 6), (150, 2, 9), (300, 5, 3), (300, 5, 8)):
+        base = _random_lower_band(rng, n, bw, is_complex)
+        diags = rng.uniform(-2.0, 2.0, (5, n))
+        energies = np.sort(rng.uniform(-4.0, 4.0, n_e))
+        counts = count_below_ensemble(base, diags, energies)
+        assert passes == []
+        cols = [count_below_ensemble(base, diags, [E])[:, 0] for E in energies]
+        assert len(passes) == n_e
+        passes.clear()
+        assert np.array_equal(counts, np.column_stack(cols))
+        assert np.all(np.diff(counts, axis=1) >= 0)
+
+
+def test_count_below_grid_under_spectrum():
+    # energies at or below -||A||_inf - 1 lie under every eigenvalue and
+    # under the searched range of the eigenvalue kernel: all counts are zero
+    rng = np.random.default_rng(23)
+    Hs, A = random_banded_symmetric(rng, n=40, bw=3)
+    low = -np.abs(A).sum(axis=1).max() - 1.0
+    assert count_below(Hs, low - np.array([3.0, 2.0, 1.0])).tolist() == [0, 0, 0]
+    assert count_below(Hs, [low - 1.0, low]).tolist() == [0, 0]
+    assert count_below(Hs, low) == 0
+
+
 def test_count_below_near_tie_beyond_dense_size():
     # an eigenvalue strictly inside the regularization band around E + tie,
-    # on an operator past the old dense-fallback size: the flagged pivot is
-    # recounted from the banded eigenvalues, with no exception
+    # also on an operator past the old dense-fallback size: the flagged
+    # LDL^T pivot is recounted from the banded eigenvalues, with no
+    # exception, and an energy grid counts it from the eigenvalues
     diag = np.full(2001, 3.0)
     diag[:2] = [1.0 + 2.5e-12, 1.0]
-    assert count_below(sp.csr_matrix(np.diag([1.0 + 2.5e-12, 1.0, 3.0])), 1.0) == 2
+    near = sp.csr_matrix(np.diag([1.0 + 2.5e-12, 1.0, 3.0]))
+    assert count_below(near, 1.0) == 2
+    assert count_below(near, [1.0, 2.0]).tolist() == [2, 2]
     assert count_below(sp.diags(diag, format="csr"), 1.0) == 2
+
+
+def test_count_below_recounts_flagged_pivot():
+    # the first pivot lies inside the tie band and is nudged, which flips the
+    # sign of the second; the lowest eigenvalue sits 4.8e-13 below E + tie, so
+    # only the eigenvalue recount of the flagged lane counts it
+    E, b, c = 1.0, 8e-7, 1.3
+    tie = 1e-12 * (c + b + E + 1.0)
+    A = np.array([[E + 1.5 * tie, b], [b, c]])
+    band = np.array([[A[0, 0] - E - tie, c - E - tie], [b, 0.0]])
+    neg, hit = banded_inertia(band[None], tie)
+    assert neg[0] == 0 and hit[0]
+    assert count_below(sp.csr_matrix(A), E) == dense_count(A, E) == 1
 
 
 def test_ensemble_count_independent_of_chunkmates():
     # the tie scale is the lane's own norm, so a large-diagonal chunkmate
-    # cannot widen it
+    # cannot widen it, in the LDL^T pass of one energy and in the
+    # eigenvalues of a grid; one lane eigenvalue lies exactly at E
     base = np.zeros((1, 3))
     lane = np.array([1.0 + 1e-9, 1.0, 3.0])
-    alone = count_below_ensemble(base, lane[None], [1.0])
-    beside = count_below_ensemble(base, np.stack([lane, [1e6, 0.0, 0.0]]), [1.0])
-    assert alone[0, 0] == beside[0, 0] == count_below(sp.diags(lane, format="csr"), 1.0) == 1
+    grid = np.linspace(1.0, 2.0, 5)
+    for energies, want in (([1.0], [1]), (grid, [1, 2, 2, 2, 2])):
+        alone = count_below_ensemble(base, lane[None], energies)
+        beside = count_below_ensemble(base, np.stack([lane, [1e6, 0.0, 0.0]]), energies)
+        assert alone[0].tolist() == beside[0].tolist() == want
+    assert count_below(sp.diags(lane, format="csr"), 1.0) == 1
 
 
 def test_temple_exact_eigenvector():
