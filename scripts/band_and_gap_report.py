@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from striplab.floquet import band_curve, gap_certificate, ground_state_cell
+from striplab.floquet import band_curve, cached_reference, gap_certificate
 from striplab.grid import build_grid
 from striplab.instances import default_model, random_periodic_cell
 from striplab.reports import ensure_dir, write_csv, write_sidecar
@@ -53,7 +53,7 @@ def main():
         print(f"{name:9s}: E0 = {curve.e0:+.6f}, (C1/C2)^2 = {(curve.c1 / curve.c2) ** 2:.4f}, "
               f"worst margins {curve.upper_margin_kdisc.min():+.2e} / {curve.lower_margin.min():+.2e}")
 
-    ref = ground_state_cell(model.cell_grid(16), model.u_per(), 20)
+    ref = cached_reference(model, 16, 20)
     reports = gap_certificate(model.u_per(), [4, 8, 16, 32, 64], ref, M=16)
     write_csv(
         os.path.join(args.out, "gap.csv"),

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from striplab.floquet import ground_state_cell
+from striplab.floquet import cached_reference
 from striplab.idss import idss_estimate
 from striplab.instances import default_model
 from striplab.reports import ensure_dir, write_csv, write_sidecar
@@ -31,7 +31,7 @@ def main():
     ensure_dir(args.out)
 
     model = default_model()
-    e0 = ground_state_cell(model.cell_grid(16), model.u_per(), 20).e0
+    e0 = cached_reference(model, 16, 20).e0
     energies = np.linspace(e0 + 0.1, -0.1, 14)
 
     curves = {}

@@ -5,14 +5,11 @@ operations, writes CSV data plus a JSON sidecar into the output directory,
 prints one line per asserted invariant, and exits 0 only if every
 assertion passed.  Re-running a subcommand with the same config and seed
 produces byte-identical CSV files; worker count never changes results.
-
-Ground-state references are cached under ``$STRIPLAB_CACHE_DIR`` when set.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import traceback
@@ -21,8 +18,7 @@ import numpy as np
 
 from .config import SUBCOMMANDS, build_model, energy_grid, load_config, validate_geometry
 from .errors import ConfigInvalid, StripLabError
-from .floquet import band_curve, default_theta_grid, gap_certificate, ground_state_cell
-from .grid import build_grid
+from .floquet import band_curve, cached_reference, default_theta_grid, gap_certificate
 from .idss import (
     StripEnsemble,
     bracketing_check,
@@ -34,7 +30,6 @@ from .idss import (
     sandwich_check,
     temple_tail_bound,
 )
-from .instances import SurfaceModel
 from .localization import (
     decay_profile,
     dynamics_moment,
@@ -42,28 +37,8 @@ from .localization import (
     transverse_bound_rate,
     wegner_probe,
 )
-from .operator import GroundStateRef
 from .reports import ensure_dir, write_csv, write_sidecar
 from .spectral import lowest_k
-
-
-def cached_reference(model: SurfaceModel, M: int, M_ref: int) -> GroundStateRef:
-    """Ground-state reference, reused across runs via STRIPLAB_CACHE_DIR."""
-    cache_dir = os.environ.get("STRIPLAB_CACHE_DIR")
-    if not cache_dir:
-        return ground_state_cell(model.cell_grid(M), model.u_per(), M_ref)
-    key = hashlib.sha256(f"{model!r}|{M}|{M_ref}".encode()).hexdigest()[:24]
-    path = os.path.join(cache_dir, f"ref_{key}.npz")
-    if os.path.exists(path):
-        data = np.load(path)
-        grid = build_grid(model.d1, model.d2, L=1, a=model.a, M=int(data["M_ref"]))
-        return GroundStateRef(
-            grid=grid, psi0=data["psi0"], e0=float(data["e0"]), residual=float(data["residual"])
-        )
-    ref = ground_state_cell(model.cell_grid(M), model.u_per(), M_ref)
-    ensure_dir(cache_dir)
-    np.savez(path, psi0=ref.psi0, e0=ref.e0, residual=ref.residual, M_ref=ref.grid.M)
-    return ref
 
 
 def _check(ok: bool, name: str, detail: str = "") -> bool:
@@ -136,7 +111,7 @@ def run_idss(cfg, out, workers):
     seed = int(run.get("master_seed", 0))
     bc = run.get("bc", "chi")
     curve = idss_estimate(model, geo["L"], geo["M"], energies, n_samples, seed,
-                          bc=bc, M_ref=geo["M_ref"], workers=workers, ref=ref)
+                          bc=bc, M_ref=geo["M_ref"], workers=workers)
     write_csv(
         os.path.join(out, "idss.csv"),
         ["E", "mean", "se", "p0_upper", "n_samples", "L", "M"],
@@ -153,7 +128,7 @@ def run_idss(cfg, out, workers):
             ok &= _check(False, "bracketing count ordering", str(exc))
         try:
             sandwich_check(model, geo["L"], geo["M"], energies, min(n_samples, 200), seed,
-                           M_ref=geo["M_ref"], workers=workers, ref=ref)
+                           M_ref=geo["M_ref"], workers=workers)
             ok &= _check(True, "IDSS sandwich within 3 SE")
         except StripLabError as exc:
             ok &= _check(False, "IDSS sandwich within 3 SE", str(exc))

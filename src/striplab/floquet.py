@@ -17,8 +17,12 @@ on the lattice and never exceeds |theta|^2, so upper bounds stated against
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import os
+import tempfile
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +36,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .grid import Bloch, BoundarySpec, Dirichlet, GridSpec, Mezincescu, build_grid
+from .instances import SurfaceModel
 from .operator import GroundStateRef, Hamiltonian, assemble
 from .potential import periodic_bulk
 from .spectral import lowest_k
@@ -121,6 +126,43 @@ def ground_state_cell(cell_grid: GridSpec, u_per, M_ref: int) -> GroundStateRef:
     if residual > tol:
         raise NearDegenerate(f"reference residual {residual:.3e} exceeds {tol:.3e}")
     return GroundStateRef(grid=ref_grid, psi0=psi, e0=e0, residual=residual)
+
+
+def cached_reference(model: SurfaceModel, M: int, M_ref: Optional[int] = None) -> GroundStateRef:
+    """Ground-state reference of ``model.cell_grid(M)`` at depth ``M_ref`` (default M + 4).
+
+    Each process solves each (model, M, M_ref) key once; with
+    ``$STRIPLAB_CACHE_DIR`` set, processes share references through files
+    there.  The reference is shared between callers; its ``psi0`` is read-only.
+    """
+    return _reference(model, int(M), int(M + 4 if M_ref is None else M_ref))
+
+
+@functools.lru_cache(maxsize=16)
+def _reference(model: SurfaceModel, M: int, M_ref: int) -> GroundStateRef:
+    cache_dir = os.environ.get("STRIPLAB_CACHE_DIR")
+    key = hashlib.sha256(f"{model!r}|{M}|{M_ref}".encode()).hexdigest()[:24]
+    path = os.path.join(cache_dir, f"ref_{key}.npz") if cache_dir else None
+    if path and os.path.exists(path):
+        with np.load(path) as data:
+            ref = GroundStateRef(grid=model.cell_grid(M_ref), psi0=data["psi0"],
+                                 e0=float(data["e0"]), residual=float(data["residual"]))
+    else:
+        ref = ground_state_cell(model.cell_grid(M), model.u_per(), M_ref)
+        if path:
+            # other processes read ``path``: write elsewhere, then rename into place
+            os.makedirs(cache_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".ref_", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    np.savez(fh, psi0=ref.psi0, e0=ref.e0, residual=ref.residual,
+                             M_ref=ref.grid.M)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+    ref.psi0.setflags(write=False)
+    return ref
 
 
 # -- averaged comparison model -------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     S4Violated,
     TooFewPoints,
 )
-from .floquet import gap_certificate, ground_state_cell
+from .floquet import cached_reference, gap_certificate
 from .grid import (
     BoundarySpec,
     Dirichlet,
@@ -77,10 +77,9 @@ class StripEnsemble:
     the boundary terms live in ``base_band``; the per-sample diagonal
     additions come from ``sample_diags``.
 
-    ``ref`` is the ground-state reference of ``model.cell_grid(M)`` at
-    depth ``M_ref``; when given, it is used as is instead of being solved,
-    and its depth must be ``M_ref``.  It does not depend on L, so ensembles
-    of one (model, M, M_ref) share it.
+    ``ref`` and ``e0`` come from ``cached_reference(model, M, M_ref)``
+    (``M_ref`` defaults to M + 4).  The reference does not depend on L, so
+    ensembles of one (model, M, M_ref) share one solve per process.
     """
 
     def __init__(
@@ -91,20 +90,13 @@ class StripEnsemble:
         bc: str = "chi",
         M_ref: Optional[int] = None,
         master_seed: int = 0,
-        ref: Optional[GroundStateRef] = None,
     ):
         self.model = model
         self.L = int(L)
         self.M = int(M)
         self.master_seed = int(master_seed)
-        if M_ref is None:
-            M_ref = M + 4
         self.grid = model.strip_grid(self.L, self.M)
-        if ref is None:
-            ref = ground_state_cell(model.cell_grid(self.M), model.u_per(), int(M_ref))
-        elif ref.grid.M != M_ref:
-            raise InvalidParam(f"reference depth {ref.grid.M} differs from M_ref={M_ref}")
-        self.ref = ref
+        self.ref = cached_reference(model, self.M, M_ref)
         self.e0 = self.ref.e0
         self.bcs = bc_for_tag(bc, self.ref)
         self.u_b = periodic_bulk(self.grid, model.bulk_periodic.as_callable()).values
@@ -197,19 +189,17 @@ def idss_estimate(
     bc: str = "chi",
     M_ref: Optional[int] = None,
     workers: int = 1,
-    ref: Optional[GroundStateRef] = None,
 ) -> IdssCurve:
     """Monte Carlo reduced-volume IDSS over an energy grid.
 
     Requires the periodic background to be in the surface regime (ground
     energy below zero) and all grid energies below the recentered bulk
-    bottom.  ``ref`` is a precomputed ground-state reference (see
-    StripEnsemble).
+    bottom.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     if np.any(np.diff(energies) <= 0):
         raise InvalidParam("energy grid must be strictly ascending")
-    engine = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed, ref=ref)
+    engine = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
     if engine.e0 >= 0:
         raise S4Violated(f"periodic ground energy {engine.e0:.6g} is not negative")
     if isinstance(model.bulk_periodic, ZeroBulk):
@@ -360,20 +350,16 @@ def sandwich_check(
     M_ref: Optional[int] = None,
     workers: int = 1,
     tol_se: float = 3.0,
-    ref: Optional[GroundStateRef] = None,
 ) -> SandwichReport:
     """Empirical two-sided bound chain for the IDSS at every grid energy.
 
     Couplings are shared between the Dirichlet and the chi ensembles, so
     the comparison is paired.  Violations beyond ``tol_se`` combined
-    standard errors raise InequalityViolated.  Both ensembles use one
-    ground-state reference: ``ref`` when given, else one solved here.
+    standard errors raise InequalityViolated.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    eng_chi = StripEnsemble(model, L, M, bc="chi", M_ref=M_ref, master_seed=master_seed, ref=ref)
-    eng_d = StripEnsemble(
-        model, L, M, bc="D", M_ref=M_ref, master_seed=master_seed, ref=eng_chi.ref
-    )
+    eng_chi = StripEnsemble(model, L, M, bc="chi", M_ref=M_ref, master_seed=master_seed)
+    eng_d = StripEnsemble(model, L, M, bc="D", M_ref=M_ref, master_seed=master_seed)
     counts_chi = ensemble_counts(eng_chi, n_samples, energies, workers=workers)
     counts_d = ensemble_counts(eng_d, n_samples, energies, workers=workers)
 
@@ -395,12 +381,10 @@ def sandwich_check(
     rhs = n_per / vol * p_chi
     rhs_se = n_per / vol * se_pchi
 
-    ok = True
     for i, E in enumerate(energies):
         slack_lo = tol_se * math.hypot(lhs_se[i], mid_se[i])
         slack_hi = tol_se * math.hypot(mid_se[i], rhs_se[i])
         if lhs[i] > mid[i] + slack_lo or mid[i] > rhs[i] + slack_hi:
-            ok = False
             raise InequalityViolated(
                 f"sandwich violated at E={E:.6g}: "
                 f"lhs={lhs[i]:.4g} mid={mid[i]:.4g} rhs={rhs[i]:.4g}"
@@ -414,7 +398,7 @@ def sandwich_check(
         mid_se=mid_se,
         rhs_se=rhs_se,
         n_samples=n_samples,
-        ok=ok,
+        ok=True,
     )
 
 
@@ -543,11 +527,9 @@ def rayleigh_tail_bound(
     and the cutoff penalty (which absorbs both the x1 localization cost and
     the transverse truncation).
     """
-    if M_ref is None:
-        M_ref = M + 4
     grid = model.strip_grid(L, M)
     u_fn = model.u_per()
-    ref = ground_state_cell(model.cell_grid(M), u_fn, M_ref)
+    ref = cached_reference(model, M, M_ref)
 
     F = f_weight_matrix(grid, model.profile)
     q = model.dist.sample(stream(seed, ROLE_SURFACE), F.shape[0])
@@ -668,8 +650,7 @@ def quantum_campaign(
     deltas = np.sort(np.atleast_1d(np.asarray(deltas, dtype=float)))
     if np.any(deltas <= 0):
         raise InvalidParam("energy offsets must be positive")
-    probe = StripEnsemble(model, L_bounds[0], M, bc=bc, M_ref=M_ref, master_seed=master_seed)
-    e0 = probe.e0
+    e0 = cached_reference(model, M, M_ref).e0
     if e0 >= 0:
         raise S4Violated(f"periodic ground energy {e0:.6g} is not negative")
 
@@ -678,13 +659,12 @@ def quantum_campaign(
     ses = np.empty(len(deltas))
     for i, (d, L) in enumerate(zip(deltas, L_values)):
         eng = StripEnsemble(
-            model, int(L), M, bc=bc, M_ref=M_ref, master_seed=mix64(master_seed, 7000 + i),
-            ref=probe.ref,
+            model, int(L), M, bc=bc, M_ref=M_ref, master_seed=mix64(master_seed, 7000 + i)
         )
         counts = ensemble_counts(eng, n_samples, [e0 + d], workers=workers)
         vol = float(int(L) ** model.d1)
         means[i] = counts.mean() / vol
-        ses[i] = counts.std(ddof=1) / math.sqrt(n_samples) / vol
+        ses[i] = counts.std(ddof=1) / math.sqrt(n_samples) / vol if n_samples > 1 else 0.0
     p0 = np.where(means == 0, 1.0 - 0.05 ** (1.0 / n_samples), np.nan)
     return TailCampaign(
         deltas=deltas,
@@ -723,7 +703,7 @@ def classical_campaign(
     counts = ensemble_counts(eng, n_samples, energies, workers=workers)
     vol = float(L**model.d1)
     means = counts.mean(axis=0) / vol
-    ses = counts.std(axis=0, ddof=1) / math.sqrt(n_samples) / vol
+    ses = counts.std(axis=0, ddof=1) / math.sqrt(n_samples) / vol if n_samples > 1 else np.zeros_like(means)
     p0 = np.where(means == 0, 1.0 - 0.05 ** (1.0 / n_samples), np.nan)
     return TailCampaign(
         deltas=deltas,

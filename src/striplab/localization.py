@@ -25,6 +25,7 @@ from .errors import (
 from .grid import GridSpec
 from .idss import StripEnsemble, ensemble_counts
 from .instances import SurfaceModel
+from .spectral import DENSE_CAP
 
 PROFILE_GUARD = 1e-300
 
@@ -250,7 +251,7 @@ def dynamics_moment(
     times,
     sites: Sequence[int],
     u: Optional[np.ndarray] = None,
-    dense_cap: int = 2000,
+    dense_cap: int = DENSE_CAP,
 ) -> DynamicsReport:
     """Spectrally exact evolution of an interval-filtered local state.
 

@@ -55,23 +55,29 @@ def test_csv_reruns_byte_identical(tmp_path):
 
 
 def test_idss_solves_one_reference(tmp_path, monkeypatch):
-    # the cached reference serves the curve's and the sandwich's ensembles
-    import striplab.cli
-    import striplab.idss
+    # every subcommand's reference lookups and ensembles share one solve
+    import striplab.floquet
 
     monkeypatch.delenv("STRIPLAB_CACHE_DIR", raising=False)
     calls = []
-    solve = striplab.idss.ground_state_cell
+    solve = striplab.floquet.ground_state_cell
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(striplab.cli, "ground_state_cell", counting)
-    monkeypatch.setattr(striplab.idss, "ground_state_cell", counting)
-    path = write_cfg(tmp_path, base_config(tmp_path))
-    assert main(["idss", "--config", path, "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(striplab.floquet, "ground_state_cell", counting)
+    for sub, mode in (("gap", None), ("idss", None), ("lifshits", "quantum"),
+                      ("lifshits", "classical"), ("decay", None), ("wegner", None),
+                      ("initial-scale", None), ("dynamics", None), ("bounds", None)):
+        cfg = base_config(tmp_path)
+        if mode:
+            cfg["run"]["mode"] = mode
+        path = write_cfg(tmp_path, cfg)
+        striplab.floquet._reference.cache_clear()
+        calls.clear()
+        assert main([sub, "--config", path, "--out", str(tmp_path)]) == 0, sub
+        assert len(calls) == 1, (sub, mode, len(calls))
 
 
 def test_malformed_config_names_field(tmp_path, capsys):
@@ -109,17 +115,68 @@ def test_seed_override(tmp_path):
 
 
 def test_reference_cache(tmp_path, monkeypatch):
+    import striplab.floquet
+
     cache = tmp_path / "cache"
     monkeypatch.setenv("STRIPLAB_CACHE_DIR", str(cache))
     cfg = base_config(tmp_path)
     cfg["geometry"]["L_values"] = [4]
     path = write_cfg(tmp_path, cfg)
+    striplab.floquet._reference.cache_clear()
     assert main(["gap", "--config", path, "--out", str(tmp_path)]) == 0
     cached = list(cache.glob("ref_*.npz"))
     assert len(cached) == 1
+    assert [p.name for p in cache.iterdir()] == [cached[0].name]  # no temporary file left
     first = (tmp_path / "gap.csv").read_bytes()
-    assert main(["gap", "--config", path, "--out", str(tmp_path)]) == 0  # cache hit
+
+    def no_solve(*args):
+        raise AssertionError("reference solved despite the cache file")
+
+    # a fresh process holds no memo: the second run loads the file
+    striplab.floquet._reference.cache_clear()
+    monkeypatch.setattr(striplab.floquet, "ground_state_cell", no_solve)
+    assert main(["gap", "--config", path, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "gap.csv").read_bytes() == first
+
+
+def test_reference_cache_write_is_atomic(tmp_path, monkeypatch, model):
+    # a write that dies partway leaves no file at the key path, and the next
+    # call solves and caches
+    import striplab.floquet as floquet
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("STRIPLAB_CACHE_DIR", str(cache))
+    real_savez = np.savez
+
+    def dying_savez(file, **arrays):
+        if isinstance(file, str):  # np.savez takes a path or an open file
+            file = open(file, "wb")
+        file.write(b"PK\x03\x04")  # the start of an archive, then the crash
+        file.flush()
+        raise OSError("disk full")
+
+    floquet._reference.cache_clear()
+    monkeypatch.setattr(np, "savez", dying_savez)
+    with pytest.raises(OSError, match="disk full"):
+        floquet.cached_reference(model, 12, 16)
+    assert list(cache.iterdir()) == []
+
+    monkeypatch.setattr(np, "savez", real_savez)
+    calls = []
+    solve = floquet.ground_state_cell
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(floquet, "ground_state_cell", counting)
+    ref = floquet.cached_reference(model, 12, 16)
+    assert len(calls) == 1
+    (cached,) = cache.iterdir()
+    floquet._reference.cache_clear()
+    again = floquet.cached_reference(model, 12, 16)
+    assert len(calls) == 1 and cached.name.startswith("ref_")
+    assert np.array_equal(again.psi0, ref.psi0) and again.e0 == ref.e0
 
 
 def test_full_precision_formatting(tmp_path):

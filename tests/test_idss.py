@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-import striplab.idss as idss_module
+import striplab.floquet as floquet
 from striplab.errors import GapTooSmall, InvalidParam, S4Violated, TooFewPoints
-from striplab.floquet import gap_certificate
+from striplab.floquet import gap_certificate, ground_state_cell
 from striplab.grid import bc_all_dirichlet
 from striplab.idss import (
     StripEnsemble,
@@ -44,37 +44,43 @@ def test_engine_matches_direct_counts(model, energies, e0_default):
             assert np.max(np.abs(diag - (eng.base_band[0] + eng.sample_diag(i)))) <= 1e-12
 
 
-def test_engine_counts_same_with_given_reference(model, energies, e0_default):
-    # a reference solved once serves ensembles of any L, periodic bulk U_b included
+def test_memoized_reference_matches_direct_solve(model, monkeypatch):
+    # one solve serves ensembles of any L, periodic bulk U_b included, and
+    # equals a direct solve bit for bit
     m = replace(model, bulk_periodic=CosineBulk(0.3))
-    probe = StripEnsemble(m, L=6, M=10, bc="chi", master_seed=5)
-    grid_energies = energies - e0_default + probe.e0
-    for L in (6, 9):
-        solved = StripEnsemble(m, L=L, M=10, bc="chi", master_seed=5)
-        given = StripEnsemble(m, L=L, M=10, bc="chi", master_seed=5, ref=probe.ref)
-        assert given.e0 == solved.e0
-        assert np.array_equal(given.base_band, solved.base_band)
-        assert np.array_equal(given.counts(range(6), grid_energies),
-                              solved.counts(range(6), grid_energies))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ground_state_cell(*args)
+
+    monkeypatch.setattr(floquet, "ground_state_cell", counting)
+    floquet._reference.cache_clear()
+    engines = [StripEnsemble(m, L=L, M=10, bc="chi", master_seed=5) for L in (6, 9)]
+    assert len(calls) == 1
+    assert engines[0].ref is engines[1].ref
+    direct = ground_state_cell(m.cell_grid(10), m.u_per(), 14)
+    ref = engines[0].ref
+    assert np.array_equal(ref.psi0, direct.psi0) and not ref.psi0.flags.writeable
+    assert (ref.e0, ref.residual, ref.grid) == (direct.e0, direct.residual, direct.grid)
 
 
 def test_ground_state_reference_solved_once(model, monkeypatch):
     calls = []
-    solve = idss_module.ground_state_cell
 
     def counting(*args):
         calls.append(args)
-        return solve(*args)
+        return ground_state_cell(*args)
 
-    monkeypatch.setattr(idss_module, "ground_state_cell", counting)
+    monkeypatch.setattr(floquet, "ground_state_cell", counting)
+    floquet._reference.cache_clear()
     quantum_campaign(model, [0.2, 0.4, 0.7], c_factor=4.0, M=8, n_samples=4, master_seed=3,
                      L_bounds=(4, 8))
     assert len(calls) == 1
-    ref = solve(model.cell_grid(8), model.u_per(), 12)
-    StripEnsemble(model, L=5, M=8, bc="chi", master_seed=3, ref=ref)
+    # the default depth M + 4 and the same depth given explicitly are one key
+    StripEnsemble(model, L=5, M=8, bc="chi", M_ref=12, master_seed=3)
+    rayleigh_tail_bound(model, L=5, M=8, seed=3)
     assert len(calls) == 1
-    with pytest.raises(InvalidParam):
-        StripEnsemble(model, L=5, M=8, bc="chi", M_ref=14, master_seed=3, ref=ref)
 
 
 def test_engine_counts_batch_size_invariant(model, energies):
@@ -276,6 +282,15 @@ def test_quantum_campaign_smoke():
     # points are independent ensembles; assert the trend, not strict order
     assert camp.means[-1] > camp.means[0]
     assert np.all(camp.energies < 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_campaigns_single_sample_zero_se(model):
+    q = quantum_campaign(model, [0.2, 0.7], c_factor=4.0, M=8, n_samples=1, master_seed=3,
+                         L_bounds=(4, 8))
+    c = classical_campaign(model, [0.2, 0.7], L=6, M=8, n_samples=1, master_seed=3)
+    for camp in (q, c):
+        assert np.all(camp.ses == 0)  # a NaN fails this too
 
 
 def test_classical_campaign_smoke():
