@@ -58,10 +58,6 @@ class GridSpec:
     def n_sites(self) -> int:
         return math.prod(self.shape)
 
-    @property
-    def n_cells(self) -> int:
-        return self.L ** self.d1
-
     # -- index & coordinate maps ------------------------------------------
 
     def index_of(self, coords) -> np.ndarray:

@@ -487,20 +487,6 @@ def quantum_reducing_profile(
     return w
 
 
-def classical_reducing_profile(
-    rho: np.ndarray, cells: np.ndarray, R: float, alpha: float, L: int, a: int = 1, f_u: float = 1.0
-) -> np.ndarray:
-    """Far-cell capped profile: distant couplings only, power-law weights."""
-    rho = np.asarray(rho, dtype=float)
-    cells = np.asarray(cells, dtype=float)
-    x1 = np.arange(a * L) / a
-    w = np.zeros(a * L)
-    for rj, j in zip(rho, cells):
-        if abs(j) > R:
-            w += f_u * min(rj, 1.0) * np.maximum(np.abs(x1 - j), 1.0) ** (-alpha)
-    return w
-
-
 @dataclass(frozen=True)
 class RayleighTailReport:
     bound: float  # trial Rayleigh quotient

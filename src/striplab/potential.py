@@ -172,10 +172,6 @@ class TwoPointCouplings:
     def mean(self) -> float:
         return self.p * self.q_min + (1 - self.p) * self.q_max
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.p == 1.0
-
 
 # -- random bulk specs -------------------------------------------------------
 

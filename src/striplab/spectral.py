@@ -9,20 +9,36 @@ one-lane case.  Two kernels answer the same question:
 * the eigenvalues of each lane's band (LAPACK ``?sbevx``/``?hbevx`` over a
   range), found once and searched for every energy.
 
-A pass costs about n bw^2 multiply-adds, interpreter-bound across the
-lanes; a banded eigensolve about n^2 bw.  The cost of one lane's
-eigensolve, counted in LDL^T passes per lane on ensembles of 96-192 real
-strip operators (2-core x86 VM, numpy 2.4, scipy 1.17), was 1.4-1.9 at
-n=192/bw24, 2.0-2.2 at n=256/bw16, 1.1-2.4 at n=384/bw24, 4.6-4.8 at
-n=720/bw24, 5.8-6.1 at n=1152/bw24 and 1.4 at n=512/bw32: above one pass
-on every shape tried, and below the ten or more energies of an IDSS or
-classical-tail grid.  So a single energy takes the LDL^T pass and more
-than one take the eigenvalues.  The campaigns send one energy (the
-quantum tail) or grids of ten to twelve (the IDSS curve, the classical
-tail); two to six energies on large operators would be cheaper by LDL^T
-(up to about 3x at n=1152), but no campaign sends them.  The rule reads
-only the number of energies, never the lane count, so a chunk or a worker
-block never changes the kernel a sample is counted with.
+A pass costs about n bw^2 multiply-adds per lane in about ten numpy calls
+per pivot, whatever the bandwidth and the lane count: pivot j subtracts one
+rank-1 update from its bw x bw trailing window in all lanes at once.  A
+banded eigensolve costs about n^2 bw per lane, inside LAPACK.
+``scripts/kernel_timing.py`` times both on real strip ensembles.  One
+lane's eigensolve, counted in passes per lane, over three runs on a 2-core
+x86 VM (numpy 2.4, scipy 1.17):
+
+    n / bw      1 lane    48 lanes   128 lanes   192 lanes   256 lanes
+    192 / 24    0.3-0.4   3.0-4.0    4.6-5.9     3.3-5.4     4.9-6.8
+    256 / 16    0.4       6.5-7.3    9.1-10      14-15       13-15
+    384 / 24    0.7-0.8   6.7-7.6    9.7-13      9.8-12      10-13
+    512 / 32    1.1-1.2   6.0-7.4    8.7-11      9.1-13      8.4-10
+    720 / 24    1.2-1.6   10-14      17-25       14-24       17-32
+    1152 / 24   2.1-2.8   20-22      28-35       28-36       26-39
+
+A single energy takes the LDL^T pass and more than one take the
+eigenvalues, which stays the cheaper choice on the campaigns' traffic: the
+quantum tail counts one energy on 48-lane worker blocks at n=192 to 1152,
+where a pass is 3 to 22 times cheaper, and bracketing and the sandwich
+check count grids on one operator, where an eigensolve costs 0.4 to 2.8
+passes.  The margin on ensemble grids is thin: the benchmark's IDSS curve
+sends 12 energies at n=256/bw16 on 128 lanes (crossover 9-10) and its
+classical tail 10 energies at n=384/bw24 on 192 lanes (crossover 10-12),
+where the two kernels tie within the noise.  Grids of fewer than about 20
+energies on ensembles at n >= 720, and a single energy on one operator
+below n of about 720, would be cheaper the other way, but no campaign
+sends them.  The rule reads only the number of energies, never the lane
+count, so a chunk or a worker block never changes the kernel a sample is
+counted with.
 
 Both kernels keep one tie contract: each lane counts eigenvalues <= E +
 tie with tie = 1e-12 * (||H_s||_inf + |E| + 1) from its own operator.
@@ -40,6 +56,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DenominatorNonpositive,
@@ -135,35 +152,45 @@ def _offdiag_row_sums(band: np.ndarray) -> np.ndarray:
     return s
 
 
-def banded_inertia(band: np.ndarray, reg):
-    """Negative-pivot counts of batched banded LDL^T (in place).
+def banded_inertia(base_band: np.ndarray, shifts: np.ndarray, reg):
+    """Negative-pivot counts of batched banded LDL^T.
 
-    ``band`` has shape (S, bw+1, n); ``reg`` is a scalar or one value per
-    lane.  Returns (neg_counts, hit_reg) where ``hit_reg`` marks lanes whose
-    factorization met a pivot below the lane's ``reg`` in magnitude (nudged
-    to +-reg to continue).  Lanes are independent: results do not depend on
-    the batch size.
+    Lane s factors the Hermitian operator with lower band ``base_band``
+    (shape (bw+1, n)) plus ``shifts[s]`` on its diagonal; ``shifts`` has
+    shape (S, n) and ``reg`` is a scalar or one value per lane.  Returns
+    (neg_counts, hit_reg) where ``hit_reg`` marks lanes whose factorization
+    met a pivot below the lane's ``reg`` in magnitude (nudged to +-reg to
+    continue).  Lanes are independent: results do not depend on the batch
+    size.  The inputs are not modified.
+
+    The work array ``work[j, r, s]`` = A_s[j+r, j] keeps the lanes last and
+    bw zero rows past n, so pivot j updates its whole trailing window at
+    once: ``work[j+q, r] -= (d conj(l_q)) l_{q+r}`` for q = 1..bw, r =
+    0..bw-1, with the multipliers l read through a Hankel view of a
+    zero-padded buffer.  Every entry of the operator takes the same
+    products, in the same order, as in a column-by-column update; the
+    extra updates subtract zeros or land past n, where no pivot reads them.
     """
-    S, bwp1, n = band.shape
-    bw = bwp1 - 1
+    S, n = shifts.shape
+    bw = base_band.shape[0] - 1
     reg = np.broadcast_to(np.asarray(reg, dtype=float), (S,))
-    is_complex = np.iscomplexobj(band)
+    work = np.zeros((n + bw, bw + 1, S), dtype=np.result_type(base_band, shifts))
+    work[:n] = base_band.T[:, :, None]
+    work[:n, 0] += shifts.T
+    l_pad = np.zeros((2 * bw, S), dtype=work.dtype)
+    # hankel[c, r] = l_pad[c + r] = l_{c+r+1}
+    hankel = sliding_window_view(l_pad, bw, axis=0)[:bw].transpose(0, 2, 1)
     neg = np.zeros(S, dtype=np.int64)
     hit = np.zeros(S, dtype=bool)
     for j in range(n):
-        d = band[:, 0, j].real.copy()
+        d = work[j, 0].real.copy()
         small = np.abs(d) < reg
         if small.any():
             hit |= small
             d[small] = np.where(d[small] < 0, -reg[small], reg[small])
         neg += d < 0
-        m = min(bw, n - 1 - j)
-        if m == 0:
-            continue
-        l = band[:, 1 : m + 1, j] / d[:, None]
-        lc = np.conj(l) if is_complex else l
-        for q in range(1, m + 1):
-            band[:, 0 : m - q + 1, j + q] -= (d * lc[:, q - 1])[:, None] * l[:, q - 1 : m]
+        np.divide(work[j, 1:], d, out=l_pad[:bw])
+        work[j + 1 : j + 1 + bw, :bw] -= (d * np.conj(l_pad[:bw]))[:, None, :] * hankel
     return neg, hit
 
 
@@ -226,9 +253,7 @@ def count_below_ensemble(base_band: np.ndarray, diag_samples: np.ndarray, energi
     lane_norm = (np.abs(base_band[0] + diag_samples) + off).max(axis=1, initial=0.0)
     tie = TIE_REL * (lane_norm[:, None] + np.abs(energies) + 1.0)
     if len(energies) == 1:
-        band = np.broadcast_to(base_band, (S,) + base_band.shape).copy()
-        band[:, 0, :] += diag_samples - (energies + tie)
-        counts[:, 0], hit = banded_inertia(band, reg=tie[:, 0])
+        counts[:, 0], hit = banded_inertia(base_band, diag_samples - (energies + tie), tie[:, 0])
         lanes = np.nonzero(hit)[0]
     else:
         lanes = range(S)

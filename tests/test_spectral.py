@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,7 +15,10 @@ from striplab.errors import (
     ZeroVector,
 )
 from striplab.grid import Bloch, BoundarySpec, Dirichlet, bc_all_neumann, build_grid
+from striplab.idss import StripEnsemble
+from striplab.instances import default_model
 from striplab.operator import assemble
+from striplab.potential import TwoPointCouplings
 from striplab.spectral import (
     banded_inertia,
     count_below,
@@ -160,9 +165,9 @@ def test_ensemble_kernels_agree_by_column(is_complex, monkeypatch):
     passes = []
     inertia = striplab.spectral.banded_inertia
 
-    def counting(band, reg):
-        passes.append(band.shape)
-        return inertia(band, reg)
+    def counting(base_band, shifts, reg):
+        passes.append(shifts.shape)
+        return inertia(base_band, shifts, reg)
 
     monkeypatch.setattr(striplab.spectral, "banded_inertia", counting)
     rng = np.random.default_rng(19 + is_complex)
@@ -177,6 +182,83 @@ def test_ensemble_kernels_agree_by_column(is_complex, monkeypatch):
         passes.clear()
         assert np.array_equal(counts, np.column_stack(cols))
         assert np.all(np.diff(counts, axis=1) >= 0)
+
+
+def _column_loop_inertia(band, reg):
+    """Reference LDL^T: one strided update per column offset, in place on (S, bw+1, n)."""
+    S, bwp1, n = band.shape
+    bw = bwp1 - 1
+    reg = np.broadcast_to(np.asarray(reg, dtype=float), (S,))
+    is_complex = np.iscomplexobj(band)
+    neg = np.zeros(S, dtype=np.int64)
+    hit = np.zeros(S, dtype=bool)
+    for j in range(n):
+        d = band[:, 0, j].real.copy()
+        small = np.abs(d) < reg
+        if small.any():
+            hit |= small
+            d[small] = np.where(d[small] < 0, -reg[small], reg[small])
+        neg += d < 0
+        m = min(bw, n - 1 - j)
+        if m == 0:
+            continue
+        l = band[:, 1 : m + 1, j] / d[:, None]
+        lc = np.conj(l) if is_complex else l
+        for q in range(1, m + 1):
+            band[:, 0 : m - q + 1, j + q] -= (d * lc[:, q - 1])[:, None] * l[:, q - 1 : m]
+    return neg, hit
+
+
+def _assert_matches_column_loop(base, shifts, reg):
+    band = np.broadcast_to(base, (len(shifts),) + base.shape).copy()
+    band[:, 0, :] += shifts
+    want = _column_loop_inertia(band, reg)
+    kept = (base.copy(), shifts.copy())
+    got = banded_inertia(base, shifts, reg)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(base, kept[0]) and np.array_equal(shifts, kept[1])
+    return got
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_banded_inertia_matches_column_loop(is_complex):
+    # the window update gives every pivot, count and flag of the column
+    # loop: narrow and wide bands, n at and around bw, a scalar and a
+    # per-lane reg, lanes with nudged pivots; each lane alone as in the batch
+    rng = np.random.default_rng(29 + is_complex)
+    for bw in (0, 1, 3, 24):
+        for n in sorted({1, max(bw - 1, 1), max(bw, 1), bw + 1, 300}):
+            base = _random_lower_band(rng, n, bw, is_complex)
+            shifts = rng.uniform(-3.0, 3.0, (7, n))
+            shifts[0, 0] = -base[0, 0].real  # a zero first pivot
+            shifts[1, 0] = -base[0, 0].real - 5e-13  # a negative one inside reg
+            for reg in (1e-12, rng.uniform(0.0, 0.5, 7)):
+                neg, hit = _assert_matches_column_loop(base, shifts, reg)
+                assert hit[:2].all()
+                reg_s = np.broadcast_to(reg, (7,))
+                for s in range(7):
+                    alone = banded_inertia(base, shifts[s : s + 1], reg_s[s])
+                    assert (alone[0][0], alone[1][0]) == (neg[s], hit[s])
+
+
+def test_banded_inertia_matches_column_loop_on_strip_ensemble(monkeypatch):
+    # a two-point ensemble at n=192, bw=24, counted near the bottom of the
+    # spectrum as the quantum tail counts it
+    import striplab.spectral
+
+    calls = []
+
+    def checked(base_band, shifts, reg):
+        calls.append(shifts.shape)
+        return _assert_matches_column_loop(base_band, shifts, reg)
+
+    monkeypatch.setattr(striplab.spectral, "banded_inertia", checked)
+    model = replace(default_model(), dist=TwoPointCouplings(-2.0, -1.0, p=0.5))
+    eng = StripEnsemble(model, L=8, M=24, master_seed=5)
+    diags = eng.sample_diags(range(12))
+    for E in (eng.e0 + 0.05, eng.e0 + 0.7):
+        count_below_ensemble(eng.base_band, diags, [E])
+    assert calls == [(12, 192), (12, 192)]
 
 
 def test_count_below_grid_under_spectrum():
@@ -211,7 +293,7 @@ def test_count_below_recounts_flagged_pivot():
     tie = 1e-12 * (c + b + E + 1.0)
     A = np.array([[E + 1.5 * tie, b], [b, c]])
     band = np.array([[A[0, 0] - E - tie, c - E - tie], [b, 0.0]])
-    neg, hit = banded_inertia(band[None], tie)
+    neg, hit = banded_inertia(band, np.zeros((1, 2)), tie)
     assert neg[0] == 0 and hit[0]
     assert count_below(sp.csr_matrix(A), E) == dense_count(A, E) == 1
 
