@@ -5,10 +5,12 @@ For each strip shape (n sites, bandwidth bw) the script draws 256 samples of
 the two-point compact-impurity model and times, through
 ``count_below_ensemble``:
 
-* one batched LDL^T pass (a single energy, e0 + 0.1) over 1, 48, 128, 192
-  and 256 lanes: one operator, the lane block of each worker in a two-worker
-  quantum tail of 96 samples, the ensembles of the IDSS curve and of the
-  classical tail, and the ensemble chunk;
+* one batched LDL^T pass (a single energy, e0 + 0.1) over 1, 48, 96, 128,
+  192 and 256 lanes: one operator, half of a 96-sample ensemble (the block
+  of a lone ensemble split over two workers), a whole quantum-tail ensemble
+  (the task a worker takes when a campaign's ensembles share one pool), the
+  ensembles of the IDSS curve and of the classical tail, and the ensemble
+  chunk;
 * one banded eigensolve per lane (a 12-point tail grid, e0 + 0.02 ... e0 +
   0.7), on 32 lanes.
 
@@ -37,7 +39,7 @@ from striplab.spectral import count_below_ensemble
 # (L, M): n = L * M sites at bandwidth M; L 8..48 at M=24 spans the quantum
 # tail's strips, 16 x 16 is the IDSS curve's and 16 x 24 the classical tail's
 SHAPES = [(8, 24), (16, 24), (30, 24), (48, 24), (16, 16), (16, 32)]
-LANES = (1, 48, 128, 192, 256)
+LANES = (1, 48, 96, 128, 192, 256)
 EIG_LANES = 32
 REPEATS = 3
 

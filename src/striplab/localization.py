@@ -2,8 +2,7 @@
 
 Transverse decay-rate fits for surface states, empirical level-in-window
 probabilities over shrinking energy windows, finite-volume ground-energy
-statistics, dense spectral time evolution with moment tracking, and
-surface-direction localization measures for individual eigenvectors.
+statistics, and dense spectral time evolution with moment tracking.
 """
 
 from __future__ import annotations
@@ -153,7 +152,7 @@ def wegner_probe(
     energies = np.concatenate([energy - eps[::-1], energy + eps])
     order = np.argsort(energies)
     engine = StripEnsemble(model, L, M, bc=bc, master_seed=master_seed)
-    counts_sorted = ensemble_counts(engine, n_samples, energies[order], workers=workers)
+    (counts_sorted,) = ensemble_counts([(engine, n_samples, energies[order])], workers=workers)
     counts = np.empty_like(counts_sorted)
     counts[:, order] = counts_sorted
     k = len(eps)
@@ -210,9 +209,9 @@ def initial_scale_probe(
     L_values = np.asarray(sorted(int(L) for L in L_values))
     probs = np.empty((len(L_values), len(energies)))
     ses = np.empty_like(probs)
-    for i, L in enumerate(L_values):
-        engine = StripEnsemble(model, int(L), M, bc="D", master_seed=master_seed)
-        counts = ensemble_counts(engine, n_samples, energies, workers=workers)
+    jobs = [(StripEnsemble(model, int(L), M, bc="D", master_seed=master_seed), n_samples, energies)
+            for L in L_values]
+    for i, counts in enumerate(ensemble_counts(jobs, workers=workers)):
         hit = counts >= 1
         probs[i] = hit.mean(axis=0)
         ses[i] = np.sqrt(probs[i] * (1 - probs[i]) / n_samples)
@@ -303,51 +302,4 @@ def dynamics_moment(
         p=float(p),
         projected_norm_sq=filtered_norm_sq,
         norm_drift=drift,
-    )
-
-
-# -- surface-direction localization measures ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class X1LocalizationReport:
-    participation_ratio: float  # 1 for a delta vector, n for a uniform one
-    inverse_participation: float
-    decay_length: float  # 1/gamma of the x1 sup-profile fit
-    gamma: float
-    r_squared: float
-
-
-def x1_localization(grid: GridSpec, eigenvector: np.ndarray) -> X1LocalizationReport:
-    """Participation ratio and surface-direction decay fit from the peak."""
-    psi = np.asarray(eigenvector)
-    dens = np.abs(psi) ** 2
-    dens = dens / dens.sum()
-    ipr = float(np.sum(dens**2))
-    pr = 1.0 / ipr
-
-    vec = np.abs(psi).reshape(grid.shape)
-    sup_x2 = vec.max(axis=tuple(range(grid.d1, grid.n_axes)))  # shape (aL,)*d1
-    flat = sup_x2.ravel()
-    x1 = np.stack(
-        [g.ravel() * grid.h for g in np.meshgrid(*[np.arange(s) for s in sup_x2.shape], indexing="ij")],
-        axis=-1,
-    )
-    peak = x1[int(np.argmax(flat))]
-    r = np.linalg.norm(x1 - peak, axis=1)
-    keep = (flat > PROFILE_GUARD) & (r > 1.5 * grid.h)
-    if keep.sum() < 3:
-        return X1LocalizationReport(pr, ipr, float("inf"), 0.0, 1.0)
-    slope, intercept = np.polyfit(r[keep], np.log(flat[keep]), 1)
-    resid = np.log(flat[keep]) - (slope * r[keep] + intercept)
-    ss_tot = float(np.sum((np.log(flat[keep]) - np.log(flat[keep]).mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    gamma = float(-slope)
-    length = 1.0 / gamma if gamma > 0 else float("inf")
-    return X1LocalizationReport(
-        participation_ratio=pr,
-        inverse_participation=ipr,
-        decay_length=length,
-        gamma=gamma,
-        r_squared=r2,
     )

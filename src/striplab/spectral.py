@@ -15,30 +15,30 @@ rank-1 update from its bw x bw trailing window in all lanes at once.  A
 banded eigensolve costs about n^2 bw per lane, inside LAPACK.
 ``scripts/kernel_timing.py`` times both on real strip ensembles.  One
 lane's eigensolve, counted in passes per lane, over three runs on a 2-core
-x86 VM (numpy 2.4, scipy 1.17):
+x86 VM (numpy 2.4, scipy 1.17; the 96-lane column from three later runs):
 
-    n / bw      1 lane    48 lanes   128 lanes   192 lanes   256 lanes
-    192 / 24    0.3-0.4   3.0-4.0    4.6-5.9     3.3-5.4     4.9-6.8
-    256 / 16    0.4       6.5-7.3    9.1-10      14-15       13-15
-    384 / 24    0.7-0.8   6.7-7.6    9.7-13      9.8-12      10-13
-    512 / 32    1.1-1.2   6.0-7.4    8.7-11      9.1-13      8.4-10
-    720 / 24    1.2-1.6   10-14      17-25       14-24       17-32
-    1152 / 24   2.1-2.8   20-22      28-35       28-36       26-39
+    n / bw      1 lane    48 lanes   96 lanes   128 lanes   192 lanes   256 lanes
+    192 / 24    0.3-0.4   3.0-4.0    3.1-5.5    4.6-5.9     3.3-5.4     4.9-6.8
+    256 / 16    0.4       6.5-7.3    8.7-10     9.1-10      14-15       13-15
+    384 / 24    0.7-0.8   6.7-7.6    6.8-8.9    9.7-13      9.8-12      10-13
+    512 / 32    1.1-1.2   6.0-7.4    7.9-11     8.7-11      9.1-13      8.4-10
+    720 / 24    1.2-1.6   10-14      12-17      17-25       14-24       17-32
+    1152 / 24   2.1-2.8   20-22      21-31      28-35       28-36       26-39
 
 A single energy takes the LDL^T pass and more than one take the
 eigenvalues, which stays the cheaper choice on the campaigns' traffic: the
-quantum tail counts one energy on 48-lane worker blocks at n=192 to 1152,
-where a pass is 3 to 22 times cheaper, and bracketing and the sandwich
-check count grids on one operator, where an eigensolve costs 0.4 to 2.8
-passes.  The margin on ensemble grids is thin: the benchmark's IDSS curve
-sends 12 energies at n=256/bw16 on 128 lanes (crossover 9-10) and its
-classical tail 10 energies at n=384/bw24 on 192 lanes (crossover 10-12),
-where the two kernels tie within the noise.  Grids of fewer than about 20
-energies on ensembles at n >= 720, and a single energy on one operator
-below n of about 720, would be cheaper the other way, but no campaign
-sends them.  The rule reads only the number of energies, never the lane
-count, so a chunk or a worker block never changes the kernel a sample is
-counted with.
+quantum tail counts one energy on whole 96-sample ensembles at n=192 to
+1152 (one pool task each), where a pass is 3 to 31 times cheaper, and
+bracketing and the sandwich check count grids on one operator, where an
+eigensolve costs 0.4 to 2.8 passes.  The margin on ensemble grids is thin:
+the benchmark's IDSS curve sends 12 energies at n=256/bw16 on 128 lanes
+(crossover 9-10) and its classical tail 10 energies at n=384/bw24 on 192
+lanes (crossover 10-12), where the two kernels tie within the noise.  Grids
+of fewer than about 20 energies on ensembles at n >= 720, and a single
+energy on one operator below n of about 720, would be cheaper the other
+way, but no campaign sends them.  The rule reads only the number of
+energies, never the lane count, so a chunk or a worker block never changes
+the kernel a sample is counted with.
 
 Both kernels keep one tie contract: each lane counts eigenvalues <= E +
 tie with tie = 1e-12 * (||H_s||_inf + |E| + 1) from its own operator.

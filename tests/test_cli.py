@@ -42,16 +42,54 @@ def test_band_free_closed_form(tmp_path):
     assert np.max(np.abs(e - (2 * (1 - np.cos(th)) + const))) <= 1e-8
 
 
+def quantum_config(out):
+    # a small quantum tail: eight ensembles at L = 8..16
+    cfg = base_config(out)
+    cfg["run"].update(mode="quantum", n_samples=48, L_bounds=[6, 16],
+                      deltas={"lo": 0.1, "hi": 0.7, "points": 8})
+    return cfg
+
+
 def test_csv_reruns_byte_identical(tmp_path):
     # the rerun fans out to two worker processes; neither rerun nor worker
     # count may change a byte
-    for sub, csv in (("idss", "idss.csv"), ("initial-scale", "initial_scale.csv")):
+    for sub, csv, make_cfg in (("idss", "idss.csv", base_config),
+                               ("initial-scale", "initial_scale.csv", base_config),
+                               ("lifshits", "lifshits_quantum.csv", quantum_config)):
         out1, out2 = tmp_path / sub / "a", tmp_path / sub / "b"
         out1.mkdir(parents=True), out2.mkdir()
-        cfg_path = write_cfg(tmp_path, base_config(out1))
+        cfg_path = write_cfg(tmp_path, make_cfg(out1))
         assert main([sub, "--config", cfg_path, "--out", str(out1)]) == 0
         assert main([sub, "--config", cfg_path, "--workers", "2", "--out", str(out2)]) == 0
         assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
+
+
+def test_quantum_tail_starts_one_pool(tmp_path, monkeypatch):
+    # all ensembles of a quantum campaign go out in one ensemble_counts call,
+    # so one pool, and no worker outlives the run
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    import striplab.idss as idss
+
+    calls, pools = [], []
+    counts = idss.ensemble_counts
+
+    def counting(jobs, workers=1):
+        calls.append(len(jobs))
+        return counts(jobs, workers=workers)
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(idss, "ensemble_counts", counting)
+    monkeypatch.setattr(idss, "ProcessPoolExecutor", CountingPool)
+    path = write_cfg(tmp_path, quantum_config(tmp_path))
+    assert main(["lifshits", "--config", path, "--workers", "2", "--out", str(tmp_path)]) == 0
+    assert calls == [8] and len(pools) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_idss_solves_one_reference(tmp_path, monkeypatch):

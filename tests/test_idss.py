@@ -1,8 +1,12 @@
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 import striplab.floquet as floquet
+import striplab.idss as idss
 from striplab.errors import GapTooSmall, InvalidParam, S4Violated, TooFewPoints
 from striplab.floquet import gap_certificate, ground_state_cell
 from striplab.grid import bc_all_dirichlet
@@ -15,7 +19,6 @@ from striplab.idss import (
     idss_estimate,
     lifshits_fit,
     quantum_campaign,
-    quantum_reducing_profile,
     rayleigh_tail_bound,
     sandwich_check,
     temple_tail_bound,
@@ -92,9 +95,40 @@ def test_engine_counts_batch_size_invariant(model, energies):
 
 def test_worker_count_never_changes_results(model, energies):
     eng = StripEnsemble(model, L=6, M=8, bc="chi", master_seed=9)
-    one = ensemble_counts(eng, 16, energies, workers=1)
-    two = ensemble_counts(eng, 16, energies, workers=2)
+    (one,) = ensemble_counts([(eng, 16, energies)], workers=1)
+    (two,) = ensemble_counts([(eng, 16, energies)], workers=2)
     assert np.array_equal(one, two)
+
+
+def test_ensemble_counts_job_list(model, energies, monkeypatch):
+    # one task list over mixed jobs (two L values, chi and D, one energy and a
+    # grid) counts every job as its engine does alone, at any worker count
+    chi = StripEnsemble(model, L=5, M=8, bc="chi", master_seed=11)
+    d = StripEnsemble(model, L=9, M=8, bc="D", master_seed=12)
+    jobs = [(d, 1, energies), (chi, 7, [chi.e0 + 0.1])]
+    expected = [eng.counts(range(n), E) for eng, n, E in jobs]
+    submitted = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, args):
+            submitted.append(args[0].grid.n_sites * len(args[1]))
+            return super().submit(fn, args)
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool was started at one worker")
+
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(idss, "ProcessPoolExecutor", NoPool if workers == 1 else RecordingPool)
+        submitted.clear()
+        got = ensemble_counts(jobs, workers=workers)
+        assert len(got) == len(jobs)
+        for g, e in zip(got, expected):
+            assert g.dtype == np.int64 and np.array_equal(g, e)
+        assert multiprocessing.active_children() == []
+        # ceil(workers / 2) blocks per job, largest first; at 3 workers the
+        # one-sample job's second block is empty and is not sent
+        assert submitted == {1: [], 2: [40 * 7, 72], 3: [40 * 4, 40 * 3, 72]}[workers]
 
 
 def test_idss_pinned_distribution_zero_variance(model, energies):
@@ -176,13 +210,6 @@ def test_temple_tail_bound_gap_guard(model, ref14):
         temple_tail_bound(model, ref14, L=8, w_x1=w, M=12, gap=gap)
 
 
-def test_quantum_reducing_profile_shape():
-    rho = np.array([0.5, 0.0, 2.0, 0.1])
-    w = quantum_reducing_profile(rho, cap=0.2, L=4)
-    assert w.shape == (4,)
-    assert np.allclose(w, [0.2, 0.0, 0.2, 0.1])
-
-
 def test_rayleigh_tail_bound_decomposition(model):
     rep = rayleigh_tail_bound(model, L=8, M=12, seed=11)
     assert rep.margin >= -1e-10
@@ -238,9 +265,7 @@ def test_ensemble_ground_energy_floor(model):
     # every chi-boundary realization sits at or above the periodic ground energy
     eng = StripEnsemble(model, L=8, M=12, bc="chi", master_seed=6)
     for i in range(8):
-        fld = make_field(eng.grid, v_s=eng.sample_diag(i))
-        H = assemble(eng.grid, fld, bc_for_tag("chi", eng.ref))
-        e0 = np.linalg.eigvalsh(H.dense())[0]
+        e0 = np.linalg.eigvalsh(eng.hamiltonian(i).dense())[0]
         assert e0 >= eng.e0 - 1e-9
 
 

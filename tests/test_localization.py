@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from striplab.errors import AllZeroOrOne, DenseCapExceeded, InvalidParam
-from striplab.grid import BoundarySpec, Dirichlet, Neumann, bc_all_dirichlet, build_grid
-from striplab.idss import StripEnsemble, bc_for_tag
+from striplab.grid import BoundarySpec, Dirichlet, Neumann, bc_all_dirichlet
+from striplab.idss import StripEnsemble
 from striplab.localization import (
     decay_profile,
     dynamics_moment,
     initial_scale_probe,
     transverse_bound_rate,
     wegner_probe,
-    x1_localization,
 )
 from striplab.operator import assemble
-from striplab.potential import make_field, periodic_bulk
+from striplab.potential import periodic_bulk
 from striplab.spectral import lowest_k
 
 
@@ -34,9 +33,7 @@ def test_decay_separable_matches_transfer_matrix_oracle(model):
 
 def test_decay_default_realization(model):
     eng = StripEnsemble(model, 8, 32, bc="chi", master_seed=4)
-    fld = make_field(eng.grid, v_s=eng.sample_diag(0))
-    H = assemble(eng.grid, fld, bc_for_tag("chi", eng.ref))
-    res = lowest_k(H, 1, tol=1e-9)
+    res = lowest_k(eng.hamiltonian(0), 1, tol=1e-9)
     fit = decay_profile(eng.grid, float(res.eigenvalues[0]), res.eigenvectors[:, 0])
     assert fit.gamma > 0
     assert fit.r_squared >= 0.95
@@ -123,24 +120,3 @@ def test_dynamics_dense_cap(model):
     H = assemble(grid, np.zeros(grid.n_sites), bc_all_dirichlet())
     with pytest.raises(DenseCapExceeded):
         dynamics_moment(H, (-10, 10), 2.0, [0.0], [0], dense_cap=100)
-
-
-def test_x1_localization_delta_and_uniform():
-    g = build_grid(1, 1, L=8, a=1, M=4)
-    delta = np.zeros(g.n_sites)
-    delta[5] = 1.0
-    rep = x1_localization(g, delta)
-    assert abs(rep.participation_ratio - 1.0) <= 1e-12
-    uniform = np.full(g.n_sites, 1.0 / np.sqrt(g.n_sites))
-    rep_u = x1_localization(g, uniform)
-    assert abs(rep_u.participation_ratio - g.n_sites) <= 1e-9
-
-
-def test_x1_localization_tail_state_is_short(model):
-    eng = StripEnsemble(model, 48, 12, bc="chi", master_seed=8)
-    fld = make_field(eng.grid, v_s=eng.sample_diag(0))
-    H = assemble(eng.grid, fld, bc_for_tag("chi", eng.ref))
-    res = lowest_k(H, 1, tol=1e-8)
-    rep = x1_localization(eng.grid, res.eigenvectors[:, 0])
-    assert rep.decay_length < 48  # much shorter than the strip
-    assert rep.participation_ratio < eng.grid.n_sites / 4
