@@ -115,8 +115,9 @@ def run_idss(cfg, out, workers):
     write_csv(
         os.path.join(out, "idss.csv"),
         ["E", "mean", "se", "p0_upper", "n_samples", "L", "M"],
-        [[E, m, s, p0, curve.n_samples, curve.L, curve.M]
-         for E, m, s, p0 in zip(curve.energies, curve.means, curve.ses, curve.p0_upper)],
+        [[E, m, s, p0, curve.n_samples, L, curve.M]
+         for E, m, s, p0, L in zip(curve.energies, curve.means, curve.ses, curve.p0_upper,
+                                   curve.L_values)],
     )
     ok = _check(bool(np.all(np.diff(curve.means) >= 0)), "IDSS means nondecreasing")
     if run.get("checks", True):
@@ -209,7 +210,7 @@ def run_wegner(cfg, out, workers):
     eps = np.geomspace(float(espec.get("lo", 3e-4)), float(espec.get("hi", 1e-2)),
                        int(espec.get("points", 8)))
     rep = wegner_probe(model, energy, eps, geo["L"] or 16, geo["M"], n_samples, seed,
-                       workers=workers)
+                       M_ref=geo["M_ref"], workers=workers)
     write_csv(os.path.join(out, "wegner.csv"), ["eps", "prob", "se"],
               list(zip(rep.eps, rep.probs, rep.ses)))
     ok = _check(bool(np.all(np.diff(rep.probs) >= 0)), "window probability monotone in eps")
@@ -230,7 +231,7 @@ def run_initial_scale(cfg, out, workers):
     offs = run.get("energy_offsets", [0.2, 0.3, 0.4])
     energies = [ref.e0 + o * abs(ref.e0) for o in offs]
     rep = initial_scale_probe(model, L_values, energies, geo["M"], n_samples, seed,
-                              workers=workers)
+                              M_ref=geo["M_ref"], workers=workers)
     rows = []
     for i, L in enumerate(rep.L_values):
         for j, E in enumerate(rep.energies):

@@ -179,22 +179,84 @@ def ensemble_counts(jobs, workers: int = 1) -> list:
     return out
 
 
-# -- IDSS curves ----------------------------------------------------------------
+# -- the surface-state density N(E) ----------------------------------------------
+
+
+def hit_rate(events: np.ndarray, n: int):
+    """Binomial rate of boolean ``events`` (one row per sample) and its standard error."""
+    p = events.mean(axis=0)
+    return p, np.sqrt(p * (1 - p) / n)
 
 
 @dataclass(frozen=True)
-class IdssCurve:
+class DensityCurve:
+    """Monte Carlo N(E) = E[count(H, E)] / L^d1, one point per energy.
+
+    Point i averages ``n_samples`` realizations on a strip of length
+    ``L_values[i]``: one length for an IDSS grid or a classical tail, one
+    per offset for the quantum tail.
+    """
+
+    deltas: np.ndarray  # E - e0 per point
     energies: np.ndarray
+    L_values: np.ndarray
+    M: int
     means: np.ndarray  # count / L^d1, averaged over samples
     ses: np.ndarray
     p0_upper: np.ndarray  # one-sided 95% upper bound where the mean is 0
     n_samples: int
-    L: int
-    M: int
-    a: int
-    bc: str
-    master_seed: int
     e0: float
+    master_seed: int
+    bc: str
+
+
+def _density(counts: np.ndarray, engine: StripEnsemble):
+    """Mean count per surface volume L^d1 over the sample rows, and its standard error."""
+    n = len(counts)
+    vol = float(engine.L**engine.model.d1)
+    means = counts.mean(axis=0) / vol
+    ses = counts.std(axis=0, ddof=1) / math.sqrt(n) / vol if n > 1 else np.zeros_like(means)
+    return means, ses
+
+
+def _density_curve(jobs, deltas, bc: str, master_seed: int, workers: int) -> DensityCurve:
+    """N(E) at the energies of every ``(engine, n_samples, energies)`` job, in job order.
+
+    All jobs share one depth, boundary tag and sample count, and are counted
+    in one ``ensemble_counts`` call.
+    """
+    reduced = [_density(counts, engine) for (engine, _, _), counts
+               in zip(jobs, ensemble_counts(jobs, workers=workers))]
+    means = np.concatenate([m for m, _ in reduced])
+    engine, n_samples, _ = jobs[0]
+    return DensityCurve(
+        deltas=deltas,
+        energies=np.concatenate([energies for _, _, energies in jobs]),
+        L_values=np.array([eng.L for eng, _, energies in jobs for _ in energies]),
+        M=engine.M,
+        means=means,
+        ses=np.concatenate([s for _, s in reduced]),
+        p0_upper=np.where(means == 0, 1.0 - 0.05 ** (1.0 / n_samples), np.nan),
+        n_samples=n_samples,
+        e0=engine.e0,
+        master_seed=master_seed,
+        bc=bc,
+    )
+
+
+def _surface_e0(model: SurfaceModel, M: int, M_ref: Optional[int]) -> float:
+    """Periodic ground energy, which must be negative (surface regime)."""
+    e0 = cached_reference(model, M, M_ref).e0
+    if e0 >= 0:
+        raise S4Violated(f"periodic ground energy {e0:.6g} is not negative")
+    return e0
+
+
+def _offsets(deltas) -> np.ndarray:
+    deltas = np.sort(np.atleast_1d(np.asarray(deltas, dtype=float)))
+    if np.any(deltas <= 0):
+        raise InvalidParam("energy offsets must be positive")
+    return deltas
 
 
 def idss_estimate(
@@ -207,7 +269,7 @@ def idss_estimate(
     bc: str = "chi",
     M_ref: Optional[int] = None,
     workers: int = 1,
-) -> IdssCurve:
+) -> DensityCurve:
     """Monte Carlo reduced-volume IDSS over an energy grid.
 
     Requires the periodic background to be in the surface regime (ground
@@ -217,9 +279,7 @@ def idss_estimate(
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     if np.any(np.diff(energies) <= 0):
         raise InvalidParam("energy grid must be strictly ascending")
-    engine = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
-    if engine.e0 >= 0:
-        raise S4Violated(f"periodic ground energy {engine.e0:.6g} is not negative")
+    e0 = _surface_e0(model, M, M_ref)
     if isinstance(model.bulk_periodic, ZeroBulk):
         bottom = 0.0
     else:
@@ -231,31 +291,15 @@ def idss_estimate(
             f"energies must stay below the bulk bottom estimate {bottom:.6g}"
         )
 
-    (counts,) = ensemble_counts([(engine, n_samples, energies)], workers=workers)
-    vol = float(L**model.d1)
-    means = counts.mean(axis=0) / vol
-    ses = counts.std(axis=0, ddof=1) / math.sqrt(n_samples) / vol if n_samples > 1 else np.zeros_like(means)
-    p0 = np.where(means == 0, 1.0 - 0.05 ** (1.0 / n_samples), np.nan)
-
-    if np.any(np.diff(means) < 0):
+    engine = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
+    curve = _density_curve([(engine, n_samples, energies)], energies - e0, bc, master_seed,
+                           workers)
+    if np.any(np.diff(curve.means) < 0):
         raise InequalityViolated("IDSS means decreased along the energy grid")
-    guard = energies < engine.e0 - 1e-9
-    if (bc in ("chi", "chi_x1") or model.a == 1) and np.any(means[guard] != 0):
+    guard = energies < e0 - 1e-9
+    if (bc in ("chi", "chi_x1") or model.a == 1) and np.any(curve.means[guard] != 0):
         raise InequalityViolated("nonzero counts below the periodic ground energy")
-
-    return IdssCurve(
-        energies=energies,
-        means=means,
-        ses=ses,
-        p0_upper=p0,
-        n_samples=n_samples,
-        L=L,
-        M=M,
-        a=model.a,
-        bc=bc,
-        master_seed=master_seed,
-        e0=engine.e0,
-    )
+    return curve
 
 
 # -- per-realization bracketing and truncation ------------------------------------
@@ -390,16 +434,11 @@ def sandwich_check(
     n_per = count_below(H_per, energies).astype(float)
 
     vol = float(L**model.d1)
-    rt_n = math.sqrt(n_samples)
-    p_d = (counts_d >= 1).mean(axis=0)
-    p_chi = (counts_chi >= 1).mean(axis=0)
-    se_pd = np.sqrt(p_d * (1 - p_d) / n_samples)
-    se_pchi = np.sqrt(p_chi * (1 - p_chi) / n_samples)
-
+    p_d, se_pd = hit_rate(counts_d >= 1, n_samples)
+    p_chi, se_pchi = hit_rate(counts_chi >= 1, n_samples)
     lhs = p_d / vol
     lhs_se = se_pd / vol
-    mid = counts_chi.mean(axis=0) / vol
-    mid_se = counts_chi.std(axis=0, ddof=1) / rt_n / vol
+    mid, mid_se = _density(counts_chi, eng_chi)
     rhs = n_per / vol * p_chi
     rhs_se = n_per / vol * se_pchi
 
@@ -522,6 +561,12 @@ def rayleigh_tail_bound(
     periodic ground energy, the excess-coupling term, the random-bulk term
     and the cutoff penalty (which absorbs both the x1 localization cost and
     the transverse truncation).
+
+    The field is drawn here from ``stream(seed, ...)`` and not from a
+    ``StripEnsemble``: the decomposition needs the excess couplings
+    q - q_min and V_b apart, where an ensemble yields only V_b + V_s, and
+    ``seed`` is the realization's own seed, not ``sample_seed(master_seed,
+    i)``, so an ensemble's draw would change the ``bounds`` CSV.
     """
     grid = model.strip_grid(L, M)
     u_fn = model.u_per()
@@ -611,21 +656,6 @@ def lifshits_fit(curve, e0: float, window: tuple) -> LifshitsFit:
     )
 
 
-@dataclass(frozen=True)
-class TailCampaign:
-    deltas: np.ndarray  # E - E0 per point
-    energies: np.ndarray
-    L_values: np.ndarray
-    M: int
-    means: np.ndarray
-    ses: np.ndarray
-    p0_upper: np.ndarray
-    n_samples: int
-    e0: float
-    master_seed: int
-    bc: str
-
-
 def quantum_campaign(
     model: SurfaceModel,
     deltas,
@@ -637,45 +667,21 @@ def quantum_campaign(
     bc: str = "chi",
     M_ref: Optional[int] = None,
     workers: int = 1,
-) -> TailCampaign:
+) -> DensityCurve:
     """Tail campaign with the strip length tied to the energy offset.
 
     L = round(c_factor / sqrt(delta)) clipped to ``L_bounds``; each point
     is an independent ensemble at the single energy E0 + delta.
     """
-    deltas = np.sort(np.atleast_1d(np.asarray(deltas, dtype=float)))
-    if np.any(deltas <= 0):
-        raise InvalidParam("energy offsets must be positive")
-    e0 = cached_reference(model, M, M_ref).e0
-    if e0 >= 0:
-        raise S4Violated(f"periodic ground energy {e0:.6g} is not negative")
-
+    deltas = _offsets(deltas)
+    e0 = _surface_e0(model, M, M_ref)
     L_values = np.clip(np.round(c_factor / np.sqrt(deltas)).astype(int), *L_bounds)
     jobs = [
         (StripEnsemble(model, int(L), M, bc=bc, M_ref=M_ref,
                        master_seed=mix64(master_seed, 7000 + i)), n_samples, [e0 + d])
         for i, (d, L) in enumerate(zip(deltas, L_values))
     ]
-    means = np.empty(len(deltas))
-    ses = np.empty(len(deltas))
-    for i, (counts, L) in enumerate(zip(ensemble_counts(jobs, workers=workers), L_values)):
-        vol = float(int(L) ** model.d1)
-        means[i] = counts.mean() / vol
-        ses[i] = counts.std(ddof=1) / math.sqrt(n_samples) / vol if n_samples > 1 else 0.0
-    p0 = np.where(means == 0, 1.0 - 0.05 ** (1.0 / n_samples), np.nan)
-    return TailCampaign(
-        deltas=deltas,
-        energies=e0 + deltas,
-        L_values=L_values,
-        M=M,
-        means=means,
-        ses=ses,
-        p0_upper=p0,
-        n_samples=n_samples,
-        e0=e0,
-        master_seed=master_seed,
-        bc=bc,
-    )
+    return _density_curve(jobs, deltas, bc, master_seed, workers)
 
 
 def classical_campaign(
@@ -688,30 +694,9 @@ def classical_campaign(
     bc: str = "chi",
     M_ref: Optional[int] = None,
     workers: int = 1,
-) -> TailCampaign:
+) -> DensityCurve:
     """Tail campaign at fixed strip length for slowly decaying profiles."""
-    deltas = np.sort(np.atleast_1d(np.asarray(deltas, dtype=float)))
-    if np.any(deltas <= 0):
-        raise InvalidParam("energy offsets must be positive")
+    deltas = _offsets(deltas)
+    e0 = _surface_e0(model, M, M_ref)
     eng = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
-    if eng.e0 >= 0:
-        raise S4Violated(f"periodic ground energy {eng.e0:.6g} is not negative")
-    energies = eng.e0 + deltas
-    (counts,) = ensemble_counts([(eng, n_samples, energies)], workers=workers)
-    vol = float(L**model.d1)
-    means = counts.mean(axis=0) / vol
-    ses = counts.std(axis=0, ddof=1) / math.sqrt(n_samples) / vol if n_samples > 1 else np.zeros_like(means)
-    p0 = np.where(means == 0, 1.0 - 0.05 ** (1.0 / n_samples), np.nan)
-    return TailCampaign(
-        deltas=deltas,
-        energies=energies,
-        L_values=np.full(len(deltas), L, dtype=int),
-        M=M,
-        means=means,
-        ses=ses,
-        p0_upper=p0,
-        n_samples=n_samples,
-        e0=eng.e0,
-        master_seed=master_seed,
-        bc=bc,
-    )
+    return _density_curve([(eng, n_samples, e0 + deltas)], deltas, bc, master_seed, workers)

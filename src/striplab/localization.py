@@ -19,10 +19,9 @@ from .errors import (
     InequalityViolated,
     InvalidParam,
     ProfileUnderflow,
-    TooFewPoints,
 )
 from .grid import GridSpec
-from .idss import StripEnsemble, ensemble_counts
+from .idss import StripEnsemble, ensemble_counts, hit_rate
 from .instances import SurfaceModel
 from .spectral import DENSE_CAP
 
@@ -138,6 +137,7 @@ def wegner_probe(
     n_samples: int,
     master_seed: int,
     bc: str = "D",
+    M_ref: Optional[int] = None,
     workers: int = 1,
 ) -> WegnerReport:
     """P{spectrum intersects (E - eps, E + eps)} over a window ladder.
@@ -151,7 +151,7 @@ def wegner_probe(
         raise InvalidParam("window half-widths must be nonnegative")
     energies = np.concatenate([energy - eps[::-1], energy + eps])
     order = np.argsort(energies)
-    engine = StripEnsemble(model, L, M, bc=bc, master_seed=master_seed)
+    engine = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
     (counts_sorted,) = ensemble_counts([(engine, n_samples, energies[order])], workers=workers)
     counts = np.empty_like(counts_sorted)
     counts[:, order] = counts_sorted
@@ -162,8 +162,7 @@ def wegner_probe(
     mono = np.diff(events.astype(int), axis=1)
     if np.any(mono < 0):
         raise InequalityViolated("window event not monotone in eps for some realization")
-    probs = events.mean(axis=0)
-    ses = np.sqrt(probs * (1 - probs) / n_samples)
+    probs, ses = hit_rate(events, n_samples)
     usable = (probs > 0) & (probs < 1) & (eps > 0)
     if usable.sum() < 2:
         raise AllZeroOrOne("probabilities saturated over the whole eps range")
@@ -196,6 +195,7 @@ def initial_scale_probe(
     M: int,
     n_samples: int,
     master_seed: int,
+    M_ref: Optional[int] = None,
     workers: int = 1,
 ) -> InitialScaleReport:
     """Ground-energy tail probabilities of the Dirichlet strip per (L, E).
@@ -209,12 +209,10 @@ def initial_scale_probe(
     L_values = np.asarray(sorted(int(L) for L in L_values))
     probs = np.empty((len(L_values), len(energies)))
     ses = np.empty_like(probs)
-    jobs = [(StripEnsemble(model, int(L), M, bc="D", master_seed=master_seed), n_samples, energies)
-            for L in L_values]
+    jobs = [(StripEnsemble(model, int(L), M, bc="D", M_ref=M_ref, master_seed=master_seed),
+             n_samples, energies) for L in L_values]
     for i, counts in enumerate(ensemble_counts(jobs, workers=workers)):
-        hit = counts >= 1
-        probs[i] = hit.mean(axis=0)
-        ses[i] = np.sqrt(probs[i] * (1 - probs[i]) / n_samples)
+        probs[i], ses[i] = hit_rate(counts >= 1, n_samples)
     ok = True
     for i in range(len(L_values) - 1):
         slack = 3.0 * np.hypot(ses[i], ses[i + 1])

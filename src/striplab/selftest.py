@@ -12,11 +12,10 @@ import scipy.sparse as sp
 from .floquet import (
     averaged_reduction,
     band_curve,
+    cached_reference,
     gap_certificate,
-    ground_state_cell,
-    harnack_constants,
 )
-from .grid import BoundarySpec, Dirichlet, Mezincescu, bc_all_dirichlet, bc_all_neumann, build_grid
+from .grid import BoundarySpec, Mezincescu, bc_all_dirichlet, bc_all_neumann, build_grid
 from .idss import bracketing_check, rayleigh_tail_bound, temple_tail_bound
 from .instances import default_model
 from .operator import assemble
@@ -43,7 +42,7 @@ def _closed_forms():
 
 def _mezincescu_invariance():
     m = default_model()
-    ref = ground_state_cell(m.cell_grid(14), m.u_per(), 18)
+    ref = cached_reference(m, 14, 18)
     worst = 0.0
     for L in (4, 8):
         grid = m.strip_grid(L, 14)
@@ -59,7 +58,7 @@ def _mezincescu_invariance():
 
 def _averaged_identity():
     m = default_model()
-    ref = ground_state_cell(m.cell_grid(14), m.u_per(), 18)
+    ref = cached_reference(m, 14, 18)
     avg = averaged_reduction(ref, m.u_per())
     ok = avg.identity_residual <= 1e-10 * (1 + abs(ref.e0))
     return ok, f"residual = {avg.identity_residual:.2e}"
@@ -75,7 +74,7 @@ def _parabolicity():
 
 def _gap():
     m = default_model()
-    ref = ground_state_cell(m.cell_grid(14), m.u_per(), 18)
+    ref = cached_reference(m, 14, 18)
     rep = gap_certificate(m.u_per(), [8], ref, M=14)[0]
     want = 2.0 * (1.0 - np.cos(np.pi / 8))
     ok = abs(rep.gap - want) <= 1e-12 and rep.margin >= -1e-9
@@ -105,7 +104,7 @@ def _ordering():
     from .potential import sample_surface
 
     m = default_model()
-    ref = ground_state_cell(m.cell_grid(10), m.u_per(), 14)
+    ref = cached_reference(m, 10, 14)
     rng = np.random.default_rng(7)
     for trial in range(5):
         grid = m.strip_grid(6, 10)
@@ -125,7 +124,7 @@ def _ordering():
 
 def _bounds():
     m = default_model()
-    ref = ground_state_cell(m.cell_grid(14), m.u_per(), 18)
+    ref = cached_reference(m, 14, 18)
     gap = gap_certificate(m.u_per(), [8], ref, M=14)[0].gap
     w = np.zeros(8)
     w[4] = gap / 4

@@ -92,11 +92,12 @@ def test_quantum_tail_starts_one_pool(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_idss_solves_one_reference(tmp_path, monkeypatch):
-    # every subcommand's reference lookups and ensembles share one solve
+def count_reference_solves(monkeypatch):
+    """Clear the reference memo and record every ground-state solve from here on."""
     import striplab.floquet
 
     monkeypatch.delenv("STRIPLAB_CACHE_DIR", raising=False)
+    striplab.floquet._reference.cache_clear()
     calls = []
     solve = striplab.floquet.ground_state_cell
 
@@ -105,17 +106,28 @@ def test_idss_solves_one_reference(tmp_path, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(striplab.floquet, "ground_state_cell", counting)
-    for sub, mode in (("gap", None), ("idss", None), ("lifshits", "quantum"),
-                      ("lifshits", "classical"), ("decay", None), ("wegner", None),
-                      ("initial-scale", None), ("dynamics", None), ("bounds", None)):
-        cfg = base_config(tmp_path)
-        if mode:
-            cfg["run"]["mode"] = mode
-        path = write_cfg(tmp_path, cfg)
-        striplab.floquet._reference.cache_clear()
-        calls.clear()
-        assert main([sub, "--config", path, "--out", str(tmp_path)]) == 0, sub
-        assert len(calls) == 1, (sub, mode, len(calls))
+    return calls
+
+
+def test_idss_solves_one_reference(tmp_path, monkeypatch):
+    # every subcommand's reference lookups and ensembles share one solve, at
+    # the default depth M + 4 and at a configured M_ref = M + 8
+    import striplab.floquet
+
+    calls = count_reference_solves(monkeypatch)
+    for M_ref in (16, 20):
+        for sub, mode in (("gap", None), ("idss", None), ("lifshits", "quantum"),
+                          ("lifshits", "classical"), ("decay", None), ("wegner", None),
+                          ("initial-scale", None), ("dynamics", None), ("bounds", None)):
+            cfg = base_config(tmp_path)
+            cfg["geometry"]["M_ref"] = M_ref
+            if mode:
+                cfg["run"]["mode"] = mode
+            path = write_cfg(tmp_path, cfg)
+            striplab.floquet._reference.cache_clear()
+            calls.clear()
+            assert main([sub, "--config", path, "--out", str(tmp_path)]) == 0, sub
+            assert len(calls) == 1, (sub, mode, M_ref, len(calls))
 
 
 def test_malformed_config_names_field(tmp_path, capsys):
@@ -127,8 +139,12 @@ def test_malformed_config_names_field(tmp_path, capsys):
     assert "geometry.M" in err
 
 
-def test_selftest_subcommand(tmp_path):
+def test_selftest_subcommand(tmp_path, monkeypatch):
+    # the battery's checks share the memoized references: one solve per
+    # (M, M_ref) key, (14, 18) and (10, 14)
+    calls = count_reference_solves(monkeypatch)
     assert main(["selftest", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
     doc = json.loads((tmp_path / "selftest.json").read_text())
     assert all(r["passed"] for r in doc["results"]["results"])
 

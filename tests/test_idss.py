@@ -26,6 +26,7 @@ from striplab.idss import (
 from striplab.instances import classical_model, default_model, pinned_model
 from striplab.operator import assemble
 from striplab.potential import CosineBulk, TwoPointCouplings, make_field, periodic_bulk
+from striplab.rng import mix64
 from striplab.spectral import count_below
 
 
@@ -316,6 +317,46 @@ def test_campaigns_single_sample_zero_se(model):
     c = classical_campaign(model, [0.2, 0.7], L=6, M=8, n_samples=1, master_seed=3)
     for camp in (q, c):
         assert np.all(camp.ses == 0)  # a NaN fails this too
+    e0 = floquet.cached_reference(model, 8).e0
+    rep = sandwich_check(model, L=6, M=8, energies=[e0 + 0.2, e0 + 0.7], n_samples=1,
+                         master_seed=3)
+    assert np.all(rep.mid_se == 0)
+
+
+def test_density_curves_match_direct_reduction(model):
+    # each campaign's points are the per-ensemble mean, standard error and
+    # zero-count bound of its ensembles' own counts, bit for bit
+    def reduce(counts, L, n, axis=0):
+        vol = float(L**model.d1)
+        means = counts.mean(axis=axis) / vol
+        ses = counts.std(axis=axis, ddof=1) / np.sqrt(n) / vol
+        return means, ses, np.where(means == 0, 1.0 - 0.05 ** (1.0 / n), np.nan)
+
+    tail = replace(model, dist=TwoPointCouplings(-2.0, -1.0, p=0.5))
+    e0 = floquet.cached_reference(model, 10).e0
+    energies = np.linspace(e0 - 0.05, -0.2, 8)
+    curve = idss_estimate(model, L=6, M=10, energies=energies, n_samples=30, master_seed=5)
+    want = reduce(StripEnsemble(model, 6, 10, master_seed=5).counts(range(30), energies), 6, 30)
+    checked = [(curve, want)]
+
+    deltas = [0.05, 0.2, 0.7]
+    curve = quantum_campaign(tail, deltas, c_factor=4.0, M=10, n_samples=16, master_seed=9,
+                             L_bounds=(4, 16))
+    assert curve.L_values.tolist() == [16, 9, 5]
+    points = [reduce(StripEnsemble(tail, L, 10, master_seed=mix64(9, 7000 + i))
+                     .counts(range(16), [curve.e0 + d]), L, 16, axis=None)
+              for i, (d, L) in enumerate(zip(deltas, curve.L_values))]
+    checked.append((curve, [np.array(col) for col in zip(*points)]))
+
+    curve = classical_campaign(tail, deltas, L=7, M=10, n_samples=20, master_seed=4)
+    engine = StripEnsemble(tail, 7, 10, master_seed=4)
+    checked.append((curve, reduce(engine.counts(range(20), curve.e0 + np.array(deltas)), 7, 20)))
+
+    for curve, (means, ses, p0) in checked:
+        assert np.array_equal(curve.means, means)
+        assert np.array_equal(curve.ses, ses)
+        assert np.array_equal(curve.p0_upper, p0, equal_nan=True)
+    assert np.isnan(curve.p0_upper).any() and checked[0][0].means[0] == 0
 
 
 def test_classical_campaign_smoke():
