@@ -9,8 +9,8 @@ the two-point compact-impurity model and times, through
   192 and 256 lanes: one operator, half of a 96-sample ensemble (the block
   of a lone ensemble split over two workers), a whole quantum-tail ensemble
   (the task a worker takes when a campaign's ensembles share one pool), the
-  ensembles of the IDSS curve and of the classical tail, and the ensemble
-  chunk;
+  ensembles of the IDSS curve and of the classical tail, and a 256-lane
+  block;
 * one banded eigensolve per lane (a 12-point tail grid, e0 + 0.02 ... e0 +
   0.7), on 32 lanes.
 

@@ -69,7 +69,9 @@ def validate_geometry(cfg: dict) -> dict:
     a = _opt(g, "a", 1, "geometry", int, lambda v: v >= 1, "must be >= 1")
     M = _need(g, "M", "geometry", int, lambda v: v >= 2 and v % 2 == 0, "must be even and >= 2")
     L = _opt(g, "L", None, "geometry", int, lambda v: v >= 1, "must be >= 1")
-    L_values = _opt(g, "L_values", None, "geometry", list)
+    L_values = _opt(g, "L_values", None, "geometry", list,
+                    lambda v: all(isinstance(x, int) and x >= 1 for x in v),
+                    "must be a list of ints >= 1")
     M_ref = _opt(g, "M_ref", M + 4, "geometry", int, lambda v: v >= M + 2 and v % 2 == 0,
                  f"must be even and >= M+2 = {M + 2}")
     return {"d1": d1, "d2": d2, "a": a, "M": M, "L": L, "L_values": L_values, "M_ref": M_ref}
@@ -144,7 +146,7 @@ def build_model(cfg: dict) -> SurfaceModel:
     )
 
 
-def energy_grid(run_cfg: dict, e0: float, path: str = "run.energies") -> np.ndarray:
+def energy_grid(run_cfg: dict, e0: float) -> np.ndarray:
     """Energy grid resolution: explicit values or geometric offsets above e0.
 
     The default covers 1.5 decades below the bulk bottom at 20 points per
@@ -153,7 +155,7 @@ def energy_grid(run_cfg: dict, e0: float, path: str = "run.energies") -> np.ndar
     spec = run_cfg.get("energies", {"kind": "geometric"})
     kind = spec.get("kind", "geometric")
     if kind == "explicit":
-        vals = np.asarray(_need(spec, "values", path, list), dtype=float)
+        vals = np.asarray(_need(spec, "values", "run.energies", list), dtype=float)
         return np.sort(vals)
     if kind == "geometric":
         hi = float(spec.get("offset_hi", 0.95 * abs(e0)))
@@ -162,4 +164,4 @@ def energy_grid(run_cfg: dict, e0: float, path: str = "run.energies") -> np.ndar
         lo = float(spec.get("offset_lo", hi * 10 ** (-decades)))
         n = max(2, int(round(np.log10(hi / lo) * per_decade)))
         return e0 + np.geomspace(lo, hi, n)
-    raise ConfigInvalid(f"{path}.kind: unknown kind {kind!r}")
+    raise ConfigInvalid(f"run.energies.kind: unknown kind {kind!r}")

@@ -50,29 +50,22 @@ def k_disc(theta, a: int) -> float:
     return float(np.sum(2.0 * a * a * (1.0 - np.cos(th / a))))
 
 
-def reduced_operator(cell_grid: GridSpec, u_per, theta, x2_bc=None) -> Hamiltonian:
+def reduced_operator(cell_grid: GridSpec, u_per, theta) -> Hamiltonian:
     """Cell operator h_theta with phase-twisted x1 wrap bonds.
 
-    ``u_per`` is a cell potential: a callable (x1_frac, x2) -> values or a
-    field/array on the cell grid.  x2 boundary defaults to Dirichlet at the
-    cell depth.
+    ``u_per`` is a cell potential, a callable (x1_frac, x2) -> values; the
+    x2 faces are Dirichlet at the cell depth.
     """
     if cell_grid.L != 1:
         raise InvalidParam("reduced operators live on a one-cell grid (L=1)")
-    field = periodic_bulk(cell_grid, u_per) if _is_cell_fn(u_per) else u_per
     th = tuple(np.atleast_1d(np.asarray(theta, dtype=float)))
     if len(th) != cell_grid.d1:
         raise InvalidParam(f"theta needs {cell_grid.d1} components, got {len(th)}")
-    bc = BoundarySpec(x1=Bloch(th), x2=x2_bc if x2_bc is not None else Dirichlet())
-    return assemble(cell_grid, field, bc)
+    bc = BoundarySpec(x1=Bloch(th), x2=Dirichlet())
+    return assemble(cell_grid, periodic_bulk(cell_grid, u_per), bc)
 
 
-def _is_cell_fn(obj) -> bool:
-    # cell potentials take (x1_frac, x2); fields/arrays do not
-    return callable(obj) and not hasattr(obj, "values") and not isinstance(obj, np.ndarray)
-
-
-def _positive_ground(H: Hamiltonian, k: int = 2):
+def _positive_ground(H: Hamiltonian):
     """Lowest two levels with the ground vector polished to positive entries.
 
     Shifted M-matrix solves after the dense eigendecomposition restore
@@ -81,7 +74,7 @@ def _positive_ground(H: Hamiltonian, k: int = 2):
     """
     if H.is_complex:
         raise InvalidParam("positive ground states are defined for the untwisted (real) operator")
-    res = lowest_k(H, min(k, H.n), tol=1e-8)
+    res = lowest_k(H, min(2, H.n), tol=1e-8)
     e0 = float(res.eigenvalues[0])
     e1 = float(res.eigenvalues[1]) if H.n > 1 else e0 + 1.0
     psi = np.real(res.eigenvectors[:, 0]).copy()
@@ -108,8 +101,6 @@ def ground_state_cell(cell_grid: GridSpec, u_per, M_ref: int) -> GroundStateRef:
         raise InvalidParam(f"M_ref={M_ref} must be >= M+2 = {cell_grid.M + 2}")
     if M_ref % 2 != 0:
         raise InvalidParam("M_ref must be even")
-    if not _is_cell_fn(u_per):
-        raise InvalidParam("ground_state_cell needs a cell potential callable (x1_frac, x2)")
     ref_grid = build_grid(cell_grid.d1, cell_grid.d2, L=1, a=cell_grid.a, M=M_ref)
     h0 = reduced_operator(ref_grid, u_per, np.zeros(ref_grid.d1))
     e0, e1, psi, residual = _positive_ground(h0)
@@ -181,11 +172,7 @@ class AveragedModel:
 
     psibar: np.ndarray  # flattened over (M,)*d2
     ubar: np.ndarray
-    e0: float
     identity_residual: float
-    d2: int
-    a: int
-    M: int
 
 
 @dataclass(frozen=True)
@@ -239,17 +226,11 @@ def transverse_operator(ubar: np.ndarray, d2: int, a: int, M: int, edge="dirichl
 
 
 def averaged_reduction(ref: GroundStateRef, u_per) -> AveragedModel:
-    """Collapse the cell problem to its x1-averaged transverse model."""
+    """Collapse the cell problem (cell potential ``u_per``) to its x1-averaged transverse model."""
     grid = ref.grid
-    if _is_cell_fn(u_per):
-        u_vals = periodic_bulk(grid, u_per).values
-    else:
-        u_vals = np.asarray(getattr(u_per, "values", u_per), dtype=float)
-        if u_vals.shape != (grid.n_sites,):
-            raise ShapeMismatch("cell potential does not match the reference grid")
     shape = grid.shape
     psi = ref.psi0.reshape(shape)
-    u = u_vals.reshape(shape)
+    u = periodic_bulk(grid, u_per).values.reshape(shape)
     x1_axes = tuple(range(grid.d1))
     psibar = psi.sum(axis=x1_axes)
     if np.any(psibar < UNDERFLOW_GUARD):
@@ -259,15 +240,7 @@ def averaged_reduction(ref: GroundStateRef, u_per) -> AveragedModel:
     ubar_f = ubar.ravel()
     A = transverse_operator(ubar_f, grid.d2, grid.a, grid.M, edge="dirichlet")
     residual = float(np.abs(A @ psibar_f - ref.e0 * psibar_f).max())
-    return AveragedModel(
-        psibar=psibar_f,
-        ubar=ubar_f,
-        e0=ref.e0,
-        identity_residual=residual,
-        d2=grid.d2,
-        a=grid.a,
-        M=grid.M,
-    )
+    return AveragedModel(psibar=psibar_f, ubar=ubar_f, identity_residual=residual)
 
 
 def harnack_constants(ref: GroundStateRef, avg: AveragedModel) -> HarnackConstants:
@@ -376,19 +349,17 @@ def neumann_x1_gap(a: int, L: int) -> float:
     return 2.0 * a * a * (1.0 - np.cos(np.pi / (a * L)))
 
 
-def gap_certificate(u_per, L_values: Sequence[int], ref: GroundStateRef, M: int = None) -> list:
+def gap_certificate(u_per, L_values: Sequence[int], ref: GroundStateRef, M: int) -> list:
     """Per-L certified gap bounds for the strip operator with chi boundaries.
 
-    For each L the strip operator H^chi (Mezincescu faces from the
-    reference on x1 and x2) is assembled with the periodic potential; its
+    For each L the depth-``M`` strip operator H^chi (Mezincescu faces from
+    the reference on x1 and x2) is assembled with the periodic potential; its
     gap g(L) is compared against the separable averaged-model gap
 
         gbar(L) = min( 2 a^2 (1 - cos(pi / (a L))),  transverse gap )
 
     via g(L) >= (C1/C2)^2 * gbar(L), and E0 invariance is certified.
     """
-    if M is None:
-        M = ref.grid.M - 2
     if min(L_values) < 2:
         raise InvalidParam("gap certificates need L >= 2")
     avg = averaged_reduction(ref, u_per)

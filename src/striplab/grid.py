@@ -124,15 +124,15 @@ class GridSpec:
         return axis < self.d1
 
 
-def build_grid(d1: int, d2: int, L: int, a: int, M: int, cap: int = HARD_SITE_CAP) -> GridSpec:
+def build_grid(d1: int, d2: int, L: int, a: int, M: int) -> GridSpec:
     """Validated grid constructor.
 
-    Raises CapExceeded if the site count exceeds ``cap`` and InvalidParam
-    for out-of-range dimensions or odd M.
+    Raises CapExceeded if the site count exceeds ``HARD_SITE_CAP`` and
+    InvalidParam for out-of-range dimensions or odd M.
     """
     grid = GridSpec(d1=d1, d2=d2, L=L, a=a, M=M)
-    if grid.n_sites > cap:
-        raise CapExceeded(f"{grid.n_sites} sites exceeds cap {cap}")
+    if grid.n_sites > HARD_SITE_CAP:
+        raise CapExceeded(f"{grid.n_sites} sites exceeds cap {HARD_SITE_CAP}")
     return grid
 
 

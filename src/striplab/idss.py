@@ -5,7 +5,7 @@ averaged over disorder realizations on truncated strips.  Ensembles share
 their off-diagonal structure, so counting runs through the batched banded
 inertia kernel; every sample's field is a pure function of
 (parameters, master_seed, sample_index) and results are independent of
-chunking and worker count.
+the counting blocks and the worker count.
 
 Boundary tags:
 
@@ -31,7 +31,7 @@ from .errors import (
     S4Violated,
     TooFewPoints,
 )
-from .floquet import cached_reference, gap_certificate
+from .floquet import cached_reference
 from .grid import (
     BoundarySpec,
     Dirichlet,
@@ -53,7 +53,8 @@ from .potential import (
 from .rng import ROLE_BULK, ROLE_SURFACE, mix64, sample_seed, stream
 from .spectral import count_below, count_below_ensemble, lower_band, lowest_k
 
-CHUNK = 256
+# bytes of LDL^T work array per counting block: (n + bw) x (bw + 1) entries a lane
+BLOCK_BYTES = 64 << 20
 
 
 def bc_for_tag(tag: str, ref: Optional[GroundStateRef]) -> BoundarySpec:
@@ -126,13 +127,19 @@ class StripEnsemble:
         """Operator of sample ``index``: U_b + V_b + V_s under the ensemble's boundary spec."""
         return assemble(self.grid, self.u_b + self.sample_diag(index), self.bcs)
 
-    def counts(self, indices: Sequence[int], energies, chunk: int = CHUNK) -> np.ndarray:
-        """Eigenvalue counts, shape (len(indices), len(energies))."""
+    def counts(self, indices: Sequence[int], energies) -> np.ndarray:
+        """Eigenvalue counts, shape (len(indices), len(energies)).
+
+        Samples go to the counting kernel in blocks whose LDL^T work array
+        fits in ``BLOCK_BYTES``, so its memory does not grow with n or bw.
+        """
         indices = list(indices)
         energies = np.atleast_1d(np.asarray(energies, dtype=float))
         out = np.empty((len(indices), len(energies)), dtype=np.int64)
-        for lo in range(0, len(indices), chunk):
-            block = indices[lo : lo + chunk]
+        bw1, n = self.base_band.shape
+        lanes = max(1, BLOCK_BYTES // ((n + bw1 - 1) * bw1 * self.base_band.itemsize))
+        for lo in range(0, len(indices), lanes):
+            block = indices[lo : lo + lanes]
             out[lo : lo + len(block)] = count_below_ensemble(
                 self.base_band, self.sample_diags(block), energies
             )
@@ -206,8 +213,6 @@ class DensityCurve:
     p0_upper: np.ndarray  # one-sided 95% upper bound where the mean is 0
     n_samples: int
     e0: float
-    master_seed: int
-    bc: str
 
 
 def _density(counts: np.ndarray, engine: StripEnsemble):
@@ -219,7 +224,7 @@ def _density(counts: np.ndarray, engine: StripEnsemble):
     return means, ses
 
 
-def _density_curve(jobs, deltas, bc: str, master_seed: int, workers: int) -> DensityCurve:
+def _density_curve(jobs, deltas, workers: int) -> DensityCurve:
     """N(E) at the energies of every ``(engine, n_samples, energies)`` job, in job order.
 
     All jobs share one depth, boundary tag and sample count, and are counted
@@ -239,8 +244,6 @@ def _density_curve(jobs, deltas, bc: str, master_seed: int, workers: int) -> Den
         p0_upper=np.where(means == 0, 1.0 - 0.05 ** (1.0 / n_samples), np.nan),
         n_samples=n_samples,
         e0=engine.e0,
-        master_seed=master_seed,
-        bc=bc,
     )
 
 
@@ -292,8 +295,7 @@ def idss_estimate(
         )
 
     engine = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
-    curve = _density_curve([(engine, n_samples, energies)], energies - e0, bc, master_seed,
-                           workers)
+    curve = _density_curve([(engine, n_samples, energies)], energies - e0, workers)
     if np.any(np.diff(curve.means) < 0):
         raise InequalityViolated("IDSS means decreased along the energy grid")
     guard = energies < e0 - 1e-9
@@ -414,13 +416,12 @@ def sandwich_check(
     master_seed: int,
     M_ref: Optional[int] = None,
     workers: int = 1,
-    tol_se: float = 3.0,
 ) -> SandwichReport:
     """Empirical two-sided bound chain for the IDSS at every grid energy.
 
     Couplings are shared between the Dirichlet and the chi ensembles, so
-    the comparison is paired.  Violations beyond ``tol_se`` combined
-    standard errors raise InequalityViolated.
+    the comparison is paired.  Violations beyond three combined standard
+    errors raise InequalityViolated.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     eng_chi = StripEnsemble(model, L, M, bc="chi", M_ref=M_ref, master_seed=master_seed)
@@ -443,8 +444,8 @@ def sandwich_check(
     rhs_se = n_per / vol * se_pchi
 
     for i, E in enumerate(energies):
-        slack_lo = tol_se * math.hypot(lhs_se[i], mid_se[i])
-        slack_hi = tol_se * math.hypot(mid_se[i], rhs_se[i])
+        slack_lo = 3.0 * math.hypot(lhs_se[i], mid_se[i])
+        slack_hi = 3.0 * math.hypot(mid_se[i], rhs_se[i])
         if lhs[i] > mid[i] + slack_lo or mid[i] > rhs[i] + slack_hi:
             raise InequalityViolated(
                 f"sandwich violated at E={E:.6g}: "
@@ -481,20 +482,17 @@ def temple_tail_bound(
     ref: GroundStateRef,
     L: int,
     w_x1: np.ndarray,
-    f2_box: Optional[tuple] = None,
-    M: Optional[int] = None,
-    gap: Optional[float] = None,
+    M: int,
+    gap: float,
 ) -> TempleTailReport:
     """Certified lower bound on the floor-pinned perturbed ground energy.
 
-    ``w_x1`` is a nonnegative reducing profile over the strip's x1 sites
-    with sup at most a third of the strip gap; the certified bound is the
-    periodic ground energy plus half the profile's ground-state weight.
+    ``w_x1`` is a nonnegative reducing profile over the x1 sites of the
+    depth-``M`` strip, applied on the impurity profile's x2 box, with sup
+    at most a third of the strip gap ``gap`` (from ``gap_certificate``);
+    the certified bound is the periodic ground energy plus half the
+    profile's ground-state weight.
     """
-    if M is None:
-        M = ref.grid.M - 2
-    if f2_box is None:
-        f2_box = model.profile.x2_box
     grid = model.strip_grid(L, M)
     n_x1 = (grid.a * L) ** grid.d1
     w_x1 = np.asarray(w_x1, dtype=float).ravel()
@@ -503,9 +501,6 @@ def temple_tail_bound(
     if np.any(w_x1 < 0):
         raise InvalidParam("reducing profile must be nonnegative")
 
-    u_fn = model.u_per()
-    if gap is None:
-        gap = gap_certificate(u_fn, [L], ref, M=M)[0].gap
     sup_w = float(w_x1.max(initial=0.0))
     if sup_w > gap / 3.0:
         raise GapTooSmall(f"sup W = {sup_w:.4g} exceeds gap/3 = {gap / 3.0:.4g}")
@@ -516,14 +511,15 @@ def temple_tail_bound(
         tuple(coords[:, j] for j in range(grid.d1)), (grid.a * L,) * grid.d1
     )
     x2 = grid.x2_positions()
-    in_f2 = np.all((x2 >= f2_box[0]) & (x2 < f2_box[1]), axis=-1)
+    lo, hi = model.profile.x2_box
+    in_f2 = np.all((x2 >= lo) & (x2 < hi), axis=-1)
     w_site = w_x1[x1_flat] * in_f2
 
     psi_sq = psi * psi
     wbar = float(np.sum(w_site * psi_sq) / np.sum(psi_sq))
     bound = ref.e0 + 0.5 * wbar
 
-    u_vals = periodic_bulk(grid, u_fn).values
+    u_vals = periodic_bulk(grid, model.u_per()).values
     H = assemble(grid, u_vals + w_site, bc_for_tag("chi", ref))
     direct = float(lowest_k(H, 1, tol=1e-9).eigenvalues[0])
     return TempleTailReport(
@@ -629,14 +625,12 @@ class LifshitsFit:
 def lifshits_fit(curve, e0: float, window: tuple) -> LifshitsFit:
     """Least squares through (ln(E - e0), ln|ln N(E)|) inside the window.
 
-    Only strictly positive means below one enter (the double log exists
-    exactly there); fewer than five usable points raise TooFewPoints.
+    ``curve`` has ``energies`` and ``means``, like a DensityCurve.  Only
+    strictly positive means below one enter (the double log exists exactly
+    there); fewer than five usable points raise TooFewPoints.
     """
-    if hasattr(curve, "energies"):
-        energies = np.asarray(curve.energies, dtype=float)
-        means = np.asarray(curve.means, dtype=float)
-    else:
-        energies, means = (np.asarray(c, dtype=float) for c in curve)
+    energies = np.asarray(curve.energies, dtype=float)
+    means = np.asarray(curve.means, dtype=float)
     lo, hi = window
     usable = (energies > lo) & (energies <= hi) & (means > 0) & (means < 1) & (energies > e0)
     if usable.sum() < 5:
@@ -664,24 +658,23 @@ def quantum_campaign(
     n_samples: int,
     master_seed: int,
     L_bounds: tuple = (8, 48),
-    bc: str = "chi",
     M_ref: Optional[int] = None,
     workers: int = 1,
 ) -> DensityCurve:
     """Tail campaign with the strip length tied to the energy offset.
 
     L = round(c_factor / sqrt(delta)) clipped to ``L_bounds``; each point
-    is an independent ensemble at the single energy E0 + delta.
+    is an independent chi-boundary ensemble at the single energy E0 + delta.
     """
     deltas = _offsets(deltas)
     e0 = _surface_e0(model, M, M_ref)
     L_values = np.clip(np.round(c_factor / np.sqrt(deltas)).astype(int), *L_bounds)
     jobs = [
-        (StripEnsemble(model, int(L), M, bc=bc, M_ref=M_ref,
-                       master_seed=mix64(master_seed, 7000 + i)), n_samples, [e0 + d])
+        (StripEnsemble(model, int(L), M, M_ref=M_ref, master_seed=mix64(master_seed, 7000 + i)),
+         n_samples, [e0 + d])
         for i, (d, L) in enumerate(zip(deltas, L_values))
     ]
-    return _density_curve(jobs, deltas, bc, master_seed, workers)
+    return _density_curve(jobs, deltas, workers)
 
 
 def classical_campaign(
@@ -691,12 +684,11 @@ def classical_campaign(
     M: int,
     n_samples: int,
     master_seed: int,
-    bc: str = "chi",
     M_ref: Optional[int] = None,
     workers: int = 1,
 ) -> DensityCurve:
-    """Tail campaign at fixed strip length for slowly decaying profiles."""
+    """Chi-boundary tail campaign at fixed strip length for slowly decaying profiles."""
     deltas = _offsets(deltas)
     e0 = _surface_e0(model, M, M_ref)
-    eng = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
-    return _density_curve([(eng, n_samples, e0 + deltas)], deltas, bc, master_seed, workers)
+    eng = StripEnsemble(model, L, M, M_ref=M_ref, master_seed=master_seed)
+    return _density_curve([(eng, n_samples, e0 + deltas)], deltas, workers)

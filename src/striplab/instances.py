@@ -70,29 +70,28 @@ def default_model() -> SurfaceModel:
     )
 
 
-def classical_model(alpha: float = 1.5, truncation_radius: int = 256,
-                    q_min: float = -2.0, q_max: float = -1.0,
-                    tail_tol: float = 0.2) -> SurfaceModel:
+def classical_model() -> SurfaceModel:
     """Power-law impurity profile selecting the classical tail regime.
 
-    The truncation tail of a sum with alpha - d1 = 1/2 falls off only like
-    the square root of the radius, so the tolerance is necessarily loose;
-    the truncated model is studied self-consistently (its own ground
-    energy, its own tail fit).
+    alpha = 1.5 truncated at 256 cells, q ~ U[-2, -1].  The truncation tail
+    of a sum with alpha - d1 = 1/2 falls off only like the square root of
+    the radius, so the tolerance (0.2) is necessarily loose; the truncated
+    model is studied self-consistently (its own ground energy, its own tail
+    fit).
     """
     return SurfaceModel(
         d1=1,
         d2=1,
         a=1,
         profile=PowerLawProfile(
-            alpha=alpha,
+            alpha=1.5,
             f0=1.0,
             f_lower=1.0,
             x2_box=(-1.0, 1.0),
-            truncation_radius=truncation_radius,
+            truncation_radius=256,
         ),
-        dist=UniformCouplings(q_min, q_max),
-        tail_tol=tail_tol,
+        dist=UniformCouplings(-2.0, -1.0),
+        tail_tol=0.2,
     )
 
 
@@ -109,22 +108,22 @@ def pinned_model(model: SurfaceModel) -> SurfaceModel:
     )
 
 
-def random_periodic_cell(seed: int, d1: int = 1, n_harmonics: int = 3,
-                         amplitude: float = 2.5, x2_width: float = 1.8,
-                         depth: float = -2.0) -> Callable:
+def random_periodic_cell(seed: int, d1: int = 1) -> Callable:
     """Random smooth cell potential, periodic in x1 and localized in x2.
 
-    A surface well of random depth plus a few random x1 harmonics with
-    Gaussian transverse envelopes; decays toward zero for large |x2| so the
-    instance stays in the surface-state regime.
+    A surface well of random depth (1 to 2) plus three random x1 harmonics
+    (amplitudes up to 2.5) with Gaussian transverse envelopes (widths up to
+    1.8); decays toward zero for large |x2| so the instance stays in the
+    surface-state regime.
     """
+    n_harmonics = 3
     rng = np.random.default_rng(seed)
-    amps = rng.uniform(-amplitude, amplitude, size=n_harmonics)
+    amps = rng.uniform(-2.5, 2.5, size=n_harmonics)
     modes = rng.integers(1, 4, size=(n_harmonics, d1))
     phases = rng.uniform(0, 2 * np.pi, size=n_harmonics)
-    widths = rng.uniform(0.6, x2_width, size=n_harmonics)
-    well = rng.uniform(0.5, 1.0) * depth
-    well_width = rng.uniform(0.8, x2_width)
+    widths = rng.uniform(0.6, 1.8, size=n_harmonics)
+    well = rng.uniform(0.5, 1.0) * -2.0
+    well_width = rng.uniform(0.8, 1.8)
 
     def fn(x1f: np.ndarray, x2: np.ndarray) -> np.ndarray:
         r2 = np.sum(x2**2, axis=-1)

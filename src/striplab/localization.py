@@ -37,27 +37,20 @@ class DecayFit:
     shells: np.ndarray  # |x2| shell coordinates
     profile: np.ndarray  # sup over x1 (and shell) of |psi|
     gamma: float  # decay rate per unit length; positive means decay
-    prefactor: float
     r_squared: float
 
 
-def decay_profile(
-    grid: GridSpec,
-    eigenvalue: float,
-    eigenvector: np.ndarray,
-    eta: float = -1e-9,
-    edge_cushion: int = 2,
-) -> DecayFit:
+def decay_profile(grid: GridSpec, eigenvalue: float, eigenvector: np.ndarray) -> DecayFit:
     """Log-linear fit of the transverse sup-profile on the outer layers.
 
-    Requires the eigenvalue to sit below the bulk bottom by the margin
-    ``|eta|``; fits ln sup_{x1} |psi| against |x2| over the outer half of
-    the shells, excluding ``edge_cushion`` shells next to the wall where
-    the hard truncation distorts the slope.
+    Requires the eigenvalue to sit below the bulk bottom by at least 1e-9;
+    fits ln sup_{x1} |psi| against |x2| over the outer half of the shells,
+    excluding the two shells next to the wall where the hard truncation
+    distorts the slope.
     """
-    if eigenvalue > eta:
+    if eigenvalue > -1e-9:
         raise InvalidParam(
-            f"decay fits need an eigenvalue below the bulk bottom: {eigenvalue} > {eta}"
+            f"decay fits need an eigenvalue below the bulk bottom: {eigenvalue} > -1e-9"
         )
     vec = np.abs(np.asarray(eigenvector)).reshape(grid.shape)
     sup_x1 = vec.max(axis=tuple(range(grid.d1)))  # shape (M,)*d2
@@ -74,9 +67,7 @@ def decay_profile(
 
     r_max = shells[-1]
     alive = prof > PROFILE_GUARD
-    keep = alive & (shells >= 0.5 * r_max)
-    if edge_cushion > 0:
-        keep &= shells <= r_max - edge_cushion * grid.h + 1e-12
+    keep = alive & (shells >= 0.5 * r_max) & (shells <= r_max - 2 * grid.h + 1e-12)
     if keep.sum() < 3:  # shallow grids: drop the cushion, then widen the window
         keep = alive & (shells >= 0.5 * r_max)
     if keep.sum() < 3:
@@ -96,7 +87,6 @@ def decay_profile(
         shells=shells,
         profile=prof,
         gamma=float(-slope),
-        prefactor=float(np.exp(intercept)),
         r_squared=r2,
     )
 
@@ -105,8 +95,9 @@ def transverse_bound_rate(eigenvalue: float, a: int = 1) -> float:
     """Closed-form lattice decay rate below the free transverse band.
 
     The decaying solution of the free second-difference recurrence at
-    energy E < 0 falls like exp(-gamma |x2|) with
-    cosh(gamma / a / a ... ) -- per unit length: a * arccosh(1 + |E| h^2 / 2).
+    energy E < 0 falls like exp(-gamma |x2|), with the rate per unit length
+
+        gamma = a * arccosh(1 + |E| h^2 / 2),   h = 1/a.
     """
     if eigenvalue >= 0:
         raise InvalidParam("bound-state rate needs a negative eigenvalue")
@@ -136,11 +127,10 @@ def wegner_probe(
     M: int,
     n_samples: int,
     master_seed: int,
-    bc: str = "D",
     M_ref: Optional[int] = None,
     workers: int = 1,
 ) -> WegnerReport:
-    """P{spectrum intersects (E - eps, E + eps)} over a window ladder.
+    """P{spectrum intersects (E - eps, E + eps)} over a window ladder of the Dirichlet strip.
 
     The event is evaluated from two inertia counts per sample; it is
     monotone in eps realization by realization, which is asserted.  The
@@ -151,7 +141,7 @@ def wegner_probe(
         raise InvalidParam("window half-widths must be nonnegative")
     energies = np.concatenate([energy - eps[::-1], energy + eps])
     order = np.argsort(energies)
-    engine = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
+    engine = StripEnsemble(model, L, M, bc="D", M_ref=M_ref, master_seed=master_seed)
     (counts_sorted,) = ensemble_counts([(engine, n_samples, energies[order])], workers=workers)
     counts = np.empty_like(counts_sorted)
     counts[:, order] = counts_sorted
@@ -247,31 +237,23 @@ def dynamics_moment(
     p: float,
     times,
     sites: Sequence[int],
-    u: Optional[np.ndarray] = None,
-    dense_cap: int = DENSE_CAP,
 ) -> DynamicsReport:
     """Spectrally exact evolution of an interval-filtered local state.
 
-    M_p(t) sums |x1 - x1_center(K)|^p against the evolved probability
-    density; the spectral filter projects onto eigenvalues inside
-    ``interval``.  Unitarity of the filtered evolution is certified via
-    the norm drift.
+    The initial state is uniform on ``sites``.  M_p(t) sums |x1 -
+    x1_center(K)|^p against the evolved probability density; the spectral
+    filter projects onto eigenvalues inside ``interval``.  Unitarity of the
+    filtered evolution is certified via the norm drift.
     """
     grid: GridSpec = H.grid
     mat = H.matrix
     n = mat.shape[0]
-    if n > dense_cap:
-        raise DenseCapExceeded(f"dense evolution capped at {dense_cap} sites, got {n}")
+    if n > DENSE_CAP:
+        raise DenseCapExceeded(f"dense evolution capped at {DENSE_CAP} sites, got {n}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     sites = np.asarray(sites, dtype=int)
-    if u is None:
-        u = np.zeros(n)
-        u[sites] = 1.0 / math.sqrt(len(sites))
-    else:
-        u = np.asarray(u, dtype=float)
-        if np.any(u[np.setdiff1d(np.arange(n), sites)] != 0):
-            raise InvalidParam("initial vector must be supported in the site set")
-        u = u / np.linalg.norm(u)
+    u = np.zeros(n)
+    u[sites] = 1.0 / math.sqrt(len(sites))
 
     evals, evecs = np.linalg.eigh(mat.toarray())
     lo, hi = interval

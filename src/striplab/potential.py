@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -408,23 +408,21 @@ def estimate_bulk_bottom(
     d2: int,
     a: int,
     M_probe: int,
-    L_probe: Optional[int] = None,
-    tol: float = 1e-9,
 ):
     """Bracket inf spec of the bulk operator with the periodic potential U_b.
 
     Returns (lower, upper): the ground energies of the probe-domain operator
-    with all-Neumann and all-Dirichlet boundary conditions.  The bracket
-    tightens as the probe domain grows; use it to re-center U_b so the bulk
-    bottom sits at zero.
+    (M_probe transverse sites, M_probe cells at d1 = 1 and about
+    sqrt(M_probe) per axis at d1 = 2) with all-Neumann and all-Dirichlet
+    boundary conditions.  The bracket tightens as the probe domain grows;
+    use it to re-center U_b so the bulk bottom sits at zero.
     """
     from .operator import assemble
     from .spectral import lowest_k
 
-    if L_probe is None:
-        L_probe = M_probe if d1 == 1 else max(4, int(round(math.sqrt(M_probe))))
+    L_probe = M_probe if d1 == 1 else max(4, int(round(math.sqrt(M_probe))))
     probe = build_grid(d1, d2, L=L_probe, a=a, M=M_probe)
     u_b = periodic_bulk(probe, cell_function)
-    lo = lowest_k(assemble(probe, u_b, bc_all_neumann()), 1, tol=tol).eigenvalues[0]
-    hi = lowest_k(assemble(probe, u_b, bc_all_dirichlet()), 1, tol=tol).eigenvalues[0]
+    lo = lowest_k(assemble(probe, u_b, bc_all_neumann()), 1, tol=1e-9).eigenvalues[0]
+    hi = lowest_k(assemble(probe, u_b, bc_all_dirichlet()), 1, tol=1e-9).eigenvalues[0]
     return float(lo), float(hi)

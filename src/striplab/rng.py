@@ -46,7 +46,7 @@ def sample_seed(master_seed: int, sample_index: int) -> int:
     return mix64(master_seed, sample_index)
 
 
-def stream(seed: int, role: int = 0) -> np.random.Generator:
+def stream(seed: int, role: int) -> np.random.Generator:
     """NumPy generator for one role of one sample.
 
     Distinct roles of the same seed give statistically independent streams;

@@ -37,7 +37,7 @@ lanes (crossover 10-12), where the two kernels tie within the noise.  Grids
 of fewer than about 20 energies on ensembles at n >= 720, and a single
 energy on one operator below n of about 720, would be cheaper the other
 way, but no campaign sends them.  The rule reads only the number of
-energies, never the lane count, so a chunk or a worker block never changes
+energies, never the lane count, so a counting or worker block never changes
 the kernel a sample is counted with.
 
 Both kernels keep one tie contract: each lane counts eigenvalues <= E +

@@ -50,13 +50,27 @@ def quantum_config(out):
     return cfg
 
 
+def wegner_config(out):
+    cfg = base_config(out)
+    cfg["run"]["n_samples"] = 300
+    return cfg
+
+
+def classical_config(out):
+    cfg = base_config(out)
+    cfg["run"]["mode"] = "classical"
+    return cfg
+
+
 def test_csv_reruns_byte_identical(tmp_path):
     # the rerun fans out to two worker processes; neither rerun nor worker
     # count may change a byte
     for sub, csv, make_cfg in (("idss", "idss.csv", base_config),
                                ("initial-scale", "initial_scale.csv", base_config),
-                               ("lifshits", "lifshits_quantum.csv", quantum_config)):
-        out1, out2 = tmp_path / sub / "a", tmp_path / sub / "b"
+                               ("lifshits", "lifshits_quantum.csv", quantum_config),
+                               ("wegner", "wegner.csv", wegner_config),
+                               ("lifshits", "lifshits_classical.csv", classical_config)):
+        out1, out2 = tmp_path / csv / "a", tmp_path / csv / "b"
         out1.mkdir(parents=True), out2.mkdir()
         cfg_path = write_cfg(tmp_path, make_cfg(out1))
         assert main([sub, "--config", cfg_path, "--out", str(out1)]) == 0
@@ -137,6 +151,14 @@ def test_malformed_config_names_field(tmp_path, capsys):
     assert main(["band", "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "geometry.M" in err
+    # a strip ladder holds whole cell counts >= 1, in every subcommand that reads one
+    for L_values in ([4.5, 8], ["a"], [0, 4]):
+        cfg = base_config(tmp_path)
+        cfg["geometry"]["L_values"] = L_values
+        path = write_cfg(tmp_path, cfg)
+        for sub in ("gap", "initial-scale"):
+            assert main([sub, "--config", path, "--out", str(tmp_path)]) == 2, (sub, L_values)
+            assert "geometry.L_values" in capsys.readouterr().err
 
 
 def test_selftest_subcommand(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from striplab.instances import classical_model, default_model, pinned_model
 from striplab.operator import assemble
 from striplab.potential import CosineBulk, TwoPointCouplings, make_field, periodic_bulk
 from striplab.rng import mix64
-from striplab.spectral import count_below
+from striplab.spectral import count_below, count_below_ensemble
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +88,28 @@ def test_ground_state_reference_solved_once(model, monkeypatch):
     assert len(calls) == 1
 
 
-def test_engine_counts_batch_size_invariant(model, energies):
+def test_engine_counts_batch_size_invariant(model, energies, monkeypatch):
+    # a byte budget of three lanes' LDL^T work arrays counts 12 samples in
+    # blocks of at most three lanes, with the counts of one 12-lane block
     eng = StripEnsemble(model, L=6, M=8, bc="D", master_seed=3)
-    a = eng.counts(range(12), energies, chunk=3)
-    b = eng.counts(range(12), energies, chunk=12)
-    assert np.array_equal(a, b)
+    lanes = []
+
+    def recording(base_band, diag_samples, energies):
+        lanes.append(len(diag_samples))
+        return count_below_ensemble(base_band, diag_samples, energies)
+
+    monkeypatch.setattr(idss, "count_below_ensemble", recording)
+    bw1, n = eng.base_band.shape
+    per_lane = (n + bw1 - 1) * bw1 * eng.base_band.itemsize
+    budgets = ((idss.BLOCK_BYTES, [12]), (3 * per_lane, [3] * 4), (4 * per_lane - 1, [3] * 4))
+    for E in (energies, energies[:1]):  # the eigenvalue and the LDL^T kernel
+        got = []
+        for budget, want in budgets:
+            monkeypatch.setattr(idss, "BLOCK_BYTES", budget)
+            lanes.clear()
+            got.append(eng.counts(range(12), E))
+            assert lanes == want
+        assert all(np.array_equal(g, got[0]) for g in got)
 
 
 def test_worker_count_never_changes_results(model, energies):
@@ -188,7 +206,8 @@ def test_sandwich_check_passes(model, e0_default):
 
 
 def test_temple_tail_bound_zero_profile(model, ref14):
-    rep = temple_tail_bound(model, ref14, L=8, w_x1=np.zeros(8), M=12)
+    gap = gap_certificate(model.u_per(), [8], ref14, M=12)[0].gap
+    rep = temple_tail_bound(model, ref14, L=8, w_x1=np.zeros(8), M=12, gap=gap)
     assert rep.bound == ref14.e0
     assert abs(rep.direct_e0 - ref14.e0) <= 1e-10
 
@@ -285,18 +304,19 @@ def test_idss_L_convergence_trend(model, e0_default):
 
 def test_lifshits_fit_synthetic_slopes():
     d = np.geomspace(0.01, 1.0, 12)
-    fit = lifshits_fit((d, np.exp(-(d**-0.5))), 0.0, (0.0, 2.0))
+    fit = lifshits_fit(SimpleNamespace(energies=d, means=np.exp(-(d**-0.5))), 0.0, (0.0, 2.0))
     assert abs(fit.slope + 0.5) <= 1e-6
     assert fit.r_squared >= 1 - 1e-12
     d2 = np.geomspace(0.1, 1.0, 12)
-    fit2 = lifshits_fit((d2, np.exp(-(d2**-2.0))), 0.0, (0.0, 2.0))
+    fit2 = lifshits_fit(SimpleNamespace(energies=d2, means=np.exp(-(d2**-2.0))), 0.0, (0.0, 2.0))
     assert abs(fit2.slope + 2.0) <= 1e-6
 
 
 def test_lifshits_fit_too_few_points():
     d = np.geomspace(0.01, 1.0, 12)
     with pytest.raises(TooFewPoints):
-        lifshits_fit((d, np.full(12, 1.5)), 0.0, (0.0, 2.0))  # all means >= 1
+        # all means >= 1
+        lifshits_fit(SimpleNamespace(energies=d, means=np.full(12, 1.5)), 0.0, (0.0, 2.0))
 
 
 def test_quantum_campaign_smoke():
@@ -360,7 +380,8 @@ def test_density_curves_match_direct_reduction(model):
 
 
 def test_classical_campaign_smoke():
-    mc = replace(classical_model(truncation_radius=64, tail_tol=0.3),
+    mc = classical_model()
+    mc = replace(mc, profile=replace(mc.profile, truncation_radius=64), tail_tol=0.3,
                  dist=TwoPointCouplings(-2.0, -1.0, p=0.5))
     deltas = np.geomspace(1.0, 2.5, 5)
     camp = classical_campaign(mc, deltas, L=10, M=12, n_samples=120, master_seed=7)

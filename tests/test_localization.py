@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import striplab.localization as localization
 from striplab.errors import AllZeroOrOne, DenseCapExceeded, InvalidParam
 from striplab.grid import BoundarySpec, Dirichlet, Neumann, bc_all_dirichlet
 from striplab.idss import StripEnsemble
@@ -115,8 +116,9 @@ def test_dynamics_free_ballistic_growth(model):
     assert rep.norm_drift <= 1e-9
 
 
-def test_dynamics_dense_cap(model):
+def test_dynamics_dense_cap(model, monkeypatch):
     grid = model.strip_grid(40, 10)
     H = assemble(grid, np.zeros(grid.n_sites), bc_all_dirichlet())
+    monkeypatch.setattr(localization, "DENSE_CAP", 100)
     with pytest.raises(DenseCapExceeded):
-        dynamics_moment(H, (-10, 10), 2.0, [0.0], [0], dense_cap=100)
+        dynamics_moment(H, (-10, 10), 2.0, [0.0], [0])
