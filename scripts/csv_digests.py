@@ -2,9 +2,9 @@
 """sha256 of every CSV the striplab subcommands write, at one and two workers.
 
 Runs each CSV-writing subcommand through ``striplab.cli.main`` on the test
-suite's small config (``tests/test_cli.py``) and on a variant with a cosine
-periodic bulk, for seeds 0-3, at ``--workers 1`` and ``2``, and prints one
-line per CSV:
+suite's small config (``tests/small_config.json``) and on a variant with a
+cosine periodic bulk, for seeds 0-3, at ``--workers 1`` and ``2``, and prints
+one line per CSV:
 
     sha256 config seed workers csv
 
@@ -26,17 +26,9 @@ import tempfile
 
 from striplab.cli import main as striplab_main
 
-SMALL = {
-    "geometry": {"d1": 1, "d2": 1, "a": 1, "L": 10, "M": 12, "M_ref": 16},
-    "potential": {
-        "profile": {"kind": "compact", "x1_halfwidth": 0.25, "x2_box": [-1.0, 1.0],
-                    "amplitude": 1.0},
-        "distribution": {"kind": "uniform", "q_min": -2.0, "q_max": -1.0},
-    },
-    "run": {"n_samples": 40, "theta_points": 9,
-            "energies": {"kind": "geometric", "offset_lo": 0.15, "offset_hi": 1.1,
-                         "points_per_decade": 8}},
-}
+# the test suite's small config, which tests/test_cli.py also loads
+with open(os.path.join(os.path.dirname(__file__), "..", "tests", "small_config.json")) as fh:
+    SMALL = json.load(fh)
 COSINE = copy.deepcopy(SMALL)
 COSINE["potential"]["bulk_periodic"] = {"kind": "cosine", "amplitude": 0.3}
 CONFIGS = {"small": SMALL, "cosine": COSINE}

@@ -70,7 +70,7 @@ def validate_geometry(cfg: dict) -> dict:
     M = _need(g, "M", "geometry", int, lambda v: v >= 2 and v % 2 == 0, "must be even and >= 2")
     L = _opt(g, "L", None, "geometry", int, lambda v: v >= 1, "must be >= 1")
     L_values = _opt(g, "L_values", None, "geometry", list,
-                    lambda v: all(isinstance(x, int) and x >= 1 for x in v),
+                    lambda v: all(type(x) is int and x >= 1 for x in v),
                     "must be a list of ints >= 1")
     M_ref = _opt(g, "M_ref", M + 4, "geometry", int, lambda v: v >= M + 2 and v % 2 == 0,
                  f"must be even and >= M+2 = {M + 2}")

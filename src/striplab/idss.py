@@ -53,7 +53,11 @@ from .potential import (
 from .rng import ROLE_BULK, ROLE_SURFACE, mix64, sample_seed, stream
 from .spectral import count_below, count_below_ensemble, lower_band, lowest_k
 
-# bytes of LDL^T work array per counting block: (n + bw) x (bw + 1) entries a lane
+# A counting block holds at most BLOCK_LANES samples, and no more than keep its
+# LDL^T work array, (n + bw) x (bw + 1) entries a lane, within BLOCK_BYTES.  A
+# pass costs least per lane at about 192 to 512 lanes and more past them (the
+# tables in ``spectral``); the byte cap bounds memory on wide strips.
+BLOCK_LANES = 256
 BLOCK_BYTES = 64 << 20
 
 
@@ -130,14 +134,16 @@ class StripEnsemble:
     def counts(self, indices: Sequence[int], energies) -> np.ndarray:
         """Eigenvalue counts, shape (len(indices), len(energies)).
 
-        Samples go to the counting kernel in blocks whose LDL^T work array
-        fits in ``BLOCK_BYTES``, so its memory does not grow with n or bw.
+        Samples go to the counting kernel in blocks of at most
+        ``BLOCK_LANES`` whose LDL^T work array fits in ``BLOCK_BYTES``, so
+        its memory does not grow with n or bw.
         """
         indices = list(indices)
         energies = np.atleast_1d(np.asarray(energies, dtype=float))
         out = np.empty((len(indices), len(energies)), dtype=np.int64)
         bw1, n = self.base_band.shape
-        lanes = max(1, BLOCK_BYTES // ((n + bw1 - 1) * bw1 * self.base_band.itemsize))
+        lane_bytes = (n + bw1 - 1) * bw1 * self.base_band.itemsize
+        lanes = max(1, min(BLOCK_LANES, BLOCK_BYTES // lane_bytes))
         for lo in range(0, len(indices), lanes):
             block = indices[lo : lo + lanes]
             out[lo : lo + len(block)] = count_below_ensemble(

@@ -40,6 +40,22 @@ way, but no campaign sends them.  The rule reads only the number of
 energies, never the lane count, so a counting or worker block never changes
 the kernel a sample is counted with.
 
+Past a few hundred lanes a pass gets dearer per lane.  Milliseconds per lane
+of one pass, three runs of the script on the same VM (blocks whose work
+array exceeds 64 MiB not run):
+
+    n / bw      256 lanes     512 lanes     1024 lanes    1536 lanes
+    128 / 16    0.058-0.083   0.055-0.074   0.079-0.100   0.068-0.098
+    192 / 24    0.19-0.28     0.21-0.31     0.25-0.31     0.23-0.33
+    256 / 16    0.11-0.15     0.12-0.15     0.16-0.20     0.17-0.19
+    384 / 24    0.50-0.56     0.49-0.63
+
+So ``idss.StripEnsemble.counts`` sends at most 256 lanes a block.  On a
+2000-sample quantum tail at M=24 (n = 192 to 1152, one worker), five
+alternating pairs of runs took a median 15.1 s that way, against 17.2 s in
+blocks filling 64 MiB (1553 lanes at n=192); the 256-lane run was faster
+in four pairs.
+
 Both kernels keep one tie contract: each lane counts eigenvalues <= E +
 tie with tie = 1e-12 * (||H_s||_inf + |E| + 1) from its own operator.
 The LDL^T pass shifts by E + tie, nudges near-zero pivots to the tie

@@ -1,4 +1,6 @@
 import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,19 +8,14 @@ from striplab.cli import main
 from striplab.config import build_model, energy_grid, validate_geometry
 from striplab.errors import ConfigInvalid
 
+SMALL_CONFIG = Path(__file__).with_name("small_config.json")
+
 
 def base_config(out):
-    return {
-        "geometry": {"d1": 1, "d2": 1, "a": 1, "L": 10, "M": 12, "M_ref": 16},
-        "potential": {
-            "profile": {"kind": "compact", "x1_halfwidth": 0.25, "x2_box": [-1.0, 1.0], "amplitude": 1.0},
-            "distribution": {"kind": "uniform", "q_min": -2.0, "q_max": -1.0},
-        },
-        "run": {"n_samples": 40, "master_seed": 6, "theta_points": 9,
-                "energies": {"kind": "geometric", "offset_lo": 0.15, "offset_hi": 1.1,
-                             "points_per_decade": 8}},
-        "output": {"directory": str(out)},
-    }
+    # the small config, shared with scripts/csv_digests.py
+    cfg = json.loads(SMALL_CONFIG.read_text())
+    cfg["output"] = {"directory": str(out)}
+    return cfg
 
 
 def write_cfg(tmp_path, cfg):
@@ -152,7 +149,7 @@ def test_malformed_config_names_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "geometry.M" in err
     # a strip ladder holds whole cell counts >= 1, in every subcommand that reads one
-    for L_values in ([4.5, 8], ["a"], [0, 4]):
+    for L_values in ([4.5, 8], ["a"], [0, 4], [True, 8]):
         cfg = base_config(tmp_path)
         cfg["geometry"]["L_values"] = L_values
         path = write_cfg(tmp_path, cfg)

@@ -89,8 +89,9 @@ def test_ground_state_reference_solved_once(model, monkeypatch):
 
 
 def test_engine_counts_batch_size_invariant(model, energies, monkeypatch):
-    # a byte budget of three lanes' LDL^T work arrays counts 12 samples in
-    # blocks of at most three lanes, with the counts of one 12-lane block
+    # a lane cap of five, or a byte budget of three lanes' LDL^T work arrays,
+    # splits 12 samples into blocks of at most that many lanes, with the
+    # counts of one 12-lane block
     eng = StripEnsemble(model, L=6, M=8, bc="D", master_seed=3)
     lanes = []
 
@@ -101,10 +102,12 @@ def test_engine_counts_batch_size_invariant(model, energies, monkeypatch):
     monkeypatch.setattr(idss, "count_below_ensemble", recording)
     bw1, n = eng.base_band.shape
     per_lane = (n + bw1 - 1) * bw1 * eng.base_band.itemsize
-    budgets = ((idss.BLOCK_BYTES, [12]), (3 * per_lane, [3] * 4), (4 * per_lane - 1, [3] * 4))
+    caps = ((idss.BLOCK_LANES, idss.BLOCK_BYTES, [12]), (5, idss.BLOCK_BYTES, [5, 5, 2]),
+            (idss.BLOCK_LANES, 3 * per_lane, [3] * 4), (5, 4 * per_lane - 1, [3] * 4))
     for E in (energies, energies[:1]):  # the eigenvalue and the LDL^T kernel
         got = []
-        for budget, want in budgets:
+        for max_lanes, budget, want in caps:
+            monkeypatch.setattr(idss, "BLOCK_LANES", max_lanes)
             monkeypatch.setattr(idss, "BLOCK_BYTES", budget)
             lanes.clear()
             got.append(eng.counts(range(12), E))
