@@ -2,9 +2,9 @@
 """sha256 of every CSV the striplab subcommands write, at one and two workers.
 
 Runs each CSV-writing subcommand through ``striplab.cli.main`` on the test
-suite's small config (``tests/small_config.json``) and on a variant with a
-cosine periodic bulk, for seeds 0-3, at ``--workers 1`` and ``2``, and prints
-one line per CSV:
+suite's small config (``tests/small_config.json``), on a variant with a
+cosine periodic bulk and on one with an i.i.d. uniform random bulk, for seeds
+0-3, at ``--workers 1`` and ``2``, and prints one line per CSV:
 
     sha256 config seed workers csv
 
@@ -31,7 +31,9 @@ with open(os.path.join(os.path.dirname(__file__), "..", "tests", "small_config.j
     SMALL = json.load(fh)
 COSINE = copy.deepcopy(SMALL)
 COSINE["potential"]["bulk_periodic"] = {"kind": "cosine", "amplitude": 0.3}
-CONFIGS = {"small": SMALL, "cosine": COSINE}
+IID = copy.deepcopy(SMALL)
+IID["potential"]["bulk_random"] = {"kind": "iid_uniform", "v_max": 0.4}
+CONFIGS = {"small": SMALL, "cosine": COSINE, "iid": IID}
 
 # (subcommand, lifshits mode, CSV it writes)
 RUNS = [

@@ -28,15 +28,11 @@ from .potential import (
     CompactProfile,
     IidUniformBulk,
     NoBulk,
-    PotentialField,
     PowerLawProfile,
     TwoPointCouplings,
     UniformCouplings,
     estimate_bulk_bottom,
     periodic_bulk,
-    sample_bulk,
-    sample_surface,
-    surface_floor,
 )
 from .spectral import (
     SpectralResult,

@@ -16,7 +16,7 @@ import traceback
 
 import numpy as np
 
-from .config import SUBCOMMANDS, build_model, energy_grid, load_config, validate_geometry
+from .config import SUBCOMMANDS, _opt, build_model, energy_grid, load_config, validate_geometry
 from .errors import ConfigInvalid, StripLabError
 from .floquet import band_curve, cached_reference, default_theta_grid, gap_certificate
 from .idss import (
@@ -53,7 +53,7 @@ def run_band(cfg, out, workers):
     geo = validate_geometry(cfg)
     model = build_model(cfg)
     run = cfg.get("run", {})
-    pts = int(run.get("theta_points", 33))
+    pts = int(_opt(run, "theta_points", 33, "run", int))
     cell = model.cell_grid(geo["M"])
     curve = band_curve(cell, model.u_per(), default_theta_grid(model.d1, pts))
     rows = [
@@ -103,12 +103,14 @@ def run_gap(cfg, out, workers):
 
 def run_idss(cfg, out, workers):
     geo = validate_geometry(cfg)
+    if geo["L"] is None:  # the one subcommand with no default strip length
+        raise ConfigInvalid("geometry.L: missing required field")
     model = build_model(cfg)
     run = cfg.get("run", {})
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     energies = energy_grid(run, ref.e0)
-    n_samples = int(run.get("n_samples", 200))
-    seed = int(run.get("master_seed", 0))
+    n_samples = int(_opt(run, "n_samples", 200, "run", int))
+    seed = int(_opt(run, "master_seed", 0, "run", int))
     bc = run.get("bc", "chi")
     curve = idss_estimate(model, geo["L"], geo["M"], energies, n_samples, seed,
                           bc=bc, M_ref=geo["M_ref"], workers=workers)
@@ -144,14 +146,15 @@ def run_lifshits(cfg, out, workers):
     model = build_model(cfg)
     run = cfg.get("run", {})
     mode = run.get("mode", "quantum")
-    n_samples = int(run.get("n_samples", 2000))
-    seed = int(run.get("master_seed", 0))
-    dspec = run.get("deltas", {})
-    lo, hi = float(dspec.get("lo", 0.05)), float(dspec.get("hi", 0.7))
-    points = int(dspec.get("points", 12))
+    n_samples = int(_opt(run, "n_samples", 2000, "run", int))
+    seed = int(_opt(run, "master_seed", 0, "run", int))
+    dspec = _opt(run, "deltas", {}, "run", dict)
+    lo = float(_opt(dspec, "lo", 0.05, "run.deltas", (int, float)))
+    hi = float(_opt(dspec, "hi", 0.7, "run.deltas", (int, float)))
+    points = int(_opt(dspec, "points", 12, "run.deltas", int))
     deltas = np.geomspace(lo, hi, points)
     if mode == "quantum":
-        c = float(run.get("c_factor", 8 * np.sqrt(hi)))
+        c = float(_opt(run, "c_factor", 8 * np.sqrt(hi), "run", (int, float)))
         camp = quantum_campaign(model, deltas, c, geo["M"], n_samples, seed,
                                 L_bounds=tuple(run.get("L_bounds", (8, 48))),
                                 M_ref=geo["M_ref"], workers=workers)
@@ -182,7 +185,7 @@ def run_decay(cfg, out, workers):
     model = build_model(cfg)
     run = cfg.get("run", {})
     L = geo["L"] or 8
-    seed = int(run.get("master_seed", 0))
+    seed = int(_opt(run, "master_seed", 0, "run", int))
     eng = StripEnsemble(model, L, geo["M"], bc=run.get("bc", "chi"),
                         M_ref=geo["M_ref"], master_seed=seed)
     res = lowest_k(eng.hamiltonian(0), 1, tol=1e-9)
@@ -202,13 +205,14 @@ def run_wegner(cfg, out, workers):
     geo = validate_geometry(cfg)
     model = build_model(cfg)
     run = cfg.get("run", {})
-    seed = int(run.get("master_seed", 0))
-    n_samples = int(run.get("n_samples", 2000))
+    seed = int(_opt(run, "master_seed", 0, "run", int))
+    n_samples = int(_opt(run, "n_samples", 2000, "run", int))
     ref = cached_reference(model, geo["M"], geo["M_ref"])
-    energy = float(run.get("energy", ref.e0 + 0.45 * abs(ref.e0)))
-    espec = run.get("eps", {})
-    eps = np.geomspace(float(espec.get("lo", 3e-4)), float(espec.get("hi", 1e-2)),
-                       int(espec.get("points", 8)))
+    energy = float(_opt(run, "energy", ref.e0 + 0.45 * abs(ref.e0), "run", (int, float)))
+    espec = _opt(run, "eps", {}, "run", dict)
+    eps = np.geomspace(float(_opt(espec, "lo", 3e-4, "run.eps", (int, float))),
+                       float(_opt(espec, "hi", 1e-2, "run.eps", (int, float))),
+                       int(_opt(espec, "points", 8, "run.eps", int)))
     rep = wegner_probe(model, energy, eps, geo["L"] or 16, geo["M"], n_samples, seed,
                        M_ref=geo["M_ref"], workers=workers)
     write_csv(os.path.join(out, "wegner.csv"), ["eps", "prob", "se"],
@@ -224,8 +228,8 @@ def run_initial_scale(cfg, out, workers):
     geo = validate_geometry(cfg)
     model = build_model(cfg)
     run = cfg.get("run", {})
-    seed = int(run.get("master_seed", 0))
-    n_samples = int(run.get("n_samples", 400))
+    seed = int(_opt(run, "master_seed", 0, "run", int))
+    n_samples = int(_opt(run, "n_samples", 400, "run", int))
     L_values = geo["L_values"] or [8, 16, 32]
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     offs = run.get("energy_offsets", [0.2, 0.3, 0.4])
@@ -247,11 +251,11 @@ def run_dynamics(cfg, out, workers):
     geo = validate_geometry(cfg)
     model = build_model(cfg)
     run = cfg.get("run", {})
-    seed = int(run.get("master_seed", 0))
+    seed = int(_opt(run, "master_seed", 0, "run", int))
     L = geo["L"] or 64
-    p = float(run.get("p", 2.0))
-    t_max = float(run.get("t_max", 1000.0))
-    times = np.linspace(0.0, t_max, int(run.get("t_points", 60)))
+    p = float(_opt(run, "p", 2.0, "run", (int, float)))
+    t_max = float(_opt(run, "t_max", 1000.0, "run", (int, float)))
+    times = np.linspace(0.0, t_max, int(_opt(run, "t_points", 60, "run", int)))
     eng = StripEnsemble(model, L, geo["M"], bc="D", M_ref=geo["M_ref"], master_seed=seed)
     H = eng.hamiltonian(0)
     grid = eng.grid
@@ -260,7 +264,8 @@ def run_dynamics(cfg, out, workers):
     mid = [grid.M // 2 - 1, grid.M // 2]
     sites = [int(i) for i in np.nonzero(
         (coords[:, 0] == center) & np.isin(coords[:, grid.d1], mid))[0]]
-    interval = (eng.e0, eng.e0 + float(run.get("window_frac", 0.1)) * abs(eng.e0))
+    window_frac = float(_opt(run, "window_frac", 0.1, "run", (int, float)))
+    interval = (eng.e0, eng.e0 + window_frac * abs(eng.e0))
     rep = dynamics_moment(H, interval, p, times, sites)
     write_csv(os.path.join(out, "dynamics.csv"), ["t", "moment"],
               list(zip(rep.times, rep.moments)))
@@ -275,7 +280,7 @@ def run_bounds(cfg, out, workers):
     geo = validate_geometry(cfg)
     model = build_model(cfg)
     run = cfg.get("run", {})
-    seed = int(run.get("master_seed", 0))
+    seed = int(_opt(run, "master_seed", 0, "run", int))
     L = geo["L"] or 8
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     gap = gap_certificate(model.u_per(), [L], ref, M=geo["M"])[0].gap

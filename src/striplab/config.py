@@ -41,7 +41,8 @@ def _need(block: dict, key: str, path: str, types, check=None, msg=""):
     if key not in block:
         raise ConfigInvalid(f"{path}.{key}: missing required field")
     val = block[key]
-    if types is not None and not isinstance(val, types):
+    # JSON true/false is no number, though bool subclasses int in Python
+    if types is not None and (isinstance(val, bool) or not isinstance(val, types)):
         raise ConfigInvalid(f"{path}.{key}: expected {types}, got {type(val).__name__}")
     if check is not None and not check(val):
         raise ConfigInvalid(f"{path}.{key}: {msg}")
@@ -152,16 +153,17 @@ def energy_grid(run_cfg: dict, e0: float) -> np.ndarray:
     The default covers 1.5 decades below the bulk bottom at 20 points per
     decade, geometric in E - e0.
     """
-    spec = run_cfg.get("energies", {"kind": "geometric"})
+    spec = _opt(run_cfg, "energies", {"kind": "geometric"}, "run", dict)
     kind = spec.get("kind", "geometric")
     if kind == "explicit":
         vals = np.asarray(_need(spec, "values", "run.energies", list), dtype=float)
         return np.sort(vals)
     if kind == "geometric":
-        hi = float(spec.get("offset_hi", 0.95 * abs(e0)))
-        decades = float(spec.get("decades", 1.5))
-        per_decade = int(spec.get("points_per_decade", 20))
-        lo = float(spec.get("offset_lo", hi * 10 ** (-decades)))
+        num = (int, float)
+        hi = float(_opt(spec, "offset_hi", 0.95 * abs(e0), "run.energies", num))
+        decades = float(_opt(spec, "decades", 1.5, "run.energies", num))
+        per_decade = int(_opt(spec, "points_per_decade", 20, "run.energies", int))
+        lo = float(_opt(spec, "offset_lo", hi * 10 ** (-decades), "run.energies", num))
         n = max(2, int(round(np.log10(hi / lo) * per_decade)))
         return e0 + np.geomspace(lo, hi, n)
     raise ConfigInvalid(f"run.energies.kind: unknown kind {kind!r}")

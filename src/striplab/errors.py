@@ -76,10 +76,6 @@ class S4Violated(StripLabError):
     """The periodic background operator has nonnegative ground energy."""
 
 
-class AllZeroOrOne(StripLabError):
-    """Probe probabilities are saturated over the whole parameter range."""
-
-
 class ProfileUnderflow(StripLabError):
     """All layers of a decay profile are below the underflow guard."""
 

@@ -230,7 +230,7 @@ def averaged_reduction(ref: GroundStateRef, u_per) -> AveragedModel:
     grid = ref.grid
     shape = grid.shape
     psi = ref.psi0.reshape(shape)
-    u = periodic_bulk(grid, u_per).values.reshape(shape)
+    u = periodic_bulk(grid, u_per).reshape(shape)
     x1_axes = tuple(range(grid.d1))
     psibar = psi.sum(axis=x1_axes)
     if np.any(psibar < UNDERFLOW_GUARD):
@@ -374,9 +374,8 @@ def gap_certificate(u_per, L_values: Sequence[int], ref: GroundStateRef, M: int)
     reports = []
     for L in L_values:
         strip = build_grid(ref.grid.d1, ref.grid.d2, L=int(L), a=ref.grid.a, M=M)
-        field = periodic_bulk(strip, u_per)
         bc = BoundarySpec(x1=Mezincescu(ref), x2=Mezincescu(ref))
-        H = assemble(strip, field, bc)
+        H = assemble(strip, periodic_bulk(strip, u_per), bc)
         res = lowest_k(H, 2, tol=1e-8)
         e0L, e1L = float(res.eigenvalues[0]), float(res.eigenvalues[1])
         gap = e1L - e0L

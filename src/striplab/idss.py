@@ -47,10 +47,9 @@ from .potential import (
     contract_couplings,
     estimate_bulk_bottom,
     f_weight_matrix,
-    make_field,
     periodic_bulk,
 )
-from .rng import ROLE_BULK, ROLE_SURFACE, mix64, sample_seed, stream
+from .rng import mix64, sample_seed
 from .spectral import count_below, count_below_ensemble, lower_band, lowest_k
 
 # A counting block holds at most BLOCK_LANES samples, and no more than keep its
@@ -77,10 +76,10 @@ class StripEnsemble:
     """Shared-structure disorder ensemble on one strip geometry.
 
     The one way to build a disordered realization: sample ``i`` is
-    ``U_b + V_b + V_s`` under the ensemble's boundary spec, with V_b and V_s
-    drawn from the streams of ``sample_seed(master_seed, i)``.  ``U_b`` and
-    the boundary terms live in ``base_band``; the per-sample diagonal
-    additions come from ``sample_diags``.
+    ``U_b + V_b + V_s`` under the ensemble's boundary spec, with V_b and the
+    couplings of V_s from ``model.draw(sample_seed(master_seed, i), ...)``.
+    ``U_b`` and the boundary terms live in ``base_band``; the per-sample
+    diagonal additions come from ``sample_diags``.
 
     ``ref`` and ``e0`` come from ``cached_reference(model, M, M_ref)``
     (``M_ref`` defaults to M + 4).  The reference does not depend on L, so
@@ -104,7 +103,7 @@ class StripEnsemble:
         self.ref = cached_reference(model, self.M, M_ref)
         self.e0 = self.ref.e0
         self.bcs = bc_for_tag(bc, self.ref)
-        self.u_b = periodic_bulk(self.grid, model.bulk_periodic.as_callable()).values
+        self.u_b = periodic_bulk(self.grid, model.bulk_periodic.as_callable())
         self.base_band = lower_band(assemble(self.grid, self.u_b, self.bcs).matrix)
         self.F = f_weight_matrix(self.grid, model.profile)
         self.n_window_cells = self.F.shape[0]
@@ -112,15 +111,15 @@ class StripEnsemble:
     def sample_diags(self, indices: Sequence[int]) -> np.ndarray:
         """Diagonal additions V_b + V_s of the given samples, shape (len(indices), n_sites).
 
-        Every sample draws from its own streams, and one contraction covers
+        Every sample draws from its own seed, and one contraction covers
         all of them; its per-row accumulation order keeps each row
         bit-identical to a one-sample draw.
         """
-        seeds = [sample_seed(self.master_seed, i) for i in indices]
-        q = np.array([self.model.dist.sample(stream(s, ROLE_SURFACE), self.n_window_cells)
-                      for s in seeds])
-        v_b = np.array([self.model.bulk_random.sample(stream(s, ROLE_BULK), self.grid.n_sites)
-                        for s in seeds])
+        q = np.empty((len(indices), self.n_window_cells))
+        v_b = np.empty((len(indices), self.grid.n_sites))
+        for row, i in enumerate(indices):
+            q[row], v_b[row] = self.model.draw(sample_seed(self.master_seed, i),
+                                               self.n_window_cells, self.grid.n_sites)
         return v_b + contract_couplings(q, self.F)
 
     def sample_diag(self, index: int) -> np.ndarray:
@@ -334,7 +333,7 @@ def bracketing_check(
     One disorder realization is shared across all depths: couplings are
     depth-independent and any random bulk is drawn on the deepest grid and
     restricted to the central layers of the shallower ones.  So the field
-    is drawn here from ``stream(seed, ...)`` and not from a
+    is drawn here with ``model.draw(seed, ...)`` and not from a
     ``StripEnsemble``, which draws each sample on its own grid: every depth
     must share one realization.
     """
@@ -342,20 +341,18 @@ def bracketing_check(
     M_values = tuple(sorted(int(m) for m in M_values))
     M_max = M_values[-1]
     grid_max = model.strip_grid(L, M_max)
-    F_max = f_weight_matrix(grid_max, model.profile)
-    q = model.dist.sample(stream(seed, ROLE_SURFACE), F_max.shape[0])
-    v_b_max = model.bulk_random.sample(stream(seed, ROLE_BULK), grid_max.n_sites)
+    q, v_b_max = model.draw(seed, f_weight_matrix(grid_max, model.profile).shape[0],
+                            grid_max.n_sites)
 
     counts_dd, counts_nd = {}, {}
     for M in M_values:
         grid = model.strip_grid(L, M)
-        F = f_weight_matrix(grid, model.profile)
-        v_s = contract_couplings(q, F)
+        v_s = contract_couplings(q, f_weight_matrix(grid, model.profile))
         v_b = _restrict_layers(v_b_max, grid_max, grid)
-        u_b = periodic_bulk(grid, model.bulk_periodic.as_callable()).values
-        fld = make_field(grid, u_b=u_b, v_b=v_b, v_s=v_s)
+        u_b = periodic_bulk(grid, model.bulk_periodic.as_callable())
+        values = (u_b + v_b) + v_s
         for tag, store in (("D", counts_dd), ("N", counts_nd)):
-            H = assemble(grid, fld, bc_for_tag(tag, None))
+            H = assemble(grid, values, bc_for_tag(tag, None))
             store[M] = count_below(H, energies)
         bad = counts_dd[M] > counts_nd[M]
         if np.any(bad):
@@ -525,7 +522,7 @@ def temple_tail_bound(
     wbar = float(np.sum(w_site * psi_sq) / np.sum(psi_sq))
     bound = ref.e0 + 0.5 * wbar
 
-    u_vals = periodic_bulk(grid, model.u_per()).values
+    u_vals = periodic_bulk(grid, model.u_per())
     H = assemble(grid, u_vals + w_site, bc_for_tag("chi", ref))
     direct = float(lowest_k(H, 1, tol=1e-9).eigenvalues[0])
     return TempleTailReport(
@@ -564,22 +561,19 @@ def rayleigh_tail_bound(
     and the cutoff penalty (which absorbs both the x1 localization cost and
     the transverse truncation).
 
-    The field is drawn here from ``stream(seed, ...)`` and not from a
+    The field is drawn here with ``model.draw(seed, ...)`` and not from a
     ``StripEnsemble``: the decomposition needs the excess couplings
     q - q_min and V_b apart, where an ensemble yields only V_b + V_s, and
     ``seed`` is the realization's own seed, not ``sample_seed(master_seed,
     i)``, so an ensemble's draw would change the ``bounds`` CSV.
     """
     grid = model.strip_grid(L, M)
-    u_fn = model.u_per()
     ref = cached_reference(model, M, M_ref)
 
     F = f_weight_matrix(grid, model.profile)
-    q = model.dist.sample(stream(seed, ROLE_SURFACE), F.shape[0])
-    rho = q - model.dist.q_min
-    w_vals = contract_couplings(rho, F)
-    v_b = model.bulk_random.sample(stream(seed, ROLE_BULK), grid.n_sites)
-    u_per_vals = periodic_bulk(grid, u_fn).values
+    q, v_b = model.draw(seed, F.shape[0], grid.n_sites)
+    w_vals = contract_couplings(q - model.dist.q_min, F)
+    u_per_vals = periodic_bulk(grid, model.u_per())
 
     coords = grid.coords_of(np.arange(grid.n_sites))
     psi = ref.values_at(coords, grid)

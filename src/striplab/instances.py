@@ -9,7 +9,7 @@ couplings uniform on [-2, -1], no deterministic or random bulk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -22,9 +22,9 @@ from .potential import (
     TwoPointCouplings,
     UniformCouplings,
     ZeroBulk,
-    combine_cell_potentials,
     surface_cell_potential,
 )
+from .rng import ROLE_BULK, ROLE_SURFACE, stream
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,20 @@ class SurfaceModel:
 
     def u_per(self) -> Callable:
         """Cell potential of the periodic background: U_b + U_s (floor)."""
-        return combine_cell_potentials(
-            self.bulk_periodic.as_callable(),
-            surface_cell_potential(self.profile, self.dist.q_min, tol=self.tail_tol),
-        )
+        bulk = self.bulk_periodic.as_callable()
+        floor = surface_cell_potential(self.profile, self.dist.q_min, self.a, self.tail_tol)
+        return lambda x1f, x2: bulk(x1f, x2) + floor(x1f, x2)
+
+    def draw(self, seed: int, n_cells: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+        """Couplings q of ``n_cells`` window cells and random bulk V_b of ``n_sites`` sites.
+
+        The one sampling path: every realization maps its seed to the
+        surface and bulk streams here, so q and V_b of a seed do not depend
+        on who draws them or on how samples are split across workers.
+        """
+        q = self.dist.sample(stream(seed, ROLE_SURFACE), n_cells)
+        v_b = self.bulk_random.sample(stream(seed, ROLE_BULK), n_sites)
+        return q, v_b
 
     def cell_grid(self, M: int) -> GridSpec:
         return build_grid(self.d1, self.d2, L=1, a=self.a, M=M)
@@ -96,16 +106,8 @@ def classical_model() -> SurfaceModel:
 
 
 def pinned_model(model: SurfaceModel) -> SurfaceModel:
-    """Same geometry with every coupling pinned to the floor (degenerate)."""
-    return SurfaceModel(
-        d1=model.d1,
-        d2=model.d2,
-        a=model.a,
-        profile=model.profile,
-        dist=TwoPointCouplings(model.dist.q_min, model.dist.q_min / 2, p=1.0),
-        bulk_random=model.bulk_random,
-        bulk_periodic=model.bulk_periodic,
-    )
+    """The same model with every coupling pinned to the floor (degenerate)."""
+    return replace(model, dist=TwoPointCouplings(model.dist.q_min, model.dist.q_min / 2, p=1.0))
 
 
 def random_periodic_cell(seed: int, d1: int = 1) -> Callable:

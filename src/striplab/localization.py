@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    AllZeroOrOne,
     DenseCapExceeded,
     InequalityViolated,
     InvalidParam,
@@ -114,7 +113,7 @@ class WegnerReport:
     eps: np.ndarray
     probs: np.ndarray
     ses: np.ndarray
-    slope: float  # d ln P / d ln eps over the usable range
+    slope: float  # d ln P / d ln eps over the usable range; nan with fewer than 2 usable
     n_usable: int
     n_samples: int
 
@@ -134,7 +133,8 @@ def wegner_probe(
 
     The event is evaluated from two inertia counts per sample; it is
     monotone in eps realization by realization, which is asserted.  The
-    log-log slope uses windows with nondegenerate probabilities.
+    log-log slope uses windows with nondegenerate probabilities; with fewer
+    than two of them it is nan, and ``n_usable`` says so.
     """
     eps = np.sort(np.atleast_1d(np.asarray(eps_list, dtype=float)))
     if np.any(eps < 0):
@@ -154,9 +154,9 @@ def wegner_probe(
         raise InequalityViolated("window event not monotone in eps for some realization")
     probs, ses = hit_rate(events, n_samples)
     usable = (probs > 0) & (probs < 1) & (eps > 0)
-    if usable.sum() < 2:
-        raise AllZeroOrOne("probabilities saturated over the whole eps range")
-    slope = float(np.polyfit(np.log(eps[usable]), np.log(probs[usable]), 1)[0])
+    slope = math.nan
+    if usable.sum() >= 2:
+        slope = float(np.polyfit(np.log(eps[usable]), np.log(probs[usable]), 1)[0])
     return WegnerReport(
         energy=float(energy),
         eps=eps,

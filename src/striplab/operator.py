@@ -106,11 +106,13 @@ def _phase(theta: float, direction: int, is_real: bool):
     return complex(np.cos(theta * direction), np.sin(theta * direction))
 
 
-def assemble(grid: GridSpec, potential, bcs: BoundarySpec) -> Hamiltonian:
-    """Assemble the sparse operator for a potential field on a grid."""
-    vals = np.asarray(getattr(potential, "values", potential), dtype=float)
-    if vals.shape != (grid.n_sites,):
-        raise ShapeMismatch(f"potential shape {vals.shape} != ({grid.n_sites},)")
+def assemble(grid: GridSpec, values: np.ndarray, bcs: BoundarySpec) -> Hamiltonian:
+    """Assemble the sparse operator for the per-site potential ``values`` on a grid."""
+    diag = np.array(values, dtype=np.float64)
+    if diag.shape != (grid.n_sites,):
+        raise ShapeMismatch(f"potential shape {diag.shape} != ({grid.n_sites},)")
+    if not np.all(np.isfinite(diag)):
+        raise ShapeMismatch("potential contains non-finite values")
 
     h2i = float(grid.a * grid.a)  # h^{-2}
     n = grid.n_sites
@@ -120,7 +122,6 @@ def assemble(grid: GridSpec, potential, bcs: BoundarySpec) -> Hamiltonian:
     use_complex = x1_bloch and not bcs.x1.is_real
     dtype = np.complex128 if use_complex else np.float64
 
-    diag = vals.astype(np.float64).copy()
     rows, cols, data = [], [], []
 
     for axis in range(grid.n_axes):

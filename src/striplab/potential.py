@@ -8,9 +8,10 @@ The total potential decomposes as ``V = U_b + V_b + V_s``:
 
 plus the deterministic floor ``U_s`` obtained by pinning every coupling to
 ``q_min``.  Continuum single-site profiles are evaluated pointwise at grid
-nodes.  All sampling is a pure function of (parameters, seed): identical
-seeds give bit-identical fields no matter how samples are partitioned
-across workers.
+nodes, and every field is a plain per-site array.  The couplings and the
+random bulk of one realization come from ``SurfaceModel.draw``, a pure
+function of (parameters, seed): identical seeds give bit-identical fields
+no matter how samples are partitioned across workers.
 
 Alloy sums use a per-site symmetric truncation window: a site in unit cell
 ``c`` sums contributions from cells within sup-distance ``R`` of ``c``
@@ -31,9 +32,6 @@ import numpy as np
 
 from .errors import InvalidParam, ShapeMismatch, TailTooLarge
 from .grid import GridSpec, build_grid, bc_all_dirichlet, bc_all_neumann
-from .rng import ROLE_BULK, ROLE_SURFACE, stream
-
-DEFAULT_TAIL_TOL = 1e-8
 
 
 # -- single-site profiles ----------------------------------------------------
@@ -57,9 +55,9 @@ class CompactProfile:
         if self.x1_halfwidth <= 0 or self.x2_box[0] >= self.x2_box[1]:
             raise InvalidParam("profile support box must be nonempty")
 
-    def window_radius(self, grid: GridSpec) -> int:
-        # farthest cell whose box can reach a site of another cell
-        return int(math.floor(self.x1_halfwidth + (grid.a - 1) * grid.h + 1e-12))
+    def window_radius(self, a: int) -> int:
+        # farthest cell whose box can reach a site of another cell (spacing 1/a)
+        return int(math.floor(self.x1_halfwidth + (a - 1) / a + 1e-12))
 
     def evaluate(self, x1_offset: np.ndarray, x2: np.ndarray) -> np.ndarray:
         inside_x1 = np.all(np.abs(x1_offset) <= self.x1_halfwidth + 1e-12, axis=-1)
@@ -102,7 +100,7 @@ class PowerLawProfile:
                 f"power-law exponent must satisfy d1 < alpha <= d1+2, got alpha={self.alpha}, d1={d1}"
             )
 
-    def window_radius(self, grid: GridSpec) -> int:
+    def window_radius(self, a: int) -> int:
         return int(self.truncation_radius)
 
     def evaluate(self, x1_offset: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -229,38 +227,6 @@ class CosineBulk:
         return fn
 
 
-# -- fields -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PotentialField:
-    """Realized potential with its component decomposition.
-
-    ``values`` is always ``(u_b + v_b) + v_s`` evaluated in that order, so
-    the decomposition re-sums bit-exactly.
-    """
-
-    grid: GridSpec
-    u_b: np.ndarray
-    v_b: np.ndarray
-    v_s: np.ndarray
-    values: np.ndarray
-
-
-def make_field(grid, u_b=None, v_b=None, v_s=None) -> PotentialField:
-    n = grid.n_sites
-    u_b = np.zeros(n) if u_b is None else np.asarray(u_b, dtype=float)
-    v_b = np.zeros(n) if v_b is None else np.asarray(v_b, dtype=float)
-    v_s = np.zeros(n) if v_s is None else np.asarray(v_s, dtype=float)
-    for part in (u_b, v_b, v_s):
-        if part.shape != (n,):
-            raise ShapeMismatch(f"component shape {part.shape} != ({n},)")
-        if not np.all(np.isfinite(part)):
-            raise ShapeMismatch("potential component contains non-finite values")
-    values = (u_b + v_b) + v_s
-    return PotentialField(grid=grid, u_b=u_b, v_b=v_b, v_s=v_s, values=values)
-
-
 # -- alloy machinery ----------------------------------------------------------
 
 
@@ -280,7 +246,7 @@ def f_weight_matrix(grid: GridSpec, profile) -> np.ndarray:
     """
     if isinstance(profile, PowerLawProfile):
         profile.validate_for_dimension(grid.d1)
-    radius = profile.window_radius(grid)
+    radius = profile.window_radius(grid.a)
     cells = window_cells(grid, radius)
     x1 = grid.x1_positions()
     x2 = grid.x2_positions()
@@ -307,46 +273,7 @@ def contract_couplings(couplings: np.ndarray, F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_tail(profile, q_ref: float, tol: float, d1: int) -> float:
-    tail = profile.tail_bound(d1)
-    if tail > tol * max(abs(q_ref), 1e-300):
-        raise TailTooLarge(
-            f"truncation tail bound {tail:.3e} exceeds tol*|q| = {tol * abs(q_ref):.3e}; "
-            f"increase truncation_radius"
-        )
-    return tail
-
-
-def surface_floor(grid: GridSpec, profile, q_min: float, tol: float = DEFAULT_TAIL_TOL) -> PotentialField:
-    """Deterministic floor: every coupling pinned to q_min (<= 0)."""
-    if q_min > 0:
-        raise InvalidParam(f"floor coupling must be <= 0, got {q_min}")
-    _check_tail(profile, q_min, tol, grid.d1)
-    F = f_weight_matrix(grid, profile)
-    pinned = np.full(F.shape[0], float(q_min))
-    return make_field(grid, v_s=contract_couplings(pinned, F))
-
-
-def sample_surface(grid: GridSpec, profile, dist, seed: int, tol: float = DEFAULT_TAIL_TOL):
-    """Draw i.i.d. couplings (one per window cell) and build the alloy field.
-
-    Returns (couplings, field).  Pinning the distribution to q_min
-    reproduces surface_floor bit-exactly.
-    """
-    _check_tail(profile, dist.q_min, tol, grid.d1)
-    F = f_weight_matrix(grid, profile)
-    rng = stream(seed, ROLE_SURFACE)
-    couplings = dist.sample(rng, F.shape[0])
-    return couplings, make_field(grid, v_s=contract_couplings(couplings, F))
-
-
-def sample_bulk(grid: GridSpec, spec, seed: int) -> PotentialField:
-    """Per-site nonnegative random bulk field (zero for NoBulk)."""
-    rng = stream(seed, ROLE_BULK)
-    return make_field(grid, v_b=spec.sample(rng, grid.n_sites))
-
-
-def periodic_bulk(grid: GridSpec, cell_function: Callable) -> PotentialField:
+def periodic_bulk(grid: GridSpec, cell_function: Callable) -> np.ndarray:
     """Extend a unit-cell function Z^d1-periodically across the grid.
 
     ``cell_function(x1_frac, x2)`` receives positions folded to [0,1)^d1 and
@@ -358,42 +285,30 @@ def periodic_bulk(grid: GridSpec, cell_function: Callable) -> PotentialField:
     vals = np.asarray(cell_function(x1f, x2), dtype=float)
     if vals.shape != (grid.n_sites,):
         raise ShapeMismatch(f"cell function returned shape {vals.shape}, expected ({grid.n_sites},)")
-    return make_field(grid, u_b=vals)
+    return vals
 
 
-def surface_cell_potential(profile, q_min: float, tol: float = DEFAULT_TAIL_TOL) -> Callable:
-    """Exactly periodic floor as a cell function (for reduced operators).
+def surface_cell_potential(profile, q_min: float, a: int, tol: float) -> Callable:
+    """Floor (every coupling pinned to ``q_min``) as a cell function, ``a`` sites per cell axis.
 
-    Sums relative cells in the same ascending order as the strip window, so
-    tiling this function reproduces surface_floor on any strip.
+    Sums relative cells in the same ascending order as the strip window of
+    ``f_weight_matrix``, so tiling this function reproduces the pinned
+    contraction ``contract_couplings(full(n_cells, q_min), F)`` on any strip.
+    Raises TailTooLarge if the profile's truncation tail exceeds tol * |q_min|.
     """
+    radius = profile.window_radius(a)
 
     def fn(x1f: np.ndarray, x2: np.ndarray) -> np.ndarray:
         d1 = x1f.shape[-1]
-        _check_tail(profile, q_min, tol, d1)
-        # radius matching window_radius for a grid with this spacing
-        if isinstance(profile, PowerLawProfile):
-            radius = int(profile.truncation_radius)
-        else:
-            spacing = 1.0
-            if x1f.shape[0] > 1:
-                pos = np.unique(x1f[:, 0])
-                if len(pos) > 1:
-                    spacing = pos[1] - pos[0]
-            radius = int(math.floor(profile.x1_halfwidth + (1.0 - spacing) + 1e-12))
+        tail = profile.tail_bound(d1)
+        if tail > tol * max(abs(q_min), 1e-300):
+            raise TailTooLarge(
+                f"truncation tail bound {tail:.3e} exceeds tol*|q| = {tol * abs(q_min):.3e}; "
+                f"increase truncation_radius"
+            )
         out = np.zeros(x1f.shape[0])
         for c in itertools.product(range(-radius, radius + 1), repeat=d1):
             out += q_min * profile.evaluate(x1f - np.asarray(c, dtype=float), x2)
-        return out
-
-    return fn
-
-
-def combine_cell_potentials(*fns: Callable) -> Callable:
-    def fn(x1f, x2):
-        out = np.zeros(x1f.shape[0])
-        for g in fns:
-            out = out + g(x1f, x2)
         return out
 
     return fn

@@ -19,6 +19,7 @@ from .grid import BoundarySpec, Mezincescu, bc_all_dirichlet, bc_all_neumann, bu
 from .idss import bracketing_check, rayleigh_tail_bound, temple_tail_bound
 from .instances import default_model
 from .operator import assemble
+from .potential import contract_couplings, f_weight_matrix, periodic_bulk
 from .spectral import count_below, lowest_k
 
 
@@ -46,10 +47,8 @@ def _mezincescu_invariance():
     worst = 0.0
     for L in (4, 8):
         grid = m.strip_grid(L, 14)
-        from .potential import periodic_bulk
-
-        fld = periodic_bulk(grid, m.u_per())
-        H = assemble(grid, fld, BoundarySpec(x1=Mezincescu(ref), x2=Mezincescu(ref)))
+        H = assemble(grid, periodic_bulk(grid, m.u_per()),
+                     BoundarySpec(x1=Mezincescu(ref), x2=Mezincescu(ref)))
         e0 = lowest_k(H, 1, tol=1e-9).eigenvalues[0]
         worst = max(worst, abs(e0 - ref.e0))
     ok = worst <= 10 * ref.residual
@@ -101,21 +100,21 @@ def _count_oracle():
 def _ordering():
     # the form ordering compares like faces: all-Neumann <= full-Mezincescu
     # <= all-Dirichlet (ghost ratios in [0, 1] for a decaying reference)
-    from .potential import sample_surface
-
     m = default_model()
     ref = cached_reference(m, 10, 14)
     rng = np.random.default_rng(7)
+    grid = m.strip_grid(6, 10)
+    F = f_weight_matrix(grid, m.profile)
     for trial in range(5):
-        grid = m.strip_grid(6, 10)
-        _, fld = sample_surface(grid, m.profile, m.dist, seed=int(rng.integers(1 << 31)))
+        q, _ = m.draw(int(rng.integers(1 << 31)), F.shape[0], grid.n_sites)
+        v_s = contract_couplings(q, F)
         levels = {}
         for tag, bcs in (
             ("N", bc_all_neumann()),
             ("chi", BoundarySpec(x1=Mezincescu(ref), x2=Mezincescu(ref))),
             ("D", bc_all_dirichlet()),
         ):
-            levels[tag] = np.sort(np.linalg.eigvalsh(assemble(grid, fld, bcs).dense()))[:3]
+            levels[tag] = np.sort(np.linalg.eigvalsh(assemble(grid, v_s, bcs).dense()))[:3]
         if not (np.all(levels["N"] <= levels["chi"] + 1e-11)
                 and np.all(levels["chi"] <= levels["D"] + 1e-11)):
             return False, f"ordering broken on trial {trial}"

@@ -30,18 +30,26 @@ def e0_default(ref14):
     return ref14.e0
 
 
+def surface_field(model, grid, seed):
+    """V_s of one realization: the couplings ``model.draw(seed, ...)`` contracted on ``grid``."""
+    from striplab.potential import contract_couplings, f_weight_matrix
+
+    F = f_weight_matrix(grid, model.profile)
+    q, _ = model.draw(seed, F.shape[0], grid.n_sites)
+    return contract_couplings(q, F)
+
+
 def random_grid_hamiltonian(rng, L=None, M=None, bc="D"):
     """Small default-instance realization for oracle tests."""
     from striplab.idss import bc_for_tag
     from striplab.operator import assemble
-    from striplab.potential import sample_surface
 
     m = default_model()
     L = int(L if L is not None else rng.integers(3, 9))
     M = int(M if M is not None else 2 * rng.integers(3, 8))
     grid = m.strip_grid(L, M)
-    _, fld = sample_surface(grid, m.profile, m.dist, seed=int(rng.integers(1 << 62)))
-    return assemble(grid, fld, bc_for_tag(bc, None)), grid
+    v_s = surface_field(m, grid, int(rng.integers(1 << 62)))
+    return assemble(grid, v_s, bc_for_tag(bc, None)), grid
 
 
 def random_banded_symmetric(rng, n=None, bw=None):

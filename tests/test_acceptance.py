@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_banded_symmetric, random_grid_hamiltonian
+from conftest import random_banded_symmetric, random_grid_hamiltonian, surface_field
 from striplab.floquet import (
     averaged_reduction,
     band_curve,
@@ -44,9 +44,7 @@ from striplab.localization import (
 from striplab.operator import assemble
 from striplab.potential import (
     TwoPointCouplings,
-    make_field,
     periodic_bulk,
-    sample_surface,
 )
 from striplab.spectral import (
     count_below,
@@ -201,7 +199,7 @@ def test_criterion_04_ordering_invariants(model, ref14):
     order_ok = 0
     for _ in range(50):
         grid = model.strip_grid(int(rng.integers(4, 8)), 12)
-        _, fld = sample_surface(grid, model.profile, model.dist, seed=int(rng.integers(1 << 62)))
+        fld = surface_field(model, grid, int(rng.integers(1 << 62)))
         lv = {}
         for tag, bcs in (
             ("N", bc_all_neumann()),
@@ -332,7 +330,7 @@ def test_criterion_10_decay_fits(model):
     rel = abs(fit.gamma - oracle) / oracle
     # disordered ground state
     eng = StripEnsemble(model, 8, 32, bc="chi", master_seed=4)
-    fld2 = make_field(eng.grid, v_s=eng.sample_diag(0))
+    fld2 = eng.sample_diag(0)
     H2 = assemble(eng.grid, fld2, bc_for_tag("chi", eng.ref))
     res2 = lowest_k(H2, 1, tol=1e-9)
     fit2 = decay_profile(eng.grid, float(res2.eigenvalues[0]), res2.eigenvectors[:, 0])
@@ -363,7 +361,7 @@ def test_criterion_12_dynamics_contrast(model):
         (coords[:, 0] == L // 2) & np.isin(coords[:, 1], [M // 2 - 1, M // 2]))[0]]
     H_free = assemble(grid, np.zeros(grid.n_sites), bc_all_dirichlet())
     free = dynamics_moment(H_free, (-10.0, 10.0), 2.0, np.linspace(0, 8, 17), sites)
-    fld = make_field(grid, v_s=eng.sample_diag(0))
+    fld = eng.sample_diag(0)
     H_dis = assemble(grid, fld, bc_all_dirichlet())
     window = (eng.e0, eng.e0 + 0.3 * abs(eng.e0))
     early = dynamics_moment(H_dis, window, 2.0, np.linspace(0, 10, 21), sites)

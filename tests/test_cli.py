@@ -156,6 +156,37 @@ def test_malformed_config_names_field(tmp_path, capsys):
         for sub in ("gap", "initial-scale"):
             assert main([sub, "--config", path, "--out", str(tmp_path)]) == 2, (sub, L_values)
             assert "geometry.L_values" in capsys.readouterr().err
+    # JSON true is no number; idss has no default strip length; the run block
+    # is validated like the others
+    cases = ((("potential", "profile", "amplitude"), True, ("idss", "band")),
+             (("geometry", "L"), True, ("idss",)),
+             (("geometry", "L"), None, ("idss",)),
+             (("run", "n_samples"), "abc", ("wegner",)),
+             (("run", "deltas"), 5, ("lifshits",)))
+    for keys, value, subs in cases:
+        cfg = base_config(tmp_path)
+        block = cfg
+        for key in keys[:-1]:
+            block = block[key]
+        if value is None:
+            del block[keys[-1]]
+        else:
+            block[keys[-1]] = value
+        path = write_cfg(tmp_path, cfg)
+        for sub in subs:
+            assert main([sub, "--config", path, "--out", str(tmp_path)]) == 2, (sub, keys, value)
+            assert ".".join(keys) in capsys.readouterr().err
+
+
+def test_wegner_writes_csv_when_uninformative(tmp_path, capsys):
+    # 40 samples at seed 1 saturate every window: the probabilities are still
+    # written, and the informative-range check fails the run
+    path = write_cfg(tmp_path, base_config(tmp_path))
+    assert main(["wegner", "--config", path, "--seed", "1", "--out", str(tmp_path)]) == 1
+    assert "FAIL informative eps range  [slope=nan]" in capsys.readouterr().out
+    rows = (tmp_path / "wegner.csv").read_text().strip().splitlines()
+    assert rows[0] == "eps,prob,se" and len(rows) == 9
+    assert json.loads((tmp_path / "wegner.json").read_text())["results"]["n_usable"] < 2
 
 
 def test_selftest_subcommand(tmp_path, monkeypatch):

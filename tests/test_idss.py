@@ -26,7 +26,7 @@ from striplab.idss import (
 )
 from striplab.instances import classical_model, default_model, pinned_model
 from striplab.operator import assemble
-from striplab.potential import CosineBulk, TwoPointCouplings, make_field, periodic_bulk
+from striplab.potential import CosineBulk, IidUniformBulk, TwoPointCouplings, periodic_bulk
 from striplab.rng import mix64
 from striplab.spectral import count_below, count_below_ensemble
 
@@ -37,8 +37,10 @@ def energies(e0_default):
 
 
 def test_engine_matches_direct_counts(model, energies, e0_default):
-    # the counted operator is the assembled one, periodic bulk U_b included
-    for m in (model, replace(model, bulk_periodic=CosineBulk(0.3))):
+    # the counted operator is the assembled one, periodic bulk U_b and random
+    # bulk V_b included
+    for m in (model, replace(model, bulk_periodic=CosineBulk(0.3)),
+              replace(model, bulk_random=IidUniformBulk(0.4))):
         eng = StripEnsemble(m, L=7, M=10, bc="chi", master_seed=42)
         grid_energies = energies - e0_default + eng.e0
         for i in (0, 5):
@@ -91,8 +93,7 @@ def test_ground_state_reference_solved_once(model, monkeypatch):
 def test_engine_counts_batch_size_invariant(model, energies, monkeypatch):
     # a lane cap of five, or a byte budget of three lanes' LDL^T work arrays,
     # splits 12 samples into blocks of at most that many lanes, with the
-    # counts of one 12-lane block
-    eng = StripEnsemble(model, L=6, M=8, bc="D", master_seed=3)
+    # counts of one 12-lane block, with and without a random bulk V_b
     lanes = []
 
     def recording(base_band, diag_samples, energies):
@@ -100,19 +101,22 @@ def test_engine_counts_batch_size_invariant(model, energies, monkeypatch):
         return count_below_ensemble(base_band, diag_samples, energies)
 
     monkeypatch.setattr(idss, "count_below_ensemble", recording)
+    eng = StripEnsemble(model, L=6, M=8, bc="D", master_seed=3)
     bw1, n = eng.base_band.shape
     per_lane = (n + bw1 - 1) * bw1 * eng.base_band.itemsize
     caps = ((idss.BLOCK_LANES, idss.BLOCK_BYTES, [12]), (5, idss.BLOCK_BYTES, [5, 5, 2]),
             (idss.BLOCK_LANES, 3 * per_lane, [3] * 4), (5, 4 * per_lane - 1, [3] * 4))
-    for E in (energies, energies[:1]):  # the eigenvalue and the LDL^T kernel
-        got = []
-        for max_lanes, budget, want in caps:
-            monkeypatch.setattr(idss, "BLOCK_LANES", max_lanes)
-            monkeypatch.setattr(idss, "BLOCK_BYTES", budget)
-            lanes.clear()
-            got.append(eng.counts(range(12), E))
-            assert lanes == want
-        assert all(np.array_equal(g, got[0]) for g in got)
+    for m in (model, replace(model, bulk_random=IidUniformBulk(0.4))):
+        eng = StripEnsemble(m, L=6, M=8, bc="D", master_seed=3)
+        for E in (energies, energies[:1]):  # the eigenvalue and the LDL^T kernel
+            got = []
+            for max_lanes, budget, want in caps:
+                monkeypatch.setattr(idss, "BLOCK_LANES", max_lanes)
+                monkeypatch.setattr(idss, "BLOCK_BYTES", budget)
+                lanes.clear()
+                got.append(eng.counts(range(12), E))
+                assert lanes == want
+            assert all(np.array_equal(g, got[0]) for g in got)
 
 
 def test_worker_count_never_changes_results(model, energies):
@@ -161,6 +165,18 @@ def test_idss_pinned_distribution_zero_variance(model, energies):
     H_per = assemble(eng.grid, periodic_bulk(eng.grid, pm.u_per()), bc_for_tag("chi", eng.ref))
     per = np.array([count_below(H_per, E) for E in energies]) / 8.0
     assert np.allclose(curve.means, per)
+
+
+def test_pinned_model_changes_only_the_distribution():
+    # every field but dist survives, the classical model's loose tail
+    # tolerance included, so the pinned model solves the same reference
+    cm = classical_model()
+    pm = pinned_model(cm)
+    assert replace(pm, dist=cm.dist) == cm
+    assert pm.dist == TwoPointCouplings(cm.dist.q_min, cm.dist.q_min / 2, p=1.0)
+    want = ground_state_cell(cm.cell_grid(8), cm.u_per(), 12)
+    got = ground_state_cell(pm.cell_grid(8), pm.u_per(), 12)
+    assert got.e0 == want.e0 and np.array_equal(got.psi0, want.psi0)
 
 
 def test_idss_zero_below_ground_energy(model, e0_default):
@@ -269,17 +285,16 @@ def test_coupling_monotonicity_raises_levels(model, ref14):
     # pushing one coupling toward zero can only raise eigenvalues
     grid = model.strip_grid(6, 12)
     from striplab.potential import f_weight_matrix, contract_couplings
-    from striplab.rng import ROLE_SURFACE, stream
 
     F = f_weight_matrix(grid, model.profile)
-    q = model.dist.sample(stream(77, ROLE_SURFACE), F.shape[0])
+    q, _ = model.draw(77, F.shape[0], grid.n_sites)
     before = np.linalg.eigvalsh(
-        assemble(grid, make_field(grid, v_s=contract_couplings(q, F)), bc_all_dirichlet()).dense()
+        assemble(grid, contract_couplings(q, F), bc_all_dirichlet()).dense()
     )
     q2 = q.copy()
     q2[3] = q2[3] / 2  # toward zero
     after = np.linalg.eigvalsh(
-        assemble(grid, make_field(grid, v_s=contract_couplings(q2, F)), bc_all_dirichlet()).dense()
+        assemble(grid, contract_couplings(q2, F), bc_all_dirichlet()).dense()
     )
     assert np.all(after >= before - 1e-12)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import striplab.localization as localization
-from striplab.errors import AllZeroOrOne, DenseCapExceeded, InvalidParam
+from striplab.errors import DenseCapExceeded, InvalidParam
 from striplab.grid import BoundarySpec, Dirichlet, Neumann, bc_all_dirichlet
 from striplab.idss import StripEnsemble
 from striplab.localization import (
@@ -57,10 +57,12 @@ def test_wegner_saturated_and_empty_windows(model, e0_default):
     assert rep.probs[-1] == 1.0
 
 
-def test_wegner_uninformative_range_raises(model, e0_default):
+def test_wegner_uninformative_range_has_no_slope(model, e0_default):
+    # saturated windows still report their probabilities, with a nan slope
     E = e0_default + 0.4 * abs(e0_default)
-    with pytest.raises(AllZeroOrOne):
-        wegner_probe(model, E, [50.0, 60.0], L=4, M=8, n_samples=10, master_seed=1)
+    rep = wegner_probe(model, E, [50.0, 60.0], L=4, M=8, n_samples=10, master_seed=1)
+    assert np.array_equal(rep.probs, [1.0, 1.0]) and np.array_equal(rep.ses, [0.0, 0.0])
+    assert rep.n_usable == 0 and np.isnan(rep.slope)
 
 
 def test_wegner_monotone_and_slope(model, e0_default):

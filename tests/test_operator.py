@@ -13,7 +13,8 @@ from striplab.grid import (
     build_grid,
 )
 from striplab.operator import assemble, quadratic_form
-from striplab.potential import periodic_bulk, sample_surface
+from conftest import surface_field
+from striplab.potential import periodic_bulk
 
 
 def free_path_eigs(n, bc):
@@ -99,14 +100,14 @@ def test_boundary_ordering_eigenvalue_wise(model, ref14):
     rng = np.random.default_rng(11)
     for _ in range(6):
         grid = model.strip_grid(5, 12)
-        _, fld = sample_surface(grid, model.profile, model.dist, seed=int(rng.integers(1 << 62)))
+        v_s = surface_field(model, grid, int(rng.integers(1 << 62)))
         levels = {}
         for tag, bcs in (
             ("N", bc_all_neumann()),
             ("chi", BoundarySpec(x1=Mezincescu(ref14), x2=Mezincescu(ref14))),
             ("D", bc_all_dirichlet()),
         ):
-            levels[tag] = np.linalg.eigvalsh(assemble(grid, fld, bcs).dense())[:3]
+            levels[tag] = np.linalg.eigvalsh(assemble(grid, v_s, bcs).dense())[:3]
         assert np.all(levels["N"] <= levels["chi"] + 1e-11)
         assert np.all(levels["chi"] <= levels["D"] + 1e-11)
 
@@ -122,6 +123,9 @@ def test_shape_mismatch():
     g = build_grid(1, 1, L=2, a=1, M=2)
     with pytest.raises(ShapeMismatch):
         assemble(g, np.zeros(5), bc_all_dirichlet())
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ShapeMismatch, match="non-finite"):
+            assemble(g, np.array([0.0, 1.0, bad, 0.0]), bc_all_dirichlet())
 
 
 def test_quadratic_form_ground_and_constant():

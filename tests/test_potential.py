@@ -1,41 +1,47 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import surface_field
 from striplab.errors import InvalidParam, ShapeMismatch, TailTooLarge
 from striplab.grid import build_grid
 from striplab.instances import default_model
 from striplab.potential import (
     CompactProfile,
     IidUniformBulk,
-    NoBulk,
     PowerLawProfile,
     TwoPointCouplings,
     UniformCouplings,
+    contract_couplings,
     estimate_bulk_bottom,
     f_weight_matrix,
     periodic_bulk,
-    sample_bulk,
-    sample_surface,
     surface_cell_potential,
-    surface_floor,
 )
+
+
+def pinned_floor(grid, profile, q_min):
+    """The floor U_s: every window coupling pinned to ``q_min``, contracted on ``grid``."""
+    F = f_weight_matrix(grid, profile)
+    return contract_couplings(np.full(F.shape[0], float(q_min)), F)
 
 
 def test_periodic_bulk_zero_and_constant():
     g = build_grid(1, 1, L=4, a=2, M=6)
     zero = periodic_bulk(g, lambda x1, x2: np.zeros(len(x1)))
-    assert np.all(zero.values == 0)
+    assert np.all(zero == 0)
     const = periodic_bulk(g, lambda x1, x2: np.full(len(x1), 2.5))
-    assert np.all(const.values == 2.5)
+    assert np.all(const == 2.5)
 
 
 def test_periodic_bulk_cell_shift_exact():
     # shifting by one cell reproduces the field exactly
     g = build_grid(1, 1, L=4, a=3, M=4)
     fld = periodic_bulk(g, lambda x1, x2: np.cos(2 * np.pi * x1[:, 0]) + 0.3 * x2[:, 0])
-    arr = fld.values.reshape(g.shape)
+    arr = fld.reshape(g.shape)
     assert np.array_equal(arr[: 3 * 3], arr[3:])
 
 
@@ -48,8 +54,7 @@ def test_periodic_bulk_shape_mismatch():
 def test_surface_floor_compact_columns():
     m = default_model()
     g = m.strip_grid(5, 6)
-    fld = surface_floor(g, m.profile, -2.0)
-    arr = fld.values.reshape(g.shape)
+    arr = pinned_floor(g, m.profile, -2.0).reshape(g.shape)
     x2 = (np.arange(6) - 3 + 0.5) * 1.0
     in_box = (x2 >= -1.0) & (x2 < 1.0)
     for i in range(5):
@@ -60,7 +65,7 @@ def test_surface_floor_compact_columns():
 def test_surface_floor_zero_coupling():
     m = default_model()
     g = m.strip_grid(4, 4)
-    assert np.all(surface_floor(g, m.profile, 0.0).values == 0.0)
+    assert np.all(pinned_floor(g, m.profile, 0.0) == 0.0)
 
 
 def test_power_law_doubled_radius_oracle():
@@ -68,8 +73,9 @@ def test_power_law_doubled_radius_oracle():
     base = PowerLawProfile(alpha=2.5, truncation_radius=64, x2_box=(-1.0, 1.0))
     fine = PowerLawProfile(alpha=2.5, truncation_radius=128, x2_box=(-1.0, 1.0))
     tol = 5e-3  # the recorded tail bound for R = 64 at alpha = 2.5
-    v1 = surface_floor(g, base, -2.0, tol=tol).values
-    v2 = surface_floor(g, fine, -2.0, tol=tol).values
+    assert base.tail_bound(1) <= tol * 2.0
+    v1 = pinned_floor(g, base, -2.0)
+    v2 = pinned_floor(g, fine, -2.0)
     mask = v1 != 0
     rel = np.max(np.abs(v1[mask] - v2[mask]) / np.abs(v1[mask]))
     assert rel <= tol
@@ -79,7 +85,8 @@ def test_power_law_tail_too_large():
     g = build_grid(1, 1, L=4, a=1, M=4)
     prof = PowerLawProfile(alpha=1.5, truncation_radius=16)
     with pytest.raises(TailTooLarge):
-        surface_floor(g, prof, -2.0, tol=1e-8)
+        periodic_bulk(g, surface_cell_potential(prof, -2.0, 1, 1e-8))
+    periodic_bulk(g, surface_cell_potential(prof, -2.0, 1, 0.5))  # tail bound 1.0 = 0.5 * |q_min|
 
 
 def test_power_law_dimension_check():
@@ -89,23 +96,21 @@ def test_power_law_dimension_check():
 
 
 def test_pinned_sampling_matches_floor_bitwise():
-    m = default_model()
+    m = replace(default_model(), dist=TwoPointCouplings(-2.0, -1.0, p=1.0))
     g = m.strip_grid(6, 8)
-    pinned = TwoPointCouplings(-2.0, -1.0, p=1.0)
-    _, fld = sample_surface(g, m.profile, pinned, seed=99)
-    floor = surface_floor(g, m.profile, -2.0)
-    assert np.array_equal(fld.v_s, floor.v_s)
+    assert np.array_equal(surface_field(m, g, 99), pinned_floor(g, m.profile, -2.0))
 
 
 def test_sampling_seed_determinism():
-    m = default_model()
+    m = replace(default_model(), bulk_random=IidUniformBulk(1.0))
     g = m.strip_grid(6, 8)
-    q1, f1 = sample_surface(g, m.profile, m.dist, seed=1234)
-    q2, f2 = sample_surface(g, m.profile, m.dist, seed=1234)
-    assert np.array_equal(q1, q2)
-    assert np.array_equal(f1.values, f2.values)
-    q3, _ = sample_surface(g, m.profile, m.dist, seed=1235)
-    assert not np.array_equal(q1, q3)
+    F = f_weight_matrix(g, m.profile)
+    q1, v1 = m.draw(1234, F.shape[0], g.n_sites)
+    q2, v2 = m.draw(1234, F.shape[0], g.n_sites)
+    assert np.array_equal(q1, q2) and np.array_equal(v1, v2)
+    assert np.array_equal(surface_field(m, g, 1234), contract_couplings(q1, F))
+    q3, v3 = m.draw(1235, F.shape[0], g.n_sites)
+    assert not np.array_equal(q1, q3) and not np.array_equal(v1, v3)
 
 
 def test_coupling_mean_law_of_large_numbers():
@@ -118,16 +123,16 @@ def test_coupling_mean_law_of_large_numbers():
 
 
 def test_bulk_sampling():
-    g = build_grid(1, 1, L=10, a=1, M=10)
-    zero = sample_bulk(g, NoBulk(), seed=4)
-    assert np.all(zero.values == 0)
-    fld = sample_bulk(g, IidUniformBulk(1.0), seed=4)
-    assert np.all((fld.values >= 0) & (fld.values <= 1.0))
-    big = build_grid(1, 1, L=100, a=1, M=100)
-    vals = sample_bulk(big, IidUniformBulk(1.0), seed=4).values
+    m = default_model()
+    _, zero = m.draw(4, 8, 100)
+    assert zero.shape == (100,) and np.all(zero == 0)
+    m = replace(m, bulk_random=IidUniformBulk(1.0))
+    _, vals = m.draw(4, 8, 100)
+    assert np.all((vals >= 0) & (vals <= 1.0))
+    _, vals = m.draw(4, 8, 10_000)
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - 0.5) <= 3 * se
-    assert np.array_equal(vals, sample_bulk(big, IidUniformBulk(1.0), seed=4).values)
+    assert np.array_equal(vals, m.draw(4, 8, 10_000)[1])
 
 
 def test_distribution_validation():
@@ -142,15 +147,15 @@ def test_distribution_validation():
 @given(st.integers(0, 2**32), st.integers(2, 5), st.integers(2, 5))
 def test_pointwise_ordering_invariants(seed, L, Mh):
     """U_s <= V_s <= 0 and V >= U_b + U_s at every site."""
-    m = default_model()
+    m = replace(default_model(), bulk_random=IidUniformBulk(0.7))
     g = m.strip_grid(L, 2 * Mh)
-    _, fld = sample_surface(g, m.profile, m.dist, seed=seed)
-    floor = surface_floor(g, m.profile, m.dist.q_min)
-    assert np.all(floor.values <= fld.v_s)
-    assert np.all(fld.v_s <= 0)
-    v_b = sample_bulk(g, IidUniformBulk(0.7), seed=seed).v_b
-    total = fld.v_s + v_b
-    assert np.all(total >= floor.values)
+    v_s = surface_field(m, g, seed)
+    floor = pinned_floor(g, m.profile, m.dist.q_min)
+    assert np.all(floor <= v_s)
+    assert np.all(v_s <= 0)
+    _, v_b = m.draw(seed, f_weight_matrix(g, m.profile).shape[0], g.n_sites)
+    total = v_s + v_b
+    assert np.all(total >= floor)
 
 
 def test_cell_potential_matches_strip_floor():
@@ -158,17 +163,8 @@ def test_cell_potential_matches_strip_floor():
     m = default_model()
     for a in (1, 2):
         g = build_grid(1, 1, L=5, a=a, M=6)
-        floor = surface_floor(g, m.profile, -2.0)
-        fn = surface_cell_potential(m.profile, -2.0)
-        tiled = periodic_bulk(g, fn)
-        assert np.array_equal(tiled.values, floor.values)
-
-
-def test_field_decomposition_resums_bitwise():
-    m = default_model()
-    g = m.strip_grid(4, 6)
-    _, fld = sample_surface(g, m.profile, m.dist, seed=5)
-    assert np.array_equal(fld.values, (fld.u_b + fld.v_b) + fld.v_s)
+        fn = surface_cell_potential(m.profile, -2.0, a, m.tail_tol)
+        assert np.array_equal(periodic_bulk(g, fn), pinned_floor(g, m.profile, -2.0))
 
 
 def test_window_radius_shapes():
