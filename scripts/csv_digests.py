@@ -6,10 +6,12 @@ suite's small config (``tests/small_config.json``), on a variant with a
 cosine periodic bulk and on one with an i.i.d. uniform random bulk, for seeds
 0-3, at ``--workers 1`` and ``2``, and prints one line per CSV:
 
-    sha256 config seed workers csv
+    sha256 exit_code checks_sha256 config seed workers csv [run overrides]
 
-A subcommand that writes no CSV prints ``missing`` in place of the digest.
-Exits 1 if any CSV differs between one and two workers.  Run it in two
+``checks_sha256`` digests the PASS/FAIL lines the run prints, which carry the
+outcome of checks that write no CSV (the idss sandwich).  A subcommand that
+writes no CSV prints ``missing`` in place of the digest.  Exits 1 if any line
+but the worker count differs between one and two workers.  Run it in two
 trees and diff the outputs to show that a change keeps every byte:
 
     PYTHONPATH=src python scripts/csv_digests.py > digests.txt
@@ -35,35 +37,47 @@ IID = copy.deepcopy(SMALL)
 IID["potential"]["bulk_random"] = {"kind": "iid_uniform", "v_max": 0.4}
 CONFIGS = {"small": SMALL, "cosine": COSINE, "iid": IID}
 
-# (subcommand, lifshits mode, CSV it writes)
+# (subcommand, run fields set over the config's, CSV it writes); the two idss
+# variants count the sandwich's chi ensemble apart from a Dirichlet curve, and
+# take it from the first 200 rows of a 240-sample chi curve
 RUNS = [
-    ("band", None, "band.csv"),
-    ("gap", None, "gap.csv"),
-    ("idss", None, "idss.csv"),
-    ("lifshits", "quantum", "lifshits_quantum.csv"),
-    ("lifshits", "classical", "lifshits_classical.csv"),
-    ("decay", None, "decay.csv"),
-    ("wegner", None, "wegner.csv"),
-    ("initial-scale", None, "initial_scale.csv"),
-    ("dynamics", None, "dynamics.csv"),
-    ("bounds", None, "bounds.csv"),
+    ("band", {}, "band.csv"),
+    ("gap", {}, "gap.csv"),
+    ("idss", {}, "idss.csv"),
+    ("idss", {"bc": "D"}, "idss.csv"),
+    ("idss", {"n_samples": 240}, "idss.csv"),
+    ("lifshits", {"mode": "quantum"}, "lifshits_quantum.csv"),
+    ("lifshits", {"mode": "classical"}, "lifshits_classical.csv"),
+    ("decay", {}, "decay.csv"),
+    ("wegner", {}, "wegner.csv"),
+    ("initial-scale", {}, "initial_scale.csv"),
+    ("dynamics", {}, "dynamics.csv"),
+    ("bounds", {}, "bounds.csv"),
 ]
 SEEDS = range(4)
 WORKERS = (1, 2)
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def digest(cfg: dict, sub: str, csv: str, workers: int, tmp: str) -> str:
+    """The CSV's sha256, the exit code and the PASS/FAIL lines' sha256 of one run."""
     out = tempfile.mkdtemp(dir=tmp)
     cfg_path = os.path.join(out, "cfg.json")
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
-    with contextlib.redirect_stdout(io.StringIO()):  # the PASS/FAIL lines
-        striplab_main([sub, "--config", cfg_path, "--workers", str(workers), "--out", out])
+    checks = io.StringIO()
+    with contextlib.redirect_stdout(checks):  # the PASS/FAIL lines
+        rc = striplab_main([sub, "--config", cfg_path, "--workers", str(workers), "--out", out])
     path = os.path.join(out, csv)
-    if not os.path.exists(path):
-        return "missing"
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            csv_sha = sha256(fh.read())
+    else:
+        csv_sha = "missing"
+    return f"{csv_sha} {rc} {sha256(checks.getvalue().encode())}"
 
 
 def main() -> int:
@@ -71,17 +85,17 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, base in CONFIGS.items():
             for seed in SEEDS:
-                for sub, mode, csv in RUNS:
+                for sub, fields, csv in RUNS:
                     cfg = copy.deepcopy(base)
                     cfg["run"]["master_seed"] = seed
-                    if mode:
-                        cfg["run"]["mode"] = mode
+                    cfg["run"].update(fields)
+                    label = " ".join([csv] + [f"{k}={v}" for k, v in fields.items()])
                     shas = [digest(cfg, sub, csv, w, tmp) for w in WORKERS]
                     for w, sha in zip(WORKERS, shas):
-                        print(f"{sha} {name} {seed} {w} {csv}", flush=True)
+                        print(f"{sha} {name} {seed} {w} {label}", flush=True)
                     differ += len(set(shas)) > 1
     if differ:
-        print(f"{differ} CSVs differ between workers {WORKERS}", file=sys.stderr)
+        print(f"{differ} runs differ between workers {WORKERS}", file=sys.stderr)
     return 1 if differ else 0
 
 

@@ -23,11 +23,13 @@ from .idss import (
     StripEnsemble,
     bracketing_check,
     classical_campaign,
-    idss_estimate,
+    ensemble_counts,
+    idss_from_counts,
+    idss_job,
     lifshits_fit,
     quantum_campaign,
     rayleigh_tail_bound,
-    sandwich_check,
+    sandwich_from_counts,
     temple_tail_bound,
 )
 from .localization import (
@@ -112,8 +114,18 @@ def run_idss(cfg, out, workers):
     n_samples = int(_opt(run, "n_samples", 200, "run", int))
     seed = int(_opt(run, "master_seed", 0, "run", int))
     bc = run.get("bc", "chi")
-    curve = idss_estimate(model, geo["L"], geo["M"], energies, n_samples, seed,
-                          bc=bc, M_ref=geo["M_ref"], workers=workers)
+    checks = _opt(run, "checks", True, "run", bool)
+    job = idss_job(model, geo["L"], geo["M"], energies, n_samples, seed, bc, geo["M_ref"])
+    # one count for the curve and the sandwich check: a chi curve's first
+    # n_check samples are the sandwich's chi ensemble (seeds depend on the index only)
+    n_check = min(n_samples, 200)
+    jobs = [job]
+    if checks:
+        jobs += [(StripEnsemble(model, geo["L"], geo["M"], bc=tag, M_ref=geo["M_ref"],
+                                master_seed=seed), n_check, energies)
+                 for tag in (["D"] if bc == "chi" else ["D", "chi"])]
+    counts = ensemble_counts(jobs, workers=workers)
+    curve = idss_from_counts(job, counts[0])
     write_csv(
         os.path.join(out, "idss.csv"),
         ["E", "mean", "se", "p0_upper", "n_samples", "L", "M"],
@@ -122,16 +134,19 @@ def run_idss(cfg, out, workers):
                                    curve.L_values)],
     )
     ok = _check(bool(np.all(np.diff(curve.means) >= 0)), "IDSS means nondecreasing")
-    if run.get("checks", True):
+    if checks:
         try:
             br = bracketing_check(model, geo["L"], [geo["M"], 2 * geo["M"]],
                                   energies, seed=seed)
             ok &= _check(True, "bracketing count ordering", f"M_stab={br.M_stab}")
         except StripLabError as exc:
             ok &= _check(False, "bracketing count ordering", str(exc))
+        if bc == "chi":
+            eng_chi, counts_chi = job[0], counts[0][:n_check]
+        else:
+            eng_chi, counts_chi = jobs[2][0], counts[2]
         try:
-            sandwich_check(model, geo["L"], geo["M"], energies, min(n_samples, 200), seed,
-                           M_ref=geo["M_ref"], workers=workers)
+            sandwich_from_counts(eng_chi, energies, counts_chi, counts[1])
             ok &= _check(True, "IDSS sandwich within 3 SE")
         except StripLabError as exc:
             ok &= _check(False, "IDSS sandwich within 3 SE", str(exc))
@@ -155,9 +170,11 @@ def run_lifshits(cfg, out, workers):
     deltas = np.geomspace(lo, hi, points)
     if mode == "quantum":
         c = float(_opt(run, "c_factor", 8 * np.sqrt(hi), "run", (int, float)))
+        L_bounds = _opt(run, "L_bounds", [8, 48], "run", list,
+                        lambda v: len(v) == 2 and all(type(x) is int and x >= 1 for x in v)
+                        and v[0] <= v[1], "must be two ints >= 1 with lo <= hi")
         camp = quantum_campaign(model, deltas, c, geo["M"], n_samples, seed,
-                                L_bounds=tuple(run.get("L_bounds", (8, 48))),
-                                M_ref=geo["M_ref"], workers=workers)
+                                L_bounds=tuple(L_bounds), M_ref=geo["M_ref"], workers=workers)
     elif mode == "classical":
         camp = classical_campaign(model, deltas, geo["L"] or 16, geo["M"], n_samples, seed,
                                   M_ref=geo["M_ref"], workers=workers)
@@ -232,7 +249,8 @@ def run_initial_scale(cfg, out, workers):
     n_samples = int(_opt(run, "n_samples", 400, "run", int))
     L_values = geo["L_values"] or [8, 16, 32]
     ref = cached_reference(model, geo["M"], geo["M_ref"])
-    offs = run.get("energy_offsets", [0.2, 0.3, 0.4])
+    offs = _opt(run, "energy_offsets", [0.2, 0.3, 0.4], "run", list,
+                lambda v: all(type(x) in (int, float) for x in v), "must be a list of numbers")
     energies = [ref.e0 + o * abs(ref.e0) for o in offs]
     rep = initial_scale_probe(model, L_values, energies, geo["M"], n_samples, seed,
                               M_ref=geo["M_ref"], workers=workers)

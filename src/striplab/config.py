@@ -42,7 +42,8 @@ def _need(block: dict, key: str, path: str, types, check=None, msg=""):
         raise ConfigInvalid(f"{path}.{key}: missing required field")
     val = block[key]
     # JSON true/false is no number, though bool subclasses int in Python
-    if types is not None and (isinstance(val, bool) or not isinstance(val, types)):
+    if types is not None and (not isinstance(val, types) or
+                              (isinstance(val, bool) and types is not bool)):
         raise ConfigInvalid(f"{path}.{key}: expected {types}, got {type(val).__name__}")
     if check is not None and not check(val):
         raise ConfigInvalid(f"{path}.{key}: {msg}")

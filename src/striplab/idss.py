@@ -160,8 +160,10 @@ def ensemble_counts(jobs, workers: int = 1) -> list:
     """Counts of several ensembles, one (n_samples, len(energies)) array per job.
 
     ``jobs`` is a list of ``(engine, n_samples, energies)``; each job counts
-    its samples 0..n_samples-1.  At one worker the jobs run in order in this
-    process.  Otherwise every job is split into ceil(workers / len(jobs))
+    its samples 0..n_samples-1.  A caller sends all the ensembles of one run
+    in one call: a campaign its ensembles, ``striplab idss`` its curve's
+    ensemble with the sandwich check's.  At one worker the jobs run in order
+    in this process.  Otherwise every job is split into ceil(workers / len(jobs))
     sample blocks, and all blocks go out largest first (sites x samples) as
     one task list to one process pool that lives for this call only; each
     task carries its built engine.  So a campaign's many ensembles travel
@@ -229,14 +231,13 @@ def _density(counts: np.ndarray, engine: StripEnsemble):
     return means, ses
 
 
-def _density_curve(jobs, deltas, workers: int) -> DensityCurve:
+def _density_curve(jobs, deltas, counts) -> DensityCurve:
     """N(E) at the energies of every ``(engine, n_samples, energies)`` job, in job order.
 
-    All jobs share one depth, boundary tag and sample count, and are counted
-    in one ``ensemble_counts`` call.
+    All jobs share one depth, boundary tag and sample count; ``counts`` holds
+    their ``ensemble_counts`` arrays.
     """
-    reduced = [_density(counts, engine) for (engine, _, _), counts
-               in zip(jobs, ensemble_counts(jobs, workers=workers))]
+    reduced = [_density(c, engine) for (engine, _, _), c in zip(jobs, counts)]
     means = np.concatenate([m for m, _ in reduced])
     engine, n_samples, _ = jobs[0]
     return DensityCurve(
@@ -282,12 +283,35 @@ def idss_estimate(
 
     Requires the periodic background to be in the surface regime (ground
     energy below zero) and all grid energies below the recentered bulk
+    bottom.  Counts ``idss_job``'s ensemble and reduces it with
+    ``idss_from_counts``; ``striplab idss`` sends that job together with the
+    sandwich check's ensembles.
+    """
+    job = idss_job(model, L, M, energies, n_samples, master_seed, bc, M_ref)
+    (counts,) = ensemble_counts([job], workers=workers)
+    return idss_from_counts(job, counts)
+
+
+def idss_job(
+    model: SurfaceModel,
+    L: int,
+    M: int,
+    energies,
+    n_samples: int,
+    master_seed: int,
+    bc: str,
+    M_ref: Optional[int],
+) -> tuple:
+    """The ``(engine, n_samples, energies)`` job of ``idss_estimate``.
+
+    Raises before building the engine if the grid is not strictly ascending,
+    the periodic ground energy is not negative or the grid reaches the bulk
     bottom.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     if np.any(np.diff(energies) <= 0):
         raise InvalidParam("energy grid must be strictly ascending")
-    e0 = _surface_e0(model, M, M_ref)
+    _surface_e0(model, M, M_ref)
     if isinstance(model.bulk_periodic, ZeroBulk):
         bottom = 0.0
     else:
@@ -298,13 +322,20 @@ def idss_estimate(
         raise InvalidParam(
             f"energies must stay below the bulk bottom estimate {bottom:.6g}"
         )
-
     engine = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
-    curve = _density_curve([(engine, n_samples, energies)], energies - e0, workers)
+    return engine, n_samples, energies
+
+
+def idss_from_counts(job, counts: np.ndarray) -> DensityCurve:
+    """N(E) of ``idss_job``'s job from its counts, after the monotonicity and floor checks."""
+    engine, _, energies = job
+    curve = _density_curve([job], energies - engine.e0, [counts])
     if np.any(np.diff(curve.means) < 0):
         raise InequalityViolated("IDSS means decreased along the energy grid")
-    guard = energies < e0 - 1e-9
-    if (bc in ("chi", "chi_x1") or model.a == 1) and np.any(curve.means[guard] != 0):
+    guard = energies < engine.e0 - 1e-9
+    # the floor holds under Mezincescu x1 faces (tags "chi" and "chi_x1") and at a = 1
+    floor = isinstance(engine.bcs.x1, Mezincescu) or engine.model.a == 1
+    if floor and np.any(curve.means[guard] != 0):
         raise InequalityViolated("nonzero counts below the periodic ground energy")
     return curve
 
@@ -424,7 +455,8 @@ def sandwich_check(
 
     Couplings are shared between the Dirichlet and the chi ensembles, so
     the comparison is paired.  Violations beyond three combined standard
-    errors raise InequalityViolated.
+    errors raise InequalityViolated.  Counts both ensembles and reduces them
+    with ``sandwich_from_counts``.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     eng_chi = StripEnsemble(model, L, M, bc="chi", M_ref=M_ref, master_seed=master_seed)
@@ -432,12 +464,23 @@ def sandwich_check(
     counts_chi, counts_d = ensemble_counts(
         [(eng_chi, n_samples, energies), (eng_d, n_samples, energies)], workers=workers
     )
+    return sandwich_from_counts(eng_chi, energies, counts_chi, counts_d)
 
-    u_per = periodic_bulk(eng_chi.grid, model.u_per())
+
+def sandwich_from_counts(
+    eng_chi: StripEnsemble, energies: np.ndarray, counts_chi: np.ndarray, counts_d: np.ndarray
+) -> SandwichReport:
+    """The sandwich of ``sandwich_check`` from the counts of samples 0..n-1 of its two ensembles.
+
+    ``counts_d`` comes from the Dirichlet ensemble of ``eng_chi``'s model,
+    strip and master seed; the periodic count is of ``eng_chi``'s geometry.
+    """
+    n_samples = len(counts_chi)
+    u_per = periodic_bulk(eng_chi.grid, eng_chi.model.u_per())
     H_per = assemble(eng_chi.grid, u_per, eng_chi.bcs)
     n_per = count_below(H_per, energies).astype(float)
 
-    vol = float(L**model.d1)
+    vol = float(eng_chi.L**eng_chi.model.d1)
     p_d, se_pd = hit_rate(counts_d >= 1, n_samples)
     p_chi, se_pchi = hit_rate(counts_chi >= 1, n_samples)
     lhs = p_d / vol
@@ -674,7 +717,7 @@ def quantum_campaign(
          n_samples, [e0 + d])
         for i, (d, L) in enumerate(zip(deltas, L_values))
     ]
-    return _density_curve(jobs, deltas, workers)
+    return _density_curve(jobs, deltas, ensemble_counts(jobs, workers=workers))
 
 
 def classical_campaign(
@@ -690,5 +733,6 @@ def classical_campaign(
     """Chi-boundary tail campaign at fixed strip length for slowly decaying profiles."""
     deltas = _offsets(deltas)
     e0 = _surface_e0(model, M, M_ref)
-    eng = StripEnsemble(model, L, M, M_ref=M_ref, master_seed=master_seed)
-    return _density_curve([(eng, n_samples, e0 + deltas)], deltas, workers)
+    jobs = [(StripEnsemble(model, L, M, M_ref=M_ref, master_seed=master_seed),
+             n_samples, e0 + deltas)]
+    return _density_curve(jobs, deltas, ensemble_counts(jobs, workers=workers))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 
 import numpy as np
@@ -30,10 +31,13 @@ def write_csv(path, header, rows) -> None:
 
 
 def _jsonable(obj):
+    """Plain JSON values; a non-finite float (NaN or an infinity) becomes ``None``."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        return _jsonable(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -42,7 +46,11 @@ def _jsonable(obj):
 
 
 def write_sidecar(path, config: dict, results: dict) -> None:
-    """Run sidecar: verbatim config, tool version, results, timestamp."""
+    """Run sidecar: verbatim config, tool version, results, timestamp.
+
+    The file is strict JSON: ``_jsonable`` writes non-finite floats as
+    ``null``, and one that slips past it raises rather than writing ``NaN``.
+    """
     doc = {
         "tool": "striplab",
         "version": __version__,
@@ -51,7 +59,7 @@ def write_sidecar(path, config: dict, results: dict) -> None:
         "results": _jsonable(results),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

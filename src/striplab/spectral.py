@@ -29,8 +29,8 @@ A single energy takes the LDL^T pass and more than one take the
 eigenvalues, which stays the cheaper choice on the campaigns' traffic: the
 quantum tail counts one energy on whole 96-sample ensembles at n=192 to
 1152 (one pool task each), where a pass is 3 to 31 times cheaper, and
-bracketing and the sandwich check count grids on one operator, where an
-eigensolve costs 0.4 to 2.8 passes.  The margin on ensemble grids is thin:
+bracketing and the sandwich check's periodic ``H_per`` count grids on one
+operator, where an eigensolve costs 0.4 to 2.8 passes.  The margin on ensemble grids is thin:
 the benchmark's IDSS curve sends 12 energies at n=256/bw16 on 128 lanes
 (crossover 9-10) and its classical tail 10 energies at n=384/bw24 on 192
 lanes (crossover 10-12), where the two kernels tie within the noise.  Grids

@@ -103,6 +103,61 @@ def test_quantum_tail_starts_one_pool(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("bc,n,checks,workers,lanes", [
+    ("chi", 40, True, 1, [40, 40]),
+    ("chi", 40, True, 2, [40, 40]),
+    ("chi", 240, True, 1, [240, 200]),
+    ("chi", 240, True, 2, [240, 200]),
+    ("D", 40, True, 2, [40, 40, 40]),
+    ("chi", 40, False, 2, [40]),
+])
+def test_idss_counts_each_ensemble_once(tmp_path, monkeypatch, bc, n, checks, workers, lanes):
+    # the curve and the sandwich check go out in one ensemble_counts call, so
+    # one pool: the curve, the Dirichlet ensemble and, for a curve that is not
+    # chi, the chi ensemble; a chi curve's first min(n, 200) rows are the
+    # sandwich's chi ensemble, and its report is sandwich_check's bit for bit
+    from concurrent.futures import ProcessPoolExecutor
+    from dataclasses import fields
+
+    import striplab.cli as cli
+    import striplab.idss as idss
+
+    calls, pools, reports = [], [], []
+    counts, sandwich = cli.ensemble_counts, cli.sandwich_from_counts
+
+    def counting(jobs, workers=1):
+        calls.append([n for _, n, _ in jobs])
+        return counts(jobs, workers=workers)
+
+    def recording(*args):
+        reports.append(sandwich(*args))
+        return reports[-1]
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ensemble_counts", counting)
+    monkeypatch.setattr(cli, "sandwich_from_counts", recording)
+    monkeypatch.setattr(idss, "ProcessPoolExecutor", CountingPool)
+    cfg = base_config(tmp_path)
+    cfg["run"].update(bc=bc, n_samples=n, checks=checks)
+    path = write_cfg(tmp_path, cfg)
+    assert main(["idss", "--config", path, "--workers", str(workers), "--out", str(tmp_path)]) == 0
+    assert calls == [lanes] and len(pools) == (workers > 1)
+    if not checks:
+        assert reports == []
+        return
+    geo, model = validate_geometry(cfg), build_model(cfg)
+    energies = energy_grid(cfg["run"], idss.cached_reference(model, geo["M"], geo["M_ref"]).e0)
+    want = idss.sandwich_check(model, geo["L"], geo["M"], energies, min(n, 200),
+                               cfg["run"]["master_seed"], M_ref=geo["M_ref"], workers=workers)
+    (got,) = reports
+    for field in fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
 def count_reference_solves(monkeypatch):
     """Clear the reference memo and record every ground-state solve from here on."""
     import striplab.floquet
@@ -162,7 +217,12 @@ def test_malformed_config_names_field(tmp_path, capsys):
              (("geometry", "L"), True, ("idss",)),
              (("geometry", "L"), None, ("idss",)),
              (("run", "n_samples"), "abc", ("wegner",)),
-             (("run", "deltas"), 5, ("lifshits",)))
+             (("run", "deltas"), 5, ("lifshits",)),
+             (("run", "L_bounds"), 7, ("lifshits",)),
+             (("run", "L_bounds"), [16, 8], ("lifshits",)),
+             (("run", "L_bounds"), [0, 8], ("lifshits",)),
+             (("run", "energy_offsets"), ["a"], ("initial-scale",)),
+             (("run", "checks"), "no", ("idss",)))
     for keys, value, subs in cases:
         cfg = base_config(tmp_path)
         block = cfg
@@ -187,6 +247,30 @@ def test_wegner_writes_csv_when_uninformative(tmp_path, capsys):
     rows = (tmp_path / "wegner.csv").read_text().strip().splitlines()
     assert rows[0] == "eps,prob,se" and len(rows) == 9
     assert json.loads((tmp_path / "wegner.json").read_text())["results"]["n_usable"] < 2
+
+
+def test_sidecars_are_strict_json(tmp_path):
+    # every subcommand's sidecar parses without the NaN and Infinity tokens;
+    # wegner at seed 1 has a NaN slope, written as null
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for sub, name, fields, seed in (
+            ("band", "band", {}, 6), ("gap", "gap", {}, 6), ("idss", "idss", {}, 6),
+            ("lifshits", "lifshits_quantum", {"mode": "quantum"}, 6),
+            ("lifshits", "lifshits_classical", {"mode": "classical"}, 6),
+            ("decay", "decay", {}, 6), ("wegner", "wegner", {}, 1),
+            ("initial-scale", "initial_scale", {}, 6), ("dynamics", "dynamics", {}, 6),
+            ("bounds", "bounds", {}, 6), ("selftest", "selftest", {}, 6)):
+        cfg = base_config(tmp_path)
+        cfg["run"].update(fields)
+        path = write_cfg(tmp_path, cfg)
+        main([sub, "--config", path, "--seed", str(seed), "--out", str(tmp_path)])
+        doc = json.loads((tmp_path / f"{name}.json").read_text(), parse_constant=refuse)
+        assert doc["tool"] == "striplab", sub
+    assert doc["results"]["results"]  # the selftest battery
+    wegner = json.loads((tmp_path / "wegner.json").read_text())
+    assert wegner["results"]["slope"] is None
 
 
 def test_selftest_subcommand(tmp_path, monkeypatch):
