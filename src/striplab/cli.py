@@ -1,10 +1,12 @@
 """Experiment orchestration: ``striplab <subcommand> --config cfg.json``.
 
-Each subcommand validates its config block, runs the corresponding
-operations, writes CSV data plus a JSON sidecar into the output directory,
-prints one line per asserted invariant, and exits 0 only if every
-assertion passed.  Re-running a subcommand with the same config and seed
-produces byte-identical CSV files; worker count never changes results.
+``main`` validates the config's geometry, builds the model and reads the
+``run`` block and its master seed for every subcommand.  The subcommand's
+runner computes, prints one line per asserted invariant and returns its
+rows and summary; ``main`` then writes the CSV data plus a JSON sidecar
+into the output directory and exits 0 only if every assertion passed.
+Re-running a subcommand with the same config and seed produces
+byte-identical CSV files; worker count never changes results.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import traceback
 
 import numpy as np
 
-from .config import SUBCOMMANDS, _opt, build_model, energy_grid, load_config, validate_geometry
+from .config import _opt, build_model, energy_grid, load_config, validate_geometry
 from .errors import ConfigInvalid, StripLabError
 from .floquet import band_curve, cached_reference, default_theta_grid, gap_certificate
 from .idss import (
@@ -49,12 +51,13 @@ def _check(ok: bool, name: str, detail: str = "") -> bool:
 
 
 # -- subcommand implementations --------------------------------------------------
+#
+# Each runner takes (model, geo, run, seed, workers) and returns
+# (ok, stem, csv_header, csv_rows, sidecar_results); ``main`` writes
+# <stem>.csv (none when the header is None) and <stem>.json.
 
 
-def run_band(cfg, out, workers):
-    geo = validate_geometry(cfg)
-    model = build_model(cfg)
-    run = cfg.get("run", {})
+def run_band(model, geo, run, seed, workers):
     pts = int(_opt(run, "theta_points", 33, "run", int))
     cell = model.cell_grid(geo["M"])
     curve = band_curve(cell, model.u_per(), default_theta_grid(model.d1, pts))
@@ -67,7 +70,6 @@ def run_band(cfg, out, workers):
     header = [f"theta_{j}" for j in range(model.d1)] + [
         "E0_h_theta", "k_disc", "upper_margin_kdisc", "upper_margin_theta_sq", "lower_margin",
     ]
-    write_csv(os.path.join(out, "band.csv"), header, rows)
     tol = 1e-9 * (1 + abs(curve.e0))
     ok = _check(bool(np.all(curve.upper_margin_kdisc >= -tol)), "band upper parabolic bound")
     ok &= _check(bool(np.all(curve.lower_margin >= -tol)), "band lower parabolic bound")
@@ -77,62 +79,47 @@ def run_band(cfg, out, workers):
     summary = {"e0": curve.e0, "c1": curve.c1, "c2": curve.c2,
                "min_lower_margin": float(curve.lower_margin.min()),
                "min_upper_margin": float(curve.upper_margin_kdisc.min())}
-    write_sidecar(os.path.join(out, "band.json"), cfg, summary)
-    return ok
+    return ok, "band", header, rows, summary
 
 
-def run_gap(cfg, out, workers):
-    geo = validate_geometry(cfg)
-    model = build_model(cfg)
+def run_gap(model, geo, run, seed, workers):
     L_values = geo["L_values"] or [4, 8, 16]
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     reports = gap_certificate(model.u_per(), L_values, ref, M=geo["M"])
-    write_csv(
-        os.path.join(out, "gap.csv"),
-        ["L", "e0", "e1", "gap", "gbar", "harnack_ratio_sq", "margin", "e0_error"],
-        [[r.L, r.e0, r.e1, r.gap, r.gbar, r.harnack_ratio_sq, r.margin, r.e0_error] for r in reports],
-    )
     ok = True
     for r in reports:
         ok &= _check(r.margin >= -1e-9, f"gap comparison L={r.L}", f"margin={r.margin:.3e}")
         ok &= _check(r.e0_error <= 10 * ref.residual, f"ground-energy invariance L={r.L}",
                      f"err={r.e0_error:.3e}")
-    write_sidecar(os.path.join(out, "gap.json"), cfg,
-                  {"e0": ref.e0, "residual": ref.residual,
-                   "reports": [r.__dict__ for r in reports]})
-    return ok
+    return (ok, "gap",
+            ["L", "e0", "e1", "gap", "gbar", "harnack_ratio_sq", "margin", "e0_error"],
+            [[r.L, r.e0, r.e1, r.gap, r.gbar, r.harnack_ratio_sq, r.margin, r.e0_error]
+             for r in reports],
+            {"e0": ref.e0, "residual": ref.residual, "reports": [r.__dict__ for r in reports]})
 
 
-def run_idss(cfg, out, workers):
-    geo = validate_geometry(cfg)
+def run_idss(model, geo, run, seed, workers):
     if geo["L"] is None:  # the one subcommand with no default strip length
         raise ConfigInvalid("geometry.L: missing required field")
-    model = build_model(cfg)
-    run = cfg.get("run", {})
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     energies = energy_grid(run, ref.e0)
     n_samples = int(_opt(run, "n_samples", 200, "run", int))
-    seed = int(_opt(run, "master_seed", 0, "run", int))
     bc = run.get("bc", "chi")
     checks = _opt(run, "checks", True, "run", bool)
     job = idss_job(model, geo["L"], geo["M"], energies, n_samples, seed, bc, geo["M_ref"])
-    # one count for the curve and the sandwich check: a chi curve's first
-    # n_check samples are the sandwich's chi ensemble (seeds depend on the index only)
+    # one count per boundary tag: the sandwich check reads the first n_check
+    # samples of its chi and Dirichlet ensembles, and a sample's seed depends
+    # on its index only, so the curve's ensemble lends them when its tag matches
     n_check = min(n_samples, 200)
-    jobs = [job]
+    ensembles = {bc: job[:2]}
     if checks:
-        jobs += [(StripEnsemble(model, geo["L"], geo["M"], bc=tag, M_ref=geo["M_ref"],
-                                master_seed=seed), n_check, energies)
-                 for tag in (["D"] if bc == "chi" else ["D", "chi"])]
-    counts = ensemble_counts(jobs, workers=workers)
-    curve = idss_from_counts(job, counts[0])
-    write_csv(
-        os.path.join(out, "idss.csv"),
-        ["E", "mean", "se", "p0_upper", "n_samples", "L", "M"],
-        [[E, m, s, p0, curve.n_samples, L, curve.M]
-         for E, m, s, p0, L in zip(curve.energies, curve.means, curve.ses, curve.p0_upper,
-                                   curve.L_values)],
-    )
+        for tag in ("D", "chi"):
+            ensembles.setdefault(tag, (StripEnsemble(model, geo["L"], geo["M"], bc=tag,
+                                                     M_ref=geo["M_ref"], master_seed=seed),
+                                       n_check))
+    counts = dict(zip(ensembles, ensemble_counts(
+        [(eng, n, energies) for eng, n in ensembles.values()], workers=workers)))
+    curve = idss_from_counts(job, counts[bc])
     ok = _check(bool(np.all(np.diff(curve.means) >= 0)), "IDSS means nondecreasing")
     if checks:
         try:
@@ -141,28 +128,24 @@ def run_idss(cfg, out, workers):
             ok &= _check(True, "bracketing count ordering", f"M_stab={br.M_stab}")
         except StripLabError as exc:
             ok &= _check(False, "bracketing count ordering", str(exc))
-        if bc == "chi":
-            eng_chi, counts_chi = job[0], counts[0][:n_check]
-        else:
-            eng_chi, counts_chi = jobs[2][0], counts[2]
         try:
-            sandwich_from_counts(eng_chi, energies, counts_chi, counts[1])
+            sandwich_from_counts(ensembles["chi"][0], energies, counts["chi"][:n_check],
+                                 counts["D"][:n_check])
             ok &= _check(True, "IDSS sandwich within 3 SE")
         except StripLabError as exc:
             ok &= _check(False, "IDSS sandwich within 3 SE", str(exc))
-    write_sidecar(os.path.join(out, "idss.json"), cfg,
-                  {"e0": curve.e0, "energies": curve.energies, "means": curve.means,
-                   "ses": curve.ses, "master_seed": seed})
-    return ok
+    return (ok, "idss",
+            ["E", "mean", "se", "p0_upper", "n_samples", "L", "M"],
+            [[E, m, s, p0, curve.n_samples, L, curve.M]
+             for E, m, s, p0, L in zip(curve.energies, curve.means, curve.ses, curve.p0_upper,
+                                       curve.L_values)],
+            {"e0": curve.e0, "energies": curve.energies, "means": curve.means,
+             "ses": curve.ses, "master_seed": seed})
 
 
-def run_lifshits(cfg, out, workers):
-    geo = validate_geometry(cfg)
-    model = build_model(cfg)
-    run = cfg.get("run", {})
+def run_lifshits(model, geo, run, seed, workers):
     mode = run.get("mode", "quantum")
     n_samples = int(_opt(run, "n_samples", 2000, "run", int))
-    seed = int(_opt(run, "master_seed", 0, "run", int))
     dspec = _opt(run, "deltas", {}, "run", dict)
     lo = float(_opt(dspec, "lo", 0.05, "run.deltas", (int, float)))
     hi = float(_opt(dspec, "hi", 0.7, "run.deltas", (int, float)))
@@ -180,49 +163,31 @@ def run_lifshits(cfg, out, workers):
                                   M_ref=geo["M_ref"], workers=workers)
     else:
         raise ConfigInvalid(f"run.mode: unknown mode {mode!r}")
-    write_csv(
-        os.path.join(out, f"lifshits_{mode}.csv"),
-        ["delta", "E", "L", "M", "mean", "se", "p0_upper", "n_samples"],
-        [[d, E, L, camp.M, m, s, p0, camp.n_samples]
-         for d, E, L, m, s, p0 in zip(camp.deltas, camp.energies, camp.L_values,
-                                      camp.means, camp.ses, camp.p0_upper)],
-    )
     fit = lifshits_fit(camp, camp.e0, (camp.e0, camp.e0 + hi * 1.01))
     ok = _check(fit.n_points >= 5, f"{mode} tail fit has >= 5 points",
                 f"slope={fit.slope:.4f} R2={fit.r_squared:.4f}")
-    write_sidecar(os.path.join(out, f"lifshits_{mode}.json"), cfg,
-                  {"e0": camp.e0, "slope": fit.slope, "intercept": fit.intercept,
-                   "r_squared": fit.r_squared, "n_points": fit.n_points,
-                   "master_seed": seed})
-    return ok
+    return (ok, f"lifshits_{mode}",
+            ["delta", "E", "L", "M", "mean", "se", "p0_upper", "n_samples"],
+            [[d, E, L, camp.M, m, s, p0, camp.n_samples]
+             for d, E, L, m, s, p0 in zip(camp.deltas, camp.energies, camp.L_values,
+                                          camp.means, camp.ses, camp.p0_upper)],
+            {"e0": camp.e0, "slope": fit.slope, "intercept": fit.intercept,
+             "r_squared": fit.r_squared, "n_points": fit.n_points, "master_seed": seed})
 
 
-def run_decay(cfg, out, workers):
-    geo = validate_geometry(cfg)
-    model = build_model(cfg)
-    run = cfg.get("run", {})
-    L = geo["L"] or 8
-    seed = int(_opt(run, "master_seed", 0, "run", int))
-    eng = StripEnsemble(model, L, geo["M"], bc=run.get("bc", "chi"),
+def run_decay(model, geo, run, seed, workers):
+    eng = StripEnsemble(model, geo["L"] or 8, geo["M"], bc=run.get("bc", "chi"),
                         M_ref=geo["M_ref"], master_seed=seed)
     res = lowest_k(eng.hamiltonian(0), 1, tol=1e-9)
     fit = decay_profile(eng.grid, float(res.eigenvalues[0]), res.eigenvectors[:, 0])
-    write_csv(os.path.join(out, "decay.csv"), ["abs_x2", "sup_profile"],
-              list(zip(fit.shells, fit.profile)))
     ok = _check(fit.gamma > 0, "transverse decay rate positive", f"gamma={fit.gamma:.4f}")
     ok &= _check(fit.r_squared >= 0.95, "decay fit quality", f"R2={fit.r_squared:.4f}")
-    write_sidecar(os.path.join(out, "decay.json"), cfg,
-                  {"eigenvalue": fit.eigenvalue, "gamma": fit.gamma,
-                   "r_squared": fit.r_squared,
-                   "oracle_rate": transverse_bound_rate(fit.eigenvalue, model.a)})
-    return ok
+    return (ok, "decay", ["abs_x2", "sup_profile"], list(zip(fit.shells, fit.profile)),
+            {"eigenvalue": fit.eigenvalue, "gamma": fit.gamma, "r_squared": fit.r_squared,
+             "oracle_rate": transverse_bound_rate(fit.eigenvalue, model.a)})
 
 
-def run_wegner(cfg, out, workers):
-    geo = validate_geometry(cfg)
-    model = build_model(cfg)
-    run = cfg.get("run", {})
-    seed = int(_opt(run, "master_seed", 0, "run", int))
+def run_wegner(model, geo, run, seed, workers):
     n_samples = int(_opt(run, "n_samples", 2000, "run", int))
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     energy = float(_opt(run, "energy", ref.e0 + 0.45 * abs(ref.e0), "run", (int, float)))
@@ -232,20 +197,13 @@ def run_wegner(cfg, out, workers):
                        int(_opt(espec, "points", 8, "run.eps", int)))
     rep = wegner_probe(model, energy, eps, geo["L"] or 16, geo["M"], n_samples, seed,
                        M_ref=geo["M_ref"], workers=workers)
-    write_csv(os.path.join(out, "wegner.csv"), ["eps", "prob", "se"],
-              list(zip(rep.eps, rep.probs, rep.ses)))
     ok = _check(bool(np.all(np.diff(rep.probs) >= 0)), "window probability monotone in eps")
     ok &= _check(rep.n_usable >= 2, "informative eps range", f"slope={rep.slope:.3f}")
-    write_sidecar(os.path.join(out, "wegner.json"), cfg,
-                  {"energy": rep.energy, "slope": rep.slope, "n_usable": rep.n_usable})
-    return ok
+    return (ok, "wegner", ["eps", "prob", "se"], list(zip(rep.eps, rep.probs, rep.ses)),
+            {"energy": rep.energy, "slope": rep.slope, "n_usable": rep.n_usable})
 
 
-def run_initial_scale(cfg, out, workers):
-    geo = validate_geometry(cfg)
-    model = build_model(cfg)
-    run = cfg.get("run", {})
-    seed = int(_opt(run, "master_seed", 0, "run", int))
+def run_initial_scale(model, geo, run, seed, workers):
     n_samples = int(_opt(run, "n_samples", 400, "run", int))
     L_values = geo["L_values"] or [8, 16, 32]
     ref = cached_reference(model, geo["M"], geo["M_ref"])
@@ -254,27 +212,19 @@ def run_initial_scale(cfg, out, workers):
     energies = [ref.e0 + o * abs(ref.e0) for o in offs]
     rep = initial_scale_probe(model, L_values, energies, geo["M"], n_samples, seed,
                               M_ref=geo["M_ref"], workers=workers)
-    rows = []
-    for i, L in enumerate(rep.L_values):
-        for j, E in enumerate(rep.energies):
-            rows.append([L, E, rep.probs[i, j], rep.ses[i, j]])
-    write_csv(os.path.join(out, "initial_scale.csv"), ["L", "E", "prob", "se"], rows)
+    rows = [[L, E, rep.probs[i, j], rep.ses[i, j]]
+            for i, L in enumerate(rep.L_values) for j, E in enumerate(rep.energies)]
     ok = _check(rep.nondecreasing_in_L, "tail probability nondecreasing in L")
-    write_sidecar(os.path.join(out, "initial_scale.json"), cfg,
-                  {"e0": ref.e0, "probs": rep.probs, "L_values": rep.L_values})
-    return ok
+    return (ok, "initial_scale", ["L", "E", "prob", "se"], rows,
+            {"e0": ref.e0, "probs": rep.probs, "L_values": rep.L_values})
 
 
-def run_dynamics(cfg, out, workers):
-    geo = validate_geometry(cfg)
-    model = build_model(cfg)
-    run = cfg.get("run", {})
-    seed = int(_opt(run, "master_seed", 0, "run", int))
-    L = geo["L"] or 64
+def run_dynamics(model, geo, run, seed, workers):
     p = float(_opt(run, "p", 2.0, "run", (int, float)))
     t_max = float(_opt(run, "t_max", 1000.0, "run", (int, float)))
     times = np.linspace(0.0, t_max, int(_opt(run, "t_points", 60, "run", int)))
-    eng = StripEnsemble(model, L, geo["M"], bc="D", M_ref=geo["M_ref"], master_seed=seed)
+    eng = StripEnsemble(model, geo["L"] or 64, geo["M"], bc="D", M_ref=geo["M_ref"],
+                        master_seed=seed)
     H = eng.hamiltonian(0)
     grid = eng.grid
     coords = grid.coords_of(np.arange(grid.n_sites))
@@ -285,20 +235,13 @@ def run_dynamics(cfg, out, workers):
     window_frac = float(_opt(run, "window_frac", 0.1, "run", (int, float)))
     interval = (eng.e0, eng.e0 + window_frac * abs(eng.e0))
     rep = dynamics_moment(H, interval, p, times, sites)
-    write_csv(os.path.join(out, "dynamics.csv"), ["t", "moment"],
-              list(zip(rep.times, rep.moments)))
     ok = _check(rep.norm_drift <= 1e-9, "filtered evolution unitary",
                 f"drift={rep.norm_drift:.2e}")
-    write_sidecar(os.path.join(out, "dynamics.json"), cfg,
-                  {"sup_moment": rep.sup_moment, "projected_norm_sq": rep.projected_norm_sq})
-    return ok
+    return (ok, "dynamics", ["t", "moment"], list(zip(rep.times, rep.moments)),
+            {"sup_moment": rep.sup_moment, "projected_norm_sq": rep.projected_norm_sq})
 
 
-def run_bounds(cfg, out, workers):
-    geo = validate_geometry(cfg)
-    model = build_model(cfg)
-    run = cfg.get("run", {})
-    seed = int(_opt(run, "master_seed", 0, "run", int))
+def run_bounds(model, geo, run, seed, workers):
     L = geo["L"] or 8
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     gap = gap_certificate(model.u_per(), [L], ref, M=geo["M"])[0].gap
@@ -307,30 +250,26 @@ def run_bounds(cfg, out, workers):
     w[n_x1 // 2] = gap / 4
     tb = temple_tail_bound(model, ref, L, w, M=geo["M"], gap=gap)
     rb = rayleigh_tail_bound(model, L, geo["M"], seed, M_ref=geo["M_ref"])
-    write_csv(os.path.join(out, "bounds.csv"),
-              ["kind", "bound", "direct_e0", "margin"],
-              [["temple_lower", tb.bound, tb.direct_e0, tb.margin],
-               ["rayleigh_upper", rb.bound, rb.direct_e0, rb.margin]])
     ok = _check(tb.margin >= -1e-10, "Temple tail bound below direct energy",
                 f"margin={tb.margin:.3e}")
     ok &= _check(rb.margin >= -1e-10, "Rayleigh tail bound above direct energy",
                  f"margin={rb.margin:.3e}")
-    write_sidecar(os.path.join(out, "bounds.json"), cfg,
-                  {"temple": tb.__dict__, "rayleigh": rb.__dict__})
-    return ok
+    return (ok, "bounds", ["kind", "bound", "direct_e0", "margin"],
+            [["temple_lower", tb.bound, tb.direct_e0, tb.margin],
+             ["rayleigh_upper", rb.bound, rb.direct_e0, rb.margin]],
+            {"temple": tb.__dict__, "rayleigh": rb.__dict__})
 
 
-def run_selftest(cfg, out, workers):
-    """Exact-identity and oracle battery on the configured (or default) model."""
+def run_selftest(model, geo, run, seed, workers):
+    """Exact-identity and oracle battery on ``default_model``, whatever the config."""
     from . import selftest as st
 
     results = st.run_all()
     ok = True
     for name, passed, detail in results:
         ok &= _check(passed, name, detail)
-    write_sidecar(os.path.join(out, "selftest.json"), cfg,
-                  {"results": [{"name": n, "passed": p, "detail": d} for n, p, d in results]})
-    return ok
+    return (ok, "selftest", None, None,
+            {"results": [{"name": n, "passed": p, "detail": d} for n, p, d in results]})
 
 
 _RUNNERS = {
@@ -352,7 +291,7 @@ def main(argv=None) -> int:
         prog="striplab",
         description="Experiments on lattice Schrodinger operators with random surface disorder",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=list(_RUNNERS))
     parser.add_argument("--config", required=False, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None, help="override run.master_seed")
     parser.add_argument("--workers", type=int, default=1)
@@ -365,7 +304,15 @@ def main(argv=None) -> int:
             cfg.setdefault("run", {})["master_seed"] = args.seed
         out = args.out or cfg.get("output", {}).get("directory", ".")
         ensure_dir(out)
-        ok = _RUNNERS[args.subcommand](cfg, out, max(1, args.workers))
+        geo = validate_geometry(cfg)
+        model = build_model(cfg)
+        run = _opt(cfg, "run", {}, "(root)", dict)
+        seed = int(_opt(run, "master_seed", 0, "run", int))
+        ok, stem, header, rows, results = _RUNNERS[args.subcommand](
+            model, geo, run, seed, max(1, args.workers))
+        if header is not None:
+            write_csv(os.path.join(out, f"{stem}.csv"), header, rows)
+        write_sidecar(os.path.join(out, f"{stem}.json"), cfg, results)
     except ConfigInvalid as exc:
         print(f"ConfigInvalid: {exc}", file=sys.stderr)
         return 2

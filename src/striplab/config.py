@@ -23,20 +23,6 @@ from .potential import (
     ZeroBulk,
 )
 
-SUBCOMMANDS = (
-    "band",
-    "gap",
-    "idss",
-    "lifshits",
-    "decay",
-    "wegner",
-    "initial-scale",
-    "dynamics",
-    "bounds",
-    "selftest",
-)
-
-
 def _need(block: dict, key: str, path: str, types, check=None, msg=""):
     if key not in block:
         raise ConfigInvalid(f"{path}.{key}: missing required field")
@@ -95,7 +81,6 @@ def build_model(cfg: dict) -> SurfaceModel:
         profile = PowerLawProfile(
             alpha=_need(prof_cfg, "alpha", "potential.profile", (int, float)),
             f0=_opt(prof_cfg, "f0", 1.0, "potential.profile", (int, float)),
-            f_lower=_opt(prof_cfg, "f_lower", 1.0, "potential.profile", (int, float)),
             x2_box=tuple(_opt(prof_cfg, "x2_box", [-1.0, 1.0], "potential.profile", list)),
             truncation_radius=_opt(prof_cfg, "truncation_radius", 64, "potential.profile", int),
         )

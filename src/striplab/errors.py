@@ -84,10 +84,6 @@ class DenseCapExceeded(StripLabError):
     """Operator too large for the dense-only operation."""
 
 
-class TooFewPoints(StripLabError):
-    """Not enough usable points in the requested fit window."""
-
-
 class ConfigInvalid(StripLabError):
     """Experiment config failed schema validation.
 

@@ -24,13 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    GapTooSmall,
-    InequalityViolated,
-    InvalidParam,
-    S4Violated,
-    TooFewPoints,
-)
+from .errors import GapTooSmall, InequalityViolated, InvalidParam, S4Violated
 from .floquet import cached_reference
 from .grid import (
     BoundarySpec,
@@ -345,8 +339,6 @@ def idss_from_counts(job, counts: np.ndarray) -> DensityCurve:
 
 @dataclass(frozen=True)
 class BracketingReport:
-    M_values: tuple
-    energies: np.ndarray
     counts_dd: dict  # M -> counts array over energies
     counts_nd: dict
     M_stab: Optional[int]  # smallest tested M with counts identical to 2M
@@ -408,13 +400,7 @@ def bracketing_check(
             ):
                 M_stab = M
                 break
-    return BracketingReport(
-        M_values=M_values,
-        energies=energies,
-        counts_dd=counts_dd,
-        counts_nd=counts_nd,
-        M_stab=M_stab,
-    )
+    return BracketingReport(counts_dd=counts_dd, counts_nd=counts_nd, M_stab=M_stab)
 
 
 def _restrict_layers(values: np.ndarray, big: GridSpec, small: GridSpec) -> np.ndarray:
@@ -670,14 +656,16 @@ def lifshits_fit(curve, e0: float, window: tuple) -> LifshitsFit:
 
     ``curve`` has ``energies`` and ``means``, like a DensityCurve.  Only
     strictly positive means below one enter (the double log exists exactly
-    there); fewer than five usable points raise TooFewPoints.
+    there); with fewer than five usable points the slope, intercept and R^2
+    are NaN, and ``n_points`` says how many there were.
     """
     energies = np.asarray(curve.energies, dtype=float)
     means = np.asarray(curve.means, dtype=float)
     lo, hi = window
     usable = (energies > lo) & (energies <= hi) & (means > 0) & (means < 1) & (energies > e0)
     if usable.sum() < 5:
-        raise TooFewPoints(f"only {int(usable.sum())} usable points in window {window}")
+        return LifshitsFit(window=(float(lo), float(hi)), slope=math.nan, intercept=math.nan,
+                           r_squared=math.nan, n_points=int(usable.sum()))
     x = np.log(energies[usable] - e0)
     y = np.log(-np.log(means[usable]))
     slope, intercept = np.polyfit(x, y, 1)

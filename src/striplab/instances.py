@@ -96,7 +96,6 @@ def classical_model() -> SurfaceModel:
         profile=PowerLawProfile(
             alpha=1.5,
             f0=1.0,
-            f_lower=1.0,
             x2_box=(-1.0, 1.0),
             truncation_radius=256,
         ),

@@ -73,22 +73,20 @@ class CompactProfile:
 class PowerLawProfile:
     """Slowly decaying single-site potential.
 
-    f(x1, x2) = f0 * max(|x1|_inf, 1)^(-alpha) * 1[x2 in box], so that
-    f_lower * |x1|^(-alpha) * 1_box <= f <= f0 * |x1|^(-alpha) for |x1| >= 1
-    holds with f_lower = f0 (and any smaller declared f_lower).  Lattice
-    sums are truncated at ``truncation_radius`` cells; ``tail_bound`` bounds
-    the neglected tail.
+    f(x1, x2) = f0 * max(|x1|_inf, 1)^(-alpha) * 1[x2 in box], so the
+    lower and upper power-law bounds on f hold with one amplitude f0.
+    Lattice sums are truncated at ``truncation_radius`` cells;
+    ``tail_bound`` bounds the neglected tail.
     """
 
     alpha: float
     f0: float = 1.0
-    f_lower: float = 1.0
     x2_box: tuple = (-1.0, 1.0)
     truncation_radius: int = 64
 
     def __post_init__(self):
-        if self.f0 <= 0 or not (0 < self.f_lower <= self.f0):
-            raise InvalidParam("need 0 < f_lower <= f0")
+        if self.f0 <= 0:
+            raise InvalidParam("need f0 > 0")
         if self.truncation_radius < 2:
             raise InvalidParam("truncation_radius must be >= 2 cells")
         if self.x2_box[0] >= self.x2_box[1]:
@@ -138,10 +136,6 @@ class UniformCouplings:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.q_min, self.q_max, size)
 
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.q_min + self.q_max)
-
 
 @dataclass(frozen=True)
 class TwoPointCouplings:
@@ -166,10 +160,6 @@ class TwoPointCouplings:
         picks = rng.random(size) < self.p
         return np.where(picks, self.q_min, self.q_max)
 
-    @property
-    def mean(self) -> float:
-        return self.p * self.q_min + (1 - self.p) * self.q_max
-
 
 # -- random bulk specs -------------------------------------------------------
 
@@ -178,8 +168,6 @@ class TwoPointCouplings:
 class NoBulk:
     def sample(self, rng, n: int) -> np.ndarray:
         return np.zeros(n)
-
-    v_max: float = 0.0
 
 
 @dataclass(frozen=True)

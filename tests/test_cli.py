@@ -108,14 +108,15 @@ def test_quantum_tail_starts_one_pool(tmp_path, monkeypatch):
     ("chi", 40, True, 2, [40, 40]),
     ("chi", 240, True, 1, [240, 200]),
     ("chi", 240, True, 2, [240, 200]),
-    ("D", 40, True, 2, [40, 40, 40]),
+    ("D", 40, True, 2, [40, 40]),
     ("chi", 40, False, 2, [40]),
 ])
 def test_idss_counts_each_ensemble_once(tmp_path, monkeypatch, bc, n, checks, workers, lanes):
     # the curve and the sandwich check go out in one ensemble_counts call, so
-    # one pool: the curve, the Dirichlet ensemble and, for a curve that is not
-    # chi, the chi ensemble; a chi curve's first min(n, 200) rows are the
-    # sandwich's chi ensemble, and its report is sandwich_check's bit for bit
+    # one pool, with one ensemble per boundary tag: the curve's, then the
+    # Dirichlet and chi ones it is not; the curve's first min(n, 200) rows are
+    # the sandwich's ensemble of its tag, and the report is sandwich_check's
+    # bit for bit
     from concurrent.futures import ProcessPoolExecutor
     from dataclasses import fields
 
@@ -212,7 +213,7 @@ def test_malformed_config_names_field(tmp_path, capsys):
             assert main([sub, "--config", path, "--out", str(tmp_path)]) == 2, (sub, L_values)
             assert "geometry.L_values" in capsys.readouterr().err
     # JSON true is no number; idss has no default strip length; the run block
-    # is validated like the others
+    # is validated like the others, and its master seed in every subcommand
     cases = ((("potential", "profile", "amplitude"), True, ("idss", "band")),
              (("geometry", "L"), True, ("idss",)),
              (("geometry", "L"), None, ("idss",)),
@@ -222,7 +223,8 @@ def test_malformed_config_names_field(tmp_path, capsys):
              (("run", "L_bounds"), [16, 8], ("lifshits",)),
              (("run", "L_bounds"), [0, 8], ("lifshits",)),
              (("run", "energy_offsets"), ["a"], ("initial-scale",)),
-             (("run", "checks"), "no", ("idss",)))
+             (("run", "checks"), "no", ("idss",)),
+             (("run", "master_seed"), "abc", ("band",)))
     for keys, value, subs in cases:
         cfg = base_config(tmp_path)
         block = cfg
@@ -247,6 +249,28 @@ def test_wegner_writes_csv_when_uninformative(tmp_path, capsys):
     rows = (tmp_path / "wegner.csv").read_text().strip().splitlines()
     assert rows[0] == "eps,prob,se" and len(rows) == 9
     assert json.loads((tmp_path / "wegner.json").read_text())["results"]["n_usable"] < 2
+
+
+def test_lifshits_writes_both_files_when_fit_fails(tmp_path, capsys):
+    # an i.i.d. random bulk at seed 0 leaves fewer than five usable tail
+    # points: the run still writes its rows and a sidecar with a null slope
+    cfg = base_config(tmp_path)
+    cfg["potential"]["bulk_random"] = {"kind": "iid_uniform", "v_max": 0.4}
+    cfg["run"]["mode"] = "quantum"
+    path = write_cfg(tmp_path, cfg)
+    assert main(["lifshits", "--config", path, "--seed", "0", "--out", str(tmp_path)]) == 1
+    assert ("FAIL quantum tail fit has >= 5 points  [slope=nan R2=nan]"
+            in capsys.readouterr().out)
+    rows = (tmp_path / "lifshits_quantum.csv").read_text().strip().splitlines()
+    assert rows[0] == "delta,E,L,M,mean,se,p0_upper,n_samples"
+    assert len(rows) == 1 + 12  # the default twelve offsets
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    doc = json.loads((tmp_path / "lifshits_quantum.json").read_text(), parse_constant=refuse)
+    assert doc["results"]["slope"] is None and doc["results"]["n_points"] < 5
+    assert doc["results"]["master_seed"] == 0
 
 
 def test_sidecars_are_strict_json(tmp_path):

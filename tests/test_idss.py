@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import striplab.floquet as floquet
 import striplab.idss as idss
-from striplab.errors import GapTooSmall, InvalidParam, S4Violated, TooFewPoints
+from striplab.errors import GapTooSmall, InvalidParam, S4Violated
 from striplab.floquet import gap_certificate, ground_state_cell
 from striplab.grid import bc_all_dirichlet
 from striplab.idss import (
@@ -331,10 +331,14 @@ def test_lifshits_fit_synthetic_slopes():
 
 
 def test_lifshits_fit_too_few_points():
+    # all means >= 1 leave no usable point; four usable points are still too few
     d = np.geomspace(0.01, 1.0, 12)
-    with pytest.raises(TooFewPoints):
-        # all means >= 1
-        lifshits_fit(SimpleNamespace(energies=d, means=np.full(12, 1.5)), 0.0, (0.0, 2.0))
+    fit = lifshits_fit(SimpleNamespace(energies=d, means=np.full(12, 1.5)), 0.0, (0.0, 2.0))
+    assert fit.n_points == 0 and fit.window == (0.0, 2.0)
+    assert np.isnan(fit.slope) and np.isnan(fit.intercept) and np.isnan(fit.r_squared)
+    means = np.where(np.arange(12) < 4, np.exp(-(d**-0.5)), 1.5)
+    fit = lifshits_fit(SimpleNamespace(energies=d, means=means), 0.0, (0.0, 2.0))
+    assert fit.n_points == 4 and np.isnan(fit.slope)
 
 
 def test_quantum_campaign_smoke():
