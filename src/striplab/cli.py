@@ -18,10 +18,11 @@ import traceback
 
 import numpy as np
 
-from .config import _opt, build_model, energy_grid, load_config, validate_geometry
+from .config import _is_number, _opt, build_model, energy_grid, load_config, validate_geometry
 from .errors import ConfigInvalid, StripLabError
 from .floquet import band_curve, cached_reference, default_theta_grid, gap_certificate
 from .idss import (
+    BC_TAGS,
     StripEnsemble,
     bracketing_check,
     classical_campaign,
@@ -43,6 +44,11 @@ from .localization import (
 )
 from .reports import ensure_dir, write_csv, write_sidecar
 from .spectral import lowest_k
+
+
+def _bc(run: dict) -> str:
+    return _opt(run, "bc", "chi", "run", str, lambda v: v in BC_TAGS,
+                f"must be one of {', '.join(BC_TAGS)}")
 
 
 def _check(ok: bool, name: str, detail: str = "") -> bool:
@@ -104,7 +110,7 @@ def run_idss(model, geo, run, seed, workers):
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     energies = energy_grid(run, ref.e0)
     n_samples = int(_opt(run, "n_samples", 200, "run", int))
-    bc = run.get("bc", "chi")
+    bc = _bc(run)
     checks = _opt(run, "checks", True, "run", bool)
     job = idss_job(model, geo["L"], geo["M"], energies, n_samples, seed, bc, geo["M_ref"])
     # one count per boundary tag: the sandwich check reads the first n_check
@@ -144,7 +150,8 @@ def run_idss(model, geo, run, seed, workers):
 
 
 def run_lifshits(model, geo, run, seed, workers):
-    mode = run.get("mode", "quantum")
+    mode = _opt(run, "mode", "quantum", "run", str, lambda v: v in ("quantum", "classical"),
+                "must be quantum or classical")
     n_samples = int(_opt(run, "n_samples", 2000, "run", int))
     dspec = _opt(run, "deltas", {}, "run", dict)
     lo = float(_opt(dspec, "lo", 0.05, "run.deltas", (int, float)))
@@ -158,11 +165,9 @@ def run_lifshits(model, geo, run, seed, workers):
                         and v[0] <= v[1], "must be two ints >= 1 with lo <= hi")
         camp = quantum_campaign(model, deltas, c, geo["M"], n_samples, seed,
                                 L_bounds=tuple(L_bounds), M_ref=geo["M_ref"], workers=workers)
-    elif mode == "classical":
+    else:
         camp = classical_campaign(model, deltas, geo["L"] or 16, geo["M"], n_samples, seed,
                                   M_ref=geo["M_ref"], workers=workers)
-    else:
-        raise ConfigInvalid(f"run.mode: unknown mode {mode!r}")
     fit = lifshits_fit(camp, camp.e0, (camp.e0, camp.e0 + hi * 1.01))
     ok = _check(fit.n_points >= 5, f"{mode} tail fit has >= 5 points",
                 f"slope={fit.slope:.4f} R2={fit.r_squared:.4f}")
@@ -176,7 +181,7 @@ def run_lifshits(model, geo, run, seed, workers):
 
 
 def run_decay(model, geo, run, seed, workers):
-    eng = StripEnsemble(model, geo["L"] or 8, geo["M"], bc=run.get("bc", "chi"),
+    eng = StripEnsemble(model, geo["L"] or 8, geo["M"], bc=_bc(run),
                         M_ref=geo["M_ref"], master_seed=seed)
     res = lowest_k(eng.hamiltonian(0), 1, tol=1e-9)
     fit = decay_profile(eng.grid, float(res.eigenvalues[0]), res.eigenvectors[:, 0])
@@ -208,7 +213,7 @@ def run_initial_scale(model, geo, run, seed, workers):
     L_values = geo["L_values"] or [8, 16, 32]
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     offs = _opt(run, "energy_offsets", [0.2, 0.3, 0.4], "run", list,
-                lambda v: all(type(x) in (int, float) for x in v), "must be a list of numbers")
+                lambda v: all(map(_is_number, v)), "must be a list of numbers")
     energies = [ref.e0 + o * abs(ref.e0) for o in offs]
     rep = initial_scale_probe(model, L_values, energies, geo["M"], n_samples, seed,
                               M_ref=geo["M_ref"], workers=workers)

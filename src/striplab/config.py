@@ -6,10 +6,13 @@ Validation errors carry a JSON-pointer-style path to the offending field.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
+
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, InvalidParam
 from .instances import SurfaceModel
 from .potential import (
     CompactProfile,
@@ -22,6 +25,26 @@ from .potential import (
     UniformCouplings,
     ZeroBulk,
 )
+
+# each potential block: its kinds and the class each kind builds
+_KINDS = {
+    "profile": {"compact": CompactProfile, "power_law": PowerLawProfile},
+    "distribution": {"uniform": UniformCouplings, "two_point": TwoPointCouplings},
+    "bulk_random": {"none": NoBulk, "iid_uniform": IidUniformBulk},
+    "bulk_periodic": {"zero": ZeroBulk, "constant": ConstantBulk, "cosine": CosineBulk},
+}
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)  # not bool, though it subclasses int
+
+
+# the JSON form of each field type in the potential classes, as (types, check,
+# message) for ``_need``; a tuple is an interval [lo, hi), ordered by its class
+_JSON_TYPES = {float: ((int, float),), int: (int,),
+               tuple: (list, lambda v: len(v) == 2 and all(map(_is_number, v)),
+                       "must be a list of two numbers")}
+
 
 def _need(block: dict, key: str, path: str, types, check=None, msg=""):
     if key not in block:
@@ -65,71 +88,40 @@ def validate_geometry(cfg: dict) -> dict:
     return {"d1": d1, "d2": d2, "a": a, "M": M, "L": L, "L_values": L_values, "M_ref": M_ref}
 
 
+def _build(block: dict, path: str, kinds: dict):
+    """The class that ``block["kind"]`` names, built from the block: the class's
+    fields, defaults, type hints and value checks are the block's schema."""
+    kind = _need(block, "kind", path, str)
+    if kind not in kinds:
+        raise ConfigInvalid(f"{path}.kind: unknown kind {kind!r}")
+    cls = kinds[kind]
+    hints = typing.get_type_hints(cls)
+    args = {}
+    for f in dataclasses.fields(cls):
+        if f.name in block or f.default is dataclasses.MISSING:
+            val = _need(block, f.name, path, *_JSON_TYPES[hints[f.name]])
+            args[f.name] = tuple(val) if isinstance(val, list) else val
+    try:
+        return cls(**args)
+    except InvalidParam as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from exc
+
+
 def build_model(cfg: dict) -> SurfaceModel:
     geo = validate_geometry(cfg)
     p = _need(cfg, "potential", "(root)", dict)
-
-    prof_cfg = _need(p, "profile", "potential", dict)
-    kind = _need(prof_cfg, "kind", "potential.profile", str)
-    if kind == "compact":
-        profile = CompactProfile(
-            x1_halfwidth=_opt(prof_cfg, "x1_halfwidth", 0.25, "potential.profile", (int, float)),
-            x2_box=tuple(_opt(prof_cfg, "x2_box", [-1.0, 1.0], "potential.profile", list)),
-            amplitude=_opt(prof_cfg, "amplitude", 1.0, "potential.profile", (int, float)),
-        )
-    elif kind == "power_law":
-        profile = PowerLawProfile(
-            alpha=_need(prof_cfg, "alpha", "potential.profile", (int, float)),
-            f0=_opt(prof_cfg, "f0", 1.0, "potential.profile", (int, float)),
-            x2_box=tuple(_opt(prof_cfg, "x2_box", [-1.0, 1.0], "potential.profile", list)),
-            truncation_radius=_opt(prof_cfg, "truncation_radius", 64, "potential.profile", int),
-        )
-    else:
-        raise ConfigInvalid(f"potential.profile.kind: unknown kind {kind!r}")
-
-    dist_cfg = _need(p, "distribution", "potential", dict)
-    dkind = _need(dist_cfg, "kind", "potential.distribution", str)
-    q_min = _need(dist_cfg, "q_min", "potential.distribution", (int, float))
-    q_max = _need(dist_cfg, "q_max", "potential.distribution", (int, float))
-    if dkind == "uniform":
-        dist = UniformCouplings(q_min, q_max)
-    elif dkind == "two_point":
-        dist = TwoPointCouplings(q_min, q_max, _opt(dist_cfg, "p", 0.5, "potential.distribution", (int, float)))
-    else:
-        raise ConfigInvalid(f"potential.distribution.kind: unknown kind {dkind!r}")
-
-    br_cfg = _opt(p, "bulk_random", {"kind": "none"}, "potential", dict)
-    brkind = _need(br_cfg, "kind", "potential.bulk_random", str)
-    if brkind == "none":
-        bulk_random = NoBulk()
-    elif brkind == "iid_uniform":
-        bulk_random = IidUniformBulk(_need(br_cfg, "v_max", "potential.bulk_random", (int, float)))
-    else:
-        raise ConfigInvalid(f"potential.bulk_random.kind: unknown kind {brkind!r}")
-
-    bp_cfg = _opt(p, "bulk_periodic", {"kind": "zero"}, "potential", dict)
-    bpkind = _need(bp_cfg, "kind", "potential.bulk_periodic", str)
-    if bpkind == "zero":
-        bulk_periodic = ZeroBulk()
-    elif bpkind == "constant":
-        bulk_periodic = ConstantBulk(_need(bp_cfg, "value", "potential.bulk_periodic", (int, float)))
-    elif bpkind == "cosine":
-        bulk_periodic = CosineBulk(
-            amplitude=_need(bp_cfg, "amplitude", "potential.bulk_periodic", (int, float)),
-            wavelength=_opt(bp_cfg, "wavelength", 4.0, "potential.bulk_periodic", (int, float)),
-        )
-    else:
-        raise ConfigInvalid(f"potential.bulk_periodic.kind: unknown kind {bpkind!r}")
-
+    # a bulk block left out means no random bulk and a zero periodic bulk
+    left_out = {"bulk_random": {"kind": "none"}, "bulk_periodic": {"kind": "zero"}}
+    part = {}
+    for name, kinds in _KINDS.items():
+        block = (_opt(p, name, left_out[name], "potential", dict) if name in left_out
+                 else _need(p, name, "potential", dict))
+        part[name] = _build(block, f"potential.{name}", kinds)
     return SurfaceModel(
-        d1=geo["d1"],
-        d2=geo["d2"],
-        a=geo["a"],
-        profile=profile,
-        dist=dist,
-        bulk_random=bulk_random,
-        bulk_periodic=bulk_periodic,
-        tail_tol=_opt(p, "tail_tol", 1e-8, "potential", (int, float)),
+        d1=geo["d1"], d2=geo["d2"], a=geo["a"],
+        profile=part["profile"], dist=part["distribution"],
+        bulk_random=part["bulk_random"], bulk_periodic=part["bulk_periodic"],
+        tail_tol=_opt(p, "tail_tol", SurfaceModel.tail_tol, "potential", (int, float)),
     )
 
 
@@ -140,10 +132,12 @@ def energy_grid(run_cfg: dict, e0: float) -> np.ndarray:
     decade, geometric in E - e0.
     """
     spec = _opt(run_cfg, "energies", {"kind": "geometric"}, "run", dict)
-    kind = spec.get("kind", "geometric")
+    kind = _opt(spec, "kind", "geometric", "run.energies", str)
     if kind == "explicit":
-        vals = np.asarray(_need(spec, "values", "run.energies", list), dtype=float)
-        return np.sort(vals)
+        vals = _need(spec, "values", "run.energies", list,
+                     lambda v: len(v) > 0 and all(map(_is_number, v)),
+                     "must be a non-empty list of numbers")
+        return np.sort(np.asarray(vals, dtype=float))
     if kind == "geometric":
         num = (int, float)
         hi = float(_opt(spec, "offset_hi", 0.95 * abs(e0), "run.energies", num))

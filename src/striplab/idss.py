@@ -53,17 +53,14 @@ from .spectral import count_below, count_below_ensemble, lower_band, lowest_k
 BLOCK_LANES = 256
 BLOCK_BYTES = 64 << 20
 
+BC_TAGS = ("D", "N", "chi", "chi_x1")  # the boundary tags of the module docstring
+
 
 def bc_for_tag(tag: str, ref: Optional[GroundStateRef]) -> BoundarySpec:
-    if tag == "D":
-        return BoundarySpec(x1=Dirichlet(), x2=Dirichlet())
-    if tag == "N":
-        return BoundarySpec(x1=Neumann(), x2=Dirichlet())
-    if tag == "chi":
-        return BoundarySpec(x1=Mezincescu(ref), x2=Mezincescu(ref))
-    if tag == "chi_x1":
-        return BoundarySpec(x1=Mezincescu(ref), x2=Dirichlet())
-    raise InvalidParam(f"unknown boundary tag {tag!r}")
+    if tag not in BC_TAGS:
+        raise InvalidParam(f"unknown boundary tag {tag!r}")
+    x1 = Dirichlet() if tag == "D" else Neumann() if tag == "N" else Mezincescu(ref)
+    return BoundarySpec(x1=x1, x2=Mezincescu(ref) if tag == "chi" else Dirichlet())
 
 
 class StripEnsemble:

@@ -212,9 +212,17 @@ def test_malformed_config_names_field(tmp_path, capsys):
         for sub in ("gap", "initial-scale"):
             assert main([sub, "--config", path, "--out", str(tmp_path)]) == 2, (sub, L_values)
             assert "geometry.L_values" in capsys.readouterr().err
-    # JSON true is no number; idss has no default strip length; the run block
-    # is validated like the others, and its master seed in every subcommand
+    # JSON true is no number; a potential class's own value rules report its
+    # block; idss has no default strip length; the run block is validated
+    # like the others, and its master seed in every subcommand
     cases = ((("potential", "profile", "amplitude"), True, ("idss", "band")),
+             (("potential", "profile"), {"kind": "compact", "amplitude": -1}, ("band",)),
+             (("potential", "distribution"), {"kind": "uniform", "q_min": -1, "q_max": -2},
+              ("band",)),
+             (("potential", "bulk_random"), {"kind": "iid_uniform", "v_max": -1}, ("band",)),
+             (("potential", "profile", "x2_box"), [1], ("band",)),
+             (("potential", "profile", "x2_box"), ["a", "b"], ("band",)),
+             (("potential", "profile"), {"kind": "compact", "x2_box": [1, -1]}, ("band",)),
              (("geometry", "L"), True, ("idss",)),
              (("geometry", "L"), None, ("idss",)),
              (("run", "n_samples"), "abc", ("wegner",)),
@@ -224,8 +232,14 @@ def test_malformed_config_names_field(tmp_path, capsys):
              (("run", "L_bounds"), [0, 8], ("lifshits",)),
              (("run", "energy_offsets"), ["a"], ("initial-scale",)),
              (("run", "checks"), "no", ("idss",)),
+             (("run", "energies"), {"kind": "explicit", "values": ["a"]}, ("idss",),
+              "run.energies.values"),
+             (("run", "energies"), {"kind": "explicit", "values": []}, ("idss",),
+              "run.energies.values"),
+             (("run", "bc"), "X", ("idss", "decay")),
+             (("run", "mode"), 5, ("lifshits",)),
              (("run", "master_seed"), "abc", ("band",)))
-    for keys, value, subs in cases:
+    for keys, value, subs, *named in cases:  # named: the path the error names, if not keys
         cfg = base_config(tmp_path)
         block = cfg
         for key in keys[:-1]:
@@ -237,7 +251,8 @@ def test_malformed_config_names_field(tmp_path, capsys):
         path = write_cfg(tmp_path, cfg)
         for sub in subs:
             assert main([sub, "--config", path, "--out", str(tmp_path)]) == 2, (sub, keys, value)
-            assert ".".join(keys) in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert (named[0] if named else ".".join(keys)) in err, (sub, keys, value, err)
 
 
 def test_wegner_writes_csv_when_uninformative(tmp_path, capsys):
@@ -408,6 +423,19 @@ def test_config_validation_errors():
             "potential": {"profile": {"kind": "gaussian"},
                           "distribution": {"kind": "uniform", "q_min": -2, "q_max": -1}},
         })
+
+
+def test_config_schema_documents_every_potential_field():
+    from dataclasses import fields
+
+    from striplab.config import _KINDS
+
+    doc = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()
+    for kinds in _KINDS.values():
+        for kind, cls in kinds.items():
+            assert f'"{kind}"' in doc, kind
+            for field in fields(cls):
+                assert f'"{field.name}"' in doc, (kind, field.name)
 
 
 def test_energy_grid_kinds():
