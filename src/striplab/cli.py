@@ -18,7 +18,8 @@ import traceback
 
 import numpy as np
 
-from .config import _is_number, _opt, build_model, energy_grid, load_config, validate_geometry
+from .config import (_int_at_least, _is_number, _opt, build_model, energy_grid, load_config,
+                     validate_geometry)
 from .errors import ConfigInvalid, StripLabError
 from .floquet import band_curve, cached_reference, default_theta_grid, gap_certificate
 from .idss import (
@@ -64,7 +65,7 @@ def _check(ok: bool, name: str, detail: str = "") -> bool:
 
 
 def run_band(model, geo, run, seed, workers):
-    pts = int(_opt(run, "theta_points", 33, "run", int))
+    pts = _int_at_least(run, "theta_points", 33, "run", 2)
     cell = model.cell_grid(geo["M"])
     curve = band_curve(cell, model.u_per(), default_theta_grid(model.d1, pts))
     rows = [
@@ -109,7 +110,7 @@ def run_idss(model, geo, run, seed, workers):
         raise ConfigInvalid("geometry.L: missing required field")
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     energies = energy_grid(run, ref.e0)
-    n_samples = int(_opt(run, "n_samples", 200, "run", int))
+    n_samples = _int_at_least(run, "n_samples", 200, "run", 1)
     bc = _bc(run)
     checks = _opt(run, "checks", True, "run", bool)
     job = idss_job(model, geo["L"], geo["M"], energies, n_samples, seed, bc, geo["M_ref"])
@@ -152,11 +153,11 @@ def run_idss(model, geo, run, seed, workers):
 def run_lifshits(model, geo, run, seed, workers):
     mode = _opt(run, "mode", "quantum", "run", str, lambda v: v in ("quantum", "classical"),
                 "must be quantum or classical")
-    n_samples = int(_opt(run, "n_samples", 2000, "run", int))
+    n_samples = _int_at_least(run, "n_samples", 2000, "run", 1)
     dspec = _opt(run, "deltas", {}, "run", dict)
     lo = float(_opt(dspec, "lo", 0.05, "run.deltas", (int, float)))
     hi = float(_opt(dspec, "hi", 0.7, "run.deltas", (int, float)))
-    points = int(_opt(dspec, "points", 12, "run.deltas", int))
+    points = _int_at_least(dspec, "points", 12, "run.deltas", 1)
     deltas = np.geomspace(lo, hi, points)
     if mode == "quantum":
         c = float(_opt(run, "c_factor", 8 * np.sqrt(hi), "run", (int, float)))
@@ -193,13 +194,13 @@ def run_decay(model, geo, run, seed, workers):
 
 
 def run_wegner(model, geo, run, seed, workers):
-    n_samples = int(_opt(run, "n_samples", 2000, "run", int))
+    n_samples = _int_at_least(run, "n_samples", 2000, "run", 1)
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     energy = float(_opt(run, "energy", ref.e0 + 0.45 * abs(ref.e0), "run", (int, float)))
     espec = _opt(run, "eps", {}, "run", dict)
     eps = np.geomspace(float(_opt(espec, "lo", 3e-4, "run.eps", (int, float))),
                        float(_opt(espec, "hi", 1e-2, "run.eps", (int, float))),
-                       int(_opt(espec, "points", 8, "run.eps", int)))
+                       _int_at_least(espec, "points", 8, "run.eps", 1))
     rep = wegner_probe(model, energy, eps, geo["L"] or 16, geo["M"], n_samples, seed,
                        M_ref=geo["M_ref"], workers=workers)
     ok = _check(bool(np.all(np.diff(rep.probs) >= 0)), "window probability monotone in eps")
@@ -209,7 +210,7 @@ def run_wegner(model, geo, run, seed, workers):
 
 
 def run_initial_scale(model, geo, run, seed, workers):
-    n_samples = int(_opt(run, "n_samples", 400, "run", int))
+    n_samples = _int_at_least(run, "n_samples", 400, "run", 1)
     L_values = geo["L_values"] or [8, 16, 32]
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     offs = _opt(run, "energy_offsets", [0.2, 0.3, 0.4], "run", list,
@@ -227,7 +228,7 @@ def run_initial_scale(model, geo, run, seed, workers):
 def run_dynamics(model, geo, run, seed, workers):
     p = float(_opt(run, "p", 2.0, "run", (int, float)))
     t_max = float(_opt(run, "t_max", 1000.0, "run", (int, float)))
-    times = np.linspace(0.0, t_max, int(_opt(run, "t_points", 60, "run", int)))
+    times = np.linspace(0.0, t_max, _int_at_least(run, "t_points", 60, "run", 1))
     eng = StripEnsemble(model, geo["L"] or 64, geo["M"], bc="D", M_ref=geo["M_ref"],
                         master_seed=seed)
     H = eng.hamiltonian(0)

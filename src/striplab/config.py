@@ -65,6 +65,11 @@ def _opt(block: dict, key: str, default, path: str, types=None, check=None, msg=
     return _need(block, key, path, types, check, msg)
 
 
+def _int_at_least(block: dict, key: str, default: int, path: str, least: int) -> int:
+    """A count field: an int >= ``least``."""
+    return _opt(block, key, default, path, int, lambda v: v >= least, f"must be >= {least}")
+
+
 def load_config(path) -> dict:
     with open(path) as fh:
         try:
@@ -117,11 +122,22 @@ def build_model(cfg: dict) -> SurfaceModel:
         block = (_opt(p, name, left_out[name], "potential", dict) if name in left_out
                  else _need(p, name, "potential", dict))
         part[name] = _build(block, f"potential.{name}", kinds)
+    tail_tol = _opt(p, "tail_tol", SurfaceModel.tail_tol, "potential", (int, float),
+                    lambda v: v > 0, "must be > 0")
+    # the power-law rules a Python-built model meets only when its floor is first used
+    try:
+        tail = part["profile"].tail_bound(geo["d1"])
+    except InvalidParam as exc:
+        raise ConfigInvalid(f"potential.profile: {exc}") from exc
+    q_floor = abs(part["distribution"].q_min)
+    if tail > tail_tol * q_floor:
+        raise ConfigInvalid(f"potential.tail_tol: truncation tail bound {tail:.3e} exceeds "
+                            f"tail_tol*|q_min| = {tail_tol * q_floor:.3e}")
     return SurfaceModel(
         d1=geo["d1"], d2=geo["d2"], a=geo["a"],
         profile=part["profile"], dist=part["distribution"],
         bulk_random=part["bulk_random"], bulk_periodic=part["bulk_periodic"],
-        tail_tol=_opt(p, "tail_tol", SurfaceModel.tail_tol, "potential", (int, float)),
+        tail_tol=tail_tol,
     )
 
 
@@ -142,8 +158,15 @@ def energy_grid(run_cfg: dict, e0: float) -> np.ndarray:
         num = (int, float)
         hi = float(_opt(spec, "offset_hi", 0.95 * abs(e0), "run.energies", num))
         decades = float(_opt(spec, "decades", 1.5, "run.energies", num))
-        per_decade = int(_opt(spec, "points_per_decade", 20, "run.energies", int))
+        per_decade = _int_at_least(spec, "points_per_decade", 20, "run.energies", 1)
         lo = float(_opt(spec, "offset_lo", hi * 10 ** (-decades), "run.energies", num))
+        # the window, defaults filled in, is 0 < lo < hi; a NaN fails both comparisons
+        if not 0 < hi < np.inf:
+            raise ConfigInvalid(f"run.energies.offset_hi: must be finite and > 0, got {hi:g}")
+        if not 0 < lo < hi:
+            field = "offset_lo" if "offset_lo" in spec else "decades"
+            raise ConfigInvalid(f"run.energies.{field}: the window needs "
+                                f"0 < offset_lo < offset_hi, got {lo:g} and {hi:g}")
         n = max(2, int(round(np.log10(hi / lo) * per_decade)))
         return e0 + np.geomspace(lo, hi, n)
     raise ConfigInvalid(f"run.energies.kind: unknown kind {kind!r}")

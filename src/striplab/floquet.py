@@ -18,9 +18,6 @@ on the lattice and never exceeds |theta|^2, so upper bounds stated against
 from __future__ import annotations
 
 import functools
-import hashlib
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,13 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    DivisionUnderflow,
-    InvalidParam,
-    NearDegenerate,
-    NotPositive,
-    ShapeMismatch,
-)
+from .errors import DivisionUnderflow, InvalidParam, NearDegenerate, ShapeMismatch
 from .grid import Bloch, BoundarySpec, Dirichlet, GridSpec, Mezincescu, build_grid
 from .instances import SurfaceModel
 from .operator import GroundStateRef, Hamiltonian, assemble
@@ -104,54 +95,31 @@ def ground_state_cell(cell_grid: GridSpec, u_per, M_ref: int) -> GroundStateRef:
     ref_grid = build_grid(cell_grid.d1, cell_grid.d2, L=1, a=cell_grid.a, M=M_ref)
     h0 = reduced_operator(ref_grid, u_per, np.zeros(ref_grid.d1))
     e0, e1, psi, residual = _positive_ground(h0)
-    if np.any(psi <= 0):
-        raise NotPositive(
-            f"ground state has {np.sum(psi <= 0)} non-positive entries; solver failure"
-        )
     # a residual certificate cannot honestly beat evaluation noise
     noise_floor = 16 * np.finfo(float).eps * float(np.abs(h0.matrix).sum(axis=1).max())
     residual = max(residual, noise_floor)
+    # raises NotPositive unless psi > 0, before the gap and residual checks
+    ref = GroundStateRef(grid=ref_grid, psi0=psi, e0=e0, residual=residual)
     if e1 - e0 <= 10 * residual:
         raise NearDegenerate(f"gap {e1 - e0:.3e} too close to residual {residual:.3e}")
     tol = 1e-10 * abs(e0) + 1e-12
     if residual > tol:
         raise NearDegenerate(f"reference residual {residual:.3e} exceeds {tol:.3e}")
-    return GroundStateRef(grid=ref_grid, psi0=psi, e0=e0, residual=residual)
+    return ref
 
 
 def cached_reference(model: SurfaceModel, M: int, M_ref: Optional[int] = None) -> GroundStateRef:
     """Ground-state reference of ``model.cell_grid(M)`` at depth ``M_ref`` (default M + 4).
 
-    Each process solves each (model, M, M_ref) key once; with
-    ``$STRIPLAB_CACHE_DIR`` set, processes share references through files
-    there.  The reference is shared between callers; its ``psi0`` is read-only.
+    Each process solves each (model, M, M_ref) key once.  The reference is
+    shared between callers; its ``psi0`` is read-only.
     """
     return _reference(model, int(M), int(M + 4 if M_ref is None else M_ref))
 
 
 @functools.lru_cache(maxsize=16)
 def _reference(model: SurfaceModel, M: int, M_ref: int) -> GroundStateRef:
-    cache_dir = os.environ.get("STRIPLAB_CACHE_DIR")
-    key = hashlib.sha256(f"{model!r}|{M}|{M_ref}".encode()).hexdigest()[:24]
-    path = os.path.join(cache_dir, f"ref_{key}.npz") if cache_dir else None
-    if path and os.path.exists(path):
-        with np.load(path) as data:
-            ref = GroundStateRef(grid=model.cell_grid(M_ref), psi0=data["psi0"],
-                                 e0=float(data["e0"]), residual=float(data["residual"]))
-    else:
-        ref = ground_state_cell(model.cell_grid(M), model.u_per(), M_ref)
-        if path:
-            # other processes read ``path``: write elsewhere, then rename into place
-            os.makedirs(cache_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".ref_", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(fh, psi0=ref.psi0, e0=ref.e0, residual=ref.residual,
-                             M_ref=ref.grid.M)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+    ref = ground_state_cell(model.cell_grid(M), model.u_per(), M_ref)
     ref.psi0.setflags(write=False)
     return ref
 

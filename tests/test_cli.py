@@ -163,7 +163,6 @@ def count_reference_solves(monkeypatch):
     """Clear the reference memo and record every ground-state solve from here on."""
     import striplab.floquet
 
-    monkeypatch.delenv("STRIPLAB_CACHE_DIR", raising=False)
     striplab.floquet._reference.cache_clear()
     calls = []
     solve = striplab.floquet.ground_state_cell
@@ -238,7 +237,30 @@ def test_malformed_config_names_field(tmp_path, capsys):
               "run.energies.values"),
              (("run", "bc"), "X", ("idss", "decay")),
              (("run", "mode"), 5, ("lifshits",)),
-             (("run", "master_seed"), "abc", ("band",)))
+             (("run", "master_seed"), "abc", ("band",)),
+             # counts are at least 1, and a twist grid holds 0 and both ends
+             (("run", "n_samples"), 0, ("idss", "lifshits", "wegner", "initial-scale")),
+             (("run", "theta_points"), -3, ("band",)),
+             (("run", "theta_points"), 1, ("band",)),
+             (("run", "t_points"), 0, ("dynamics",)),
+             (("run", "deltas"), {"points": 0}, ("lifshits",), "run.deltas.points"),
+             (("run", "eps"), {"points": 0}, ("wegner",), "run.eps.points"),
+             (("run", "energies", "points_per_decade"), 0, ("idss",)),
+             # the geometric window, defaults filled in, is 0 < offset_lo < offset_hi
+             (("run", "energies", "offset_lo"), -0.1, ("idss",)),
+             (("run", "energies", "offset_lo"), 2.0, ("idss",)),
+             (("run", "energies", "offset_hi"), -1.0, ("idss",)),
+             (("run", "energies"), {"kind": "geometric", "decades": 0}, ("idss",),
+              "run.energies.decades"),
+             (("run", "energies"), {"kind": "geometric", "decades": -1}, ("idss",),
+              "run.energies.decades"),
+             # power-law rules hold at build time, not when the floor is first used
+             (("potential", "profile"), {"kind": "power_law", "alpha": 0.5}, ("band",)),
+             (("potential", "profile"), {"kind": "power_law", "alpha": 3.5}, ("band",)),
+             (("potential", "profile"), {"kind": "power_law", "alpha": 1.5}, ("band",),
+              "potential.tail_tol"),
+             (("potential", "tail_tol"), -1, ("band",)),
+             (("potential", "tail_tol"), 0, ("band",)))
     for keys, value, subs, *named in cases:  # named: the path the error names, if not keys
         cfg = base_config(tmp_path)
         block = cfg
@@ -339,71 +361,6 @@ def test_seed_override(tmp_path):
     assert main(["idss", "--config", cfg_path, "--seed", "7", "--out", str(out1)]) == 0
     assert main(["idss", "--config", cfg_path, "--seed", "8", "--out", str(out2)]) == 0
     assert (out1 / "idss.csv").read_bytes() != (out2 / "idss.csv").read_bytes()
-
-
-def test_reference_cache(tmp_path, monkeypatch):
-    import striplab.floquet
-
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("STRIPLAB_CACHE_DIR", str(cache))
-    cfg = base_config(tmp_path)
-    cfg["geometry"]["L_values"] = [4]
-    path = write_cfg(tmp_path, cfg)
-    striplab.floquet._reference.cache_clear()
-    assert main(["gap", "--config", path, "--out", str(tmp_path)]) == 0
-    cached = list(cache.glob("ref_*.npz"))
-    assert len(cached) == 1
-    assert [p.name for p in cache.iterdir()] == [cached[0].name]  # no temporary file left
-    first = (tmp_path / "gap.csv").read_bytes()
-
-    def no_solve(*args):
-        raise AssertionError("reference solved despite the cache file")
-
-    # a fresh process holds no memo: the second run loads the file
-    striplab.floquet._reference.cache_clear()
-    monkeypatch.setattr(striplab.floquet, "ground_state_cell", no_solve)
-    assert main(["gap", "--config", path, "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "gap.csv").read_bytes() == first
-
-
-def test_reference_cache_write_is_atomic(tmp_path, monkeypatch, model):
-    # a write that dies partway leaves no file at the key path, and the next
-    # call solves and caches
-    import striplab.floquet as floquet
-
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("STRIPLAB_CACHE_DIR", str(cache))
-    real_savez = np.savez
-
-    def dying_savez(file, **arrays):
-        if isinstance(file, str):  # np.savez takes a path or an open file
-            file = open(file, "wb")
-        file.write(b"PK\x03\x04")  # the start of an archive, then the crash
-        file.flush()
-        raise OSError("disk full")
-
-    floquet._reference.cache_clear()
-    monkeypatch.setattr(np, "savez", dying_savez)
-    with pytest.raises(OSError, match="disk full"):
-        floquet.cached_reference(model, 12, 16)
-    assert list(cache.iterdir()) == []
-
-    monkeypatch.setattr(np, "savez", real_savez)
-    calls = []
-    solve = floquet.ground_state_cell
-
-    def counting(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(floquet, "ground_state_cell", counting)
-    ref = floquet.cached_reference(model, 12, 16)
-    assert len(calls) == 1
-    (cached,) = cache.iterdir()
-    floquet._reference.cache_clear()
-    again = floquet.cached_reference(model, 12, 16)
-    assert len(calls) == 1 and cached.name.startswith("ref_")
-    assert np.array_equal(again.psi0, ref.psi0) and again.e0 == ref.e0
 
 
 def test_full_precision_formatting(tmp_path):
