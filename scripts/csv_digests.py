@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""sha256 of every CSV the striplab subcommands write, at one and two workers.
+"""sha256 of every CSV and sidecar result the striplab subcommands write, at one and two workers.
 
 Runs each CSV-writing subcommand through ``striplab.cli.main`` on the test
 suite's small config (``tests/small_config.json``), on a variant with a
 cosine periodic bulk and on one with an i.i.d. uniform random bulk, for seeds
 0-3, at ``--workers 1`` and ``2``, and prints one line per CSV:
 
-    sha256 exit_code checks_sha256 config seed workers csv [run overrides]
+    sha256 exit_code checks_sha256 results_sha256 config seed workers csv [run overrides]
 
 ``checks_sha256`` digests the PASS/FAIL lines the run prints, which carry the
-outcome of checks that write no CSV (the idss sandwich).  A subcommand that
-writes no CSV prints ``missing`` in place of the digest.  Exits 1 if any line
+outcome of checks that write no CSV (the idss sandwich).  ``results_sha256``
+digests the sidecar's ``results`` block as canonical JSON (sorted keys, no
+whitespace), which holds the fit values no CSV carries; the sidecar's
+timestamp sits outside that block.  A subcommand that writes no CSV or no
+sidecar prints ``missing`` in place of that digest.  Exits 1 if any line
 but the worker count differs between one and two workers.  Run it in two
 trees and diff the outputs to show that a change keeps every byte:
 
@@ -63,7 +66,7 @@ def sha256(data: bytes) -> str:
 
 
 def digest(cfg: dict, sub: str, csv: str, workers: int, tmp: str) -> str:
-    """The CSV's sha256, the exit code and the PASS/FAIL lines' sha256 of one run."""
+    """The CSV's sha256, the exit code, the PASS/FAIL lines' and the sidecar results' sha256."""
     out = tempfile.mkdtemp(dir=tmp)
     cfg_path = os.path.join(out, "cfg.json")
     with open(cfg_path, "w") as fh:
@@ -72,12 +75,16 @@ def digest(cfg: dict, sub: str, csv: str, workers: int, tmp: str) -> str:
     with contextlib.redirect_stdout(checks):  # the PASS/FAIL lines
         rc = striplab_main([sub, "--config", cfg_path, "--workers", str(workers), "--out", out])
     path = os.path.join(out, csv)
+    csv_sha = results_sha = "missing"
     if os.path.exists(path):
         with open(path, "rb") as fh:
             csv_sha = sha256(fh.read())
-    else:
-        csv_sha = "missing"
-    return f"{csv_sha} {rc} {sha256(checks.getvalue().encode())}"
+    sidecar = path[: -len(".csv")] + ".json"
+    if os.path.exists(sidecar):
+        with open(sidecar) as fh:
+            results = json.load(fh)["results"]
+        results_sha = sha256(json.dumps(results, sort_keys=True, separators=(",", ":")).encode())
+    return f"{csv_sha} {rc} {sha256(checks.getvalue().encode())} {results_sha}"
 
 
 def main() -> int:

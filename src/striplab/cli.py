@@ -18,8 +18,8 @@ import traceback
 
 import numpy as np
 
-from .config import (_int_at_least, _is_number, _opt, build_model, energy_grid, load_config,
-                     validate_geometry)
+from .config import (_int_at_least, _is_number, _opt, _real, build_model, energy_grid, ladder,
+                     load_config, validate_geometry)
 from .errors import ConfigInvalid, StripLabError
 from .floquet import band_curve, cached_reference, default_theta_grid, gap_certificate
 from .idss import (
@@ -91,6 +91,8 @@ def run_band(model, geo, run, seed, workers):
 
 def run_gap(model, geo, run, seed, workers):
     L_values = geo["L_values"] or [4, 8, 16]
+    if min(L_values) < 2:
+        raise ConfigInvalid("geometry.L_values: gap certificates need L >= 2")
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     reports = gap_certificate(model.u_per(), L_values, ref, M=geo["M"])
     ok = True
@@ -154,13 +156,9 @@ def run_lifshits(model, geo, run, seed, workers):
     mode = _opt(run, "mode", "quantum", "run", str, lambda v: v in ("quantum", "classical"),
                 "must be quantum or classical")
     n_samples = _int_at_least(run, "n_samples", 2000, "run", 1)
-    dspec = _opt(run, "deltas", {}, "run", dict)
-    lo = float(_opt(dspec, "lo", 0.05, "run.deltas", (int, float)))
-    hi = float(_opt(dspec, "hi", 0.7, "run.deltas", (int, float)))
-    points = _int_at_least(dspec, "points", 12, "run.deltas", 1)
-    deltas = np.geomspace(lo, hi, points)
+    deltas, hi = ladder(run, "deltas", 0.05, 0.7, 12)
     if mode == "quantum":
-        c = float(_opt(run, "c_factor", 8 * np.sqrt(hi), "run", (int, float)))
+        c = _real(run, "c_factor", 8 * np.sqrt(hi), "run", closed=False)
         L_bounds = _opt(run, "L_bounds", [8, 48], "run", list,
                         lambda v: len(v) == 2 and all(type(x) is int and x >= 1 for x in v)
                         and v[0] <= v[1], "must be two ints >= 1 with lo <= hi")
@@ -197,10 +195,7 @@ def run_wegner(model, geo, run, seed, workers):
     n_samples = _int_at_least(run, "n_samples", 2000, "run", 1)
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     energy = float(_opt(run, "energy", ref.e0 + 0.45 * abs(ref.e0), "run", (int, float)))
-    espec = _opt(run, "eps", {}, "run", dict)
-    eps = np.geomspace(float(_opt(espec, "lo", 3e-4, "run.eps", (int, float))),
-                       float(_opt(espec, "hi", 1e-2, "run.eps", (int, float))),
-                       _int_at_least(espec, "points", 8, "run.eps", 1))
+    eps, _ = ladder(run, "eps", 3e-4, 1e-2, 8)
     rep = wegner_probe(model, energy, eps, geo["L"] or 16, geo["M"], n_samples, seed,
                        M_ref=geo["M_ref"], workers=workers)
     ok = _check(bool(np.all(np.diff(rep.probs) >= 0)), "window probability monotone in eps")
@@ -214,7 +209,8 @@ def run_initial_scale(model, geo, run, seed, workers):
     L_values = geo["L_values"] or [8, 16, 32]
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     offs = _opt(run, "energy_offsets", [0.2, 0.3, 0.4], "run", list,
-                lambda v: all(map(_is_number, v)), "must be a list of numbers")
+                lambda v: len(v) > 0 and all(map(_is_number, v)),
+                "must be a non-empty list of numbers")
     energies = [ref.e0 + o * abs(ref.e0) for o in offs]
     rep = initial_scale_probe(model, L_values, energies, geo["M"], n_samples, seed,
                               M_ref=geo["M_ref"], workers=workers)
@@ -226,8 +222,9 @@ def run_initial_scale(model, geo, run, seed, workers):
 
 
 def run_dynamics(model, geo, run, seed, workers):
-    p = float(_opt(run, "p", 2.0, "run", (int, float)))
-    t_max = float(_opt(run, "t_max", 1000.0, "run", (int, float)))
+    p = _real(run, "p", 2.0, "run", closed=False)
+    t_max = _real(run, "t_max", 1000.0, "run", closed=True)
+    window_frac = _real(run, "window_frac", 0.1, "run", closed=False)
     times = np.linspace(0.0, t_max, _int_at_least(run, "t_points", 60, "run", 1))
     eng = StripEnsemble(model, geo["L"] or 64, geo["M"], bc="D", M_ref=geo["M_ref"],
                         master_seed=seed)
@@ -238,7 +235,6 @@ def run_dynamics(model, geo, run, seed, workers):
     mid = [grid.M // 2 - 1, grid.M // 2]
     sites = [int(i) for i in np.nonzero(
         (coords[:, 0] == center) & np.isin(coords[:, grid.d1], mid))[0]]
-    window_frac = float(_opt(run, "window_frac", 0.1, "run", (int, float)))
     interval = (eng.e0, eng.e0 + window_frac * abs(eng.e0))
     rep = dynamics_moment(H, interval, p, times, sites)
     ok = _check(rep.norm_drift <= 1e-9, "filtered evolution unitary",

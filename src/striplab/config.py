@@ -12,7 +12,7 @@ import typing
 
 import numpy as np
 
-from .errors import ConfigInvalid, InvalidParam
+from .errors import ConfigInvalid, InvalidParam, TailTooLarge
 from .instances import SurfaceModel
 from .potential import (
     CompactProfile,
@@ -70,6 +70,13 @@ def _int_at_least(block: dict, key: str, default: int, path: str, least: int) ->
     return _opt(block, key, default, path, int, lambda v: v >= least, f"must be >= {least}")
 
 
+def _real(block: dict, key: str, default: float, path: str, closed: bool) -> float:
+    """A finite real field: > 0, or >= 0 when ``closed``."""
+    return float(_opt(block, key, default, path, (int, float),
+                      lambda v: (0 <= v if closed else 0 < v) and v < np.inf,
+                      f"must be finite and {'>=' if closed else '>'} 0"))
+
+
 def load_config(path) -> dict:
     with open(path) as fh:
         try:
@@ -86,8 +93,8 @@ def validate_geometry(cfg: dict) -> dict:
     M = _need(g, "M", "geometry", int, lambda v: v >= 2 and v % 2 == 0, "must be even and >= 2")
     L = _opt(g, "L", None, "geometry", int, lambda v: v >= 1, "must be >= 1")
     L_values = _opt(g, "L_values", None, "geometry", list,
-                    lambda v: all(type(x) is int and x >= 1 for x in v),
-                    "must be a list of ints >= 1")
+                    lambda v: len(v) > 0 and all(type(x) is int and x >= 1 for x in v),
+                    "must be a non-empty list of ints >= 1")
     M_ref = _opt(g, "M_ref", M + 4, "geometry", int, lambda v: v >= M + 2 and v % 2 == 0,
                  f"must be even and >= M+2 = {M + 2}")
     return {"d1": d1, "d2": d2, "a": a, "M": M, "L": L, "L_values": L_values, "M_ref": M_ref}
@@ -124,21 +131,17 @@ def build_model(cfg: dict) -> SurfaceModel:
         part[name] = _build(block, f"potential.{name}", kinds)
     tail_tol = _opt(p, "tail_tol", SurfaceModel.tail_tol, "potential", (int, float),
                     lambda v: v > 0, "must be > 0")
-    # the power-law rules a Python-built model meets only when its floor is first used
-    try:
-        tail = part["profile"].tail_bound(geo["d1"])
+    try:  # the model checks the profile's exponent and truncation tail
+        return SurfaceModel(
+            d1=geo["d1"], d2=geo["d2"], a=geo["a"],
+            profile=part["profile"], dist=part["distribution"],
+            bulk_random=part["bulk_random"], bulk_periodic=part["bulk_periodic"],
+            tail_tol=tail_tol,
+        )
+    except TailTooLarge as exc:
+        raise ConfigInvalid(f"potential.tail_tol: {exc}") from exc
     except InvalidParam as exc:
         raise ConfigInvalid(f"potential.profile: {exc}") from exc
-    q_floor = abs(part["distribution"].q_min)
-    if tail > tail_tol * q_floor:
-        raise ConfigInvalid(f"potential.tail_tol: truncation tail bound {tail:.3e} exceeds "
-                            f"tail_tol*|q_min| = {tail_tol * q_floor:.3e}")
-    return SurfaceModel(
-        d1=geo["d1"], d2=geo["d2"], a=geo["a"],
-        profile=part["profile"], dist=part["distribution"],
-        bulk_random=part["bulk_random"], bulk_periodic=part["bulk_periodic"],
-        tail_tol=tail_tol,
-    )
 
 
 def energy_grid(run_cfg: dict, e0: float) -> np.ndarray:
@@ -151,8 +154,8 @@ def energy_grid(run_cfg: dict, e0: float) -> np.ndarray:
     kind = _opt(spec, "kind", "geometric", "run.energies", str)
     if kind == "explicit":
         vals = _need(spec, "values", "run.energies", list,
-                     lambda v: len(v) > 0 and all(map(_is_number, v)),
-                     "must be a non-empty list of numbers")
+                     lambda v: len(v) > 0 and all(map(_is_number, v)) and len(set(v)) == len(v),
+                     "must be a non-empty list of distinct numbers")
         return np.sort(np.asarray(vals, dtype=float))
     if kind == "geometric":
         num = (int, float)
@@ -170,3 +173,18 @@ def energy_grid(run_cfg: dict, e0: float) -> np.ndarray:
         n = max(2, int(round(np.log10(hi / lo) * per_decade)))
         return e0 + np.geomspace(lo, hi, n)
     raise ConfigInvalid(f"run.energies.kind: unknown kind {kind!r}")
+
+
+def ladder(run_cfg: dict, key: str, lo: float, hi: float, points: int) -> tuple:
+    """``run.<key>`` = ``{lo, hi, points}``: the geometric ladder from lo to hi (just lo at
+    one point) and hi; defaults filled in, it needs 0 < lo <= hi < inf."""
+    path = f"run.{key}"
+    spec = _opt(run_cfg, key, {}, "run", dict)
+    lo = _real(spec, "lo", lo, path, closed=False)
+    hi = float(_opt(spec, "hi", hi, path, (int, float)))
+    points = _int_at_least(spec, "points", points, path, 1)
+    if not lo <= hi < np.inf:
+        field = "hi" if "hi" in spec else "lo"
+        raise ConfigInvalid(f"{path}.{field}: the ladder needs 0 < lo <= hi < inf, "
+                            f"got {lo:g} and {hi:g}")
+    return np.geomspace(lo, hi, points), hi

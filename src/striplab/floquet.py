@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DivisionUnderflow, InvalidParam, NearDegenerate, ShapeMismatch
-from .grid import Bloch, BoundarySpec, Dirichlet, GridSpec, Mezincescu, build_grid
+from .grid import Bloch, BoundarySpec, Dirichlet, GridSpec, Mezincescu, build_grid, central_layers
 from .instances import SurfaceModel
 from .operator import GroundStateRef, Hamiltonian, assemble
 from .potential import periodic_bulk
@@ -333,9 +333,9 @@ def gap_certificate(u_per, L_values: Sequence[int], ref: GroundStateRef, M: int)
     avg = averaged_reduction(ref, u_per)
     har = harnack_constants(ref, avg)
     # transverse comparison operator at the working depth with chi ends
-    sel = _central_block_indices(ref.grid.M, M, ref.grid.d2)
-    ubar_M = avg.ubar[sel]
-    T = transverse_operator(ubar_M, ref.grid.d2, ref.grid.a, M, edge="chi", psibar=avg.psibar)
+    d2 = ref.grid.d2
+    ubar_M = central_layers(avg.ubar.reshape((ref.grid.M,) * d2), d2, M).ravel()
+    T = transverse_operator(ubar_M, d2, ref.grid.a, M, edge="chi", psibar=avg.psibar)
     t_eigs = np.linalg.eigvalsh(T)
     x2_gap = float(t_eigs[1] - t_eigs[0]) if len(t_eigs) > 1 else np.inf
 
@@ -361,12 +361,3 @@ def gap_certificate(u_per, L_values: Sequence[int], ref: GroundStateRef, M: int)
             )
         )
     return reports
-
-
-def _central_block_indices(M_ref: int, M: int, d2: int) -> np.ndarray:
-    """Flat indices of the centered (M,)^d2 block inside (M_ref,)^d2."""
-    off = (M_ref - M) // 2
-    if d2 == 1:
-        return np.arange(off, off + M)
-    rows = np.arange(off, off + M)
-    return (rows[:, None] * M_ref + rows[None, :]).ravel()

@@ -85,10 +85,8 @@ class GridSpec:
         Spans [-M*h/2, M*h/2) symmetrically about the surface.
         """
         coords = self.coord_arrays()
-        return np.stack(
-            [(coords[self.d1 + j] - self.M / 2 + 0.5) * self.h for j in range((self.d2))],
-            axis=-1,
-        )
+        return np.stack([self.x2_layer_coordinate(coords[self.d1 + j]) for j in range(self.d2)],
+                        axis=-1)
 
     def x1_frac_positions(self) -> np.ndarray:
         """x1 positions folded to the unit cell [0,1)^d1, shape (n_sites, d1)."""
@@ -122,6 +120,12 @@ class GridSpec:
 
     def is_x1_axis(self, axis: int) -> bool:
         return axis < self.d1
+
+
+def central_layers(arr: np.ndarray, d2: int, M: int) -> np.ndarray:
+    """A view of the centred depth-``M`` block of the last ``d2`` axes of ``arr`` (each >= M)."""
+    off = (arr.shape[-1] - M) // 2
+    return arr[(Ellipsis,) + (slice(off, off + M),) * d2]
 
 
 def build_grid(d1: int, d2: int, L: int, a: int, M: int) -> GridSpec:

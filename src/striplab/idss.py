@@ -29,10 +29,10 @@ from .floquet import cached_reference
 from .grid import (
     BoundarySpec,
     Dirichlet,
-    GridSpec,
     Mezincescu,
     Neumann,
     bc_all_dirichlet,
+    central_layers,
 )
 from .instances import SurfaceModel
 from .operator import GroundStateRef, Hamiltonian, assemble, quadratic_form
@@ -368,7 +368,7 @@ def bracketing_check(
     for M in M_values:
         grid = model.strip_grid(L, M)
         v_s = contract_couplings(q, f_weight_matrix(grid, model.profile))
-        v_b = _restrict_layers(v_b_max, grid_max, grid)
+        v_b = central_layers(v_b_max.reshape(grid_max.shape), grid.d2, M).ravel()
         u_b = periodic_bulk(grid, model.bulk_periodic.as_callable())
         values = (u_b + v_b) + v_s
         for tag, store in (("D", counts_dd), ("N", counts_nd)):
@@ -398,14 +398,6 @@ def bracketing_check(
                 M_stab = M
                 break
     return BracketingReport(counts_dd=counts_dd, counts_nd=counts_nd, M_stab=M_stab)
-
-
-def _restrict_layers(values: np.ndarray, big: GridSpec, small: GridSpec) -> np.ndarray:
-    """Central-layer restriction of a site field from a deeper grid."""
-    arr = values.reshape(big.shape)
-    off = (big.M - small.M) // 2
-    sl = (slice(None),) * big.d1 + (slice(off, off + small.M),) * big.d2
-    return arr[sl].ravel()
 
 
 # -- the three-term sandwich -------------------------------------------------------
@@ -648,6 +640,15 @@ class LifshitsFit:
     n_points: int
 
 
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Least-squares line through (x, y): slope, intercept and R^2 (1 when y is constant)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), r2
+
+
 def lifshits_fit(curve, e0: float, window: tuple) -> LifshitsFit:
     """Least squares through (ln(E - e0), ln|ln N(E)|) inside the window.
 
@@ -663,16 +664,12 @@ def lifshits_fit(curve, e0: float, window: tuple) -> LifshitsFit:
     if usable.sum() < 5:
         return LifshitsFit(window=(float(lo), float(hi)), slope=math.nan, intercept=math.nan,
                            r_squared=math.nan, n_points=int(usable.sum()))
-    x = np.log(energies[usable] - e0)
-    y = np.log(-np.log(means[usable]))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = line_fit(np.log(energies[usable] - e0),
+                                    np.log(-np.log(means[usable])))
     return LifshitsFit(
         window=(float(lo), float(hi)),
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         r_squared=r2,
         n_points=int(usable.sum()),
     )

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import TailTooLarge
 from .grid import GridSpec, build_grid
 from .potential import (
     CompactProfile,
@@ -33,7 +34,9 @@ class SurfaceModel:
 
     ``tail_tol`` is the relative truncation tolerance for power-law alloy
     sums; slowly decaying profiles (alpha close to d1) cannot meet the
-    tight default and must declare a looser value.
+    tight default and must declare a looser value.  Building the model (or
+    a ``replace`` of it) raises InvalidParam for a power-law alpha outside
+    (d1, d1+2] and TailTooLarge for a tail bound above ``tail_tol * |q_min|``.
     """
 
     d1: int
@@ -45,10 +48,18 @@ class SurfaceModel:
     bulk_periodic: object = field(default_factory=ZeroBulk)
     tail_tol: float = 1e-8
 
+    def __post_init__(self):
+        if isinstance(self.profile, PowerLawProfile):
+            self.profile.validate_for_dimension(self.d1)
+        tail = self.profile.tail_bound(self.d1)
+        if tail > self.tail_tol * abs(self.dist.q_min):
+            raise TailTooLarge(f"truncation tail bound {tail:.3e} exceeds tail_tol*|q_min| = "
+                               f"{self.tail_tol * abs(self.dist.q_min):.3e}")
+
     def u_per(self) -> Callable:
         """Cell potential of the periodic background: U_b + U_s (floor)."""
         bulk = self.bulk_periodic.as_callable()
-        floor = surface_cell_potential(self.profile, self.dist.q_min, self.a, self.tail_tol)
+        floor = surface_cell_potential(self.profile, self.dist.q_min, self.a)
         return lambda x1f, x2: bulk(x1f, x2) + floor(x1f, x2)
 
     def draw(self, seed: int, n_cells: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:

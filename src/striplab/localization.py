@@ -20,7 +20,7 @@ from .errors import (
     ProfileUnderflow,
 )
 from .grid import GridSpec
-from .idss import StripEnsemble, ensemble_counts, hit_rate
+from .idss import StripEnsemble, ensemble_counts, hit_rate, line_fit
 from .instances import SurfaceModel
 from .spectral import DENSE_CAP
 
@@ -75,17 +75,12 @@ def decay_profile(grid: GridSpec, eigenvalue: float, eigenvector: np.ndarray) ->
         raise ProfileUnderflow(
             f"only {int(keep.sum())} usable outer shells above the underflow guard"
         )
-    x = shells[keep]
-    y = np.log(prof[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, _, r2 = line_fit(shells[keep], np.log(prof[keep]))
     return DecayFit(
         eigenvalue=float(eigenvalue),
         shells=shells,
         profile=prof,
-        gamma=float(-slope),
+        gamma=-slope,
         r_squared=r2,
     )
 
@@ -139,12 +134,9 @@ def wegner_probe(
     eps = np.sort(np.atleast_1d(np.asarray(eps_list, dtype=float)))
     if np.any(eps < 0):
         raise InvalidParam("window half-widths must be nonnegative")
-    energies = np.concatenate([energy - eps[::-1], energy + eps])
-    order = np.argsort(energies)
+    energies = np.concatenate([energy - eps[::-1], energy + eps])  # ascending
     engine = StripEnsemble(model, L, M, bc="D", M_ref=M_ref, master_seed=master_seed)
-    (counts_sorted,) = ensemble_counts([(engine, n_samples, energies[order])], workers=workers)
-    counts = np.empty_like(counts_sorted)
-    counts[:, order] = counts_sorted
+    (counts,) = ensemble_counts([(engine, n_samples, energies)], workers=workers)
     k = len(eps)
     lo = counts[:, :k][:, ::-1]  # column j: count at energy - eps_j
     hi = counts[:, k:]
@@ -156,7 +148,7 @@ def wegner_probe(
     usable = (probs > 0) & (probs < 1) & (eps > 0)
     slope = math.nan
     if usable.sum() >= 2:
-        slope = float(np.polyfit(np.log(eps[usable]), np.log(probs[usable]), 1)[0])
+        slope = line_fit(np.log(eps[usable]), np.log(probs[usable]))[0]
     return WegnerReport(
         energy=float(energy),
         eps=eps,

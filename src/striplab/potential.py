@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParam, ShapeMismatch, TailTooLarge
+from .errors import InvalidParam, ShapeMismatch
 from .grid import GridSpec, build_grid, bc_all_dirichlet, bc_all_neumann
 
 
@@ -108,8 +108,7 @@ class PowerLawProfile:
         return self.f0 * np.maximum(r, 1.0) ** (-self.alpha) * inside_x2
 
     def tail_bound(self, d1: int) -> float:
-        """Upper bound on the neglected sum over cells beyond the radius."""
-        self.validate_for_dimension(d1)
+        """Upper bound on the neglected sum over cells beyond the radius (d1 < alpha)."""
         c_d1 = 2.0 if d1 == 1 else 8.0
         R = float(self.truncation_radius)
         return self.f0 * c_d1 * R ** (d1 - self.alpha) / (self.alpha - d1)
@@ -232,8 +231,6 @@ def f_weight_matrix(grid: GridSpec, profile) -> np.ndarray:
     the truncation radius of ``c``.  The most recent (grid, profile) pairs
     are cached; the returned array is shared between callers and read-only.
     """
-    if isinstance(profile, PowerLawProfile):
-        profile.validate_for_dimension(grid.d1)
     radius = profile.window_radius(grid.a)
     cells = window_cells(grid, radius)
     x1 = grid.x1_positions()
@@ -276,24 +273,17 @@ def periodic_bulk(grid: GridSpec, cell_function: Callable) -> np.ndarray:
     return vals
 
 
-def surface_cell_potential(profile, q_min: float, a: int, tol: float) -> Callable:
+def surface_cell_potential(profile, q_min: float, a: int) -> Callable:
     """Floor (every coupling pinned to ``q_min``) as a cell function, ``a`` sites per cell axis.
 
     Sums relative cells in the same ascending order as the strip window of
     ``f_weight_matrix``, so tiling this function reproduces the pinned
     contraction ``contract_couplings(full(n_cells, q_min), F)`` on any strip.
-    Raises TailTooLarge if the profile's truncation tail exceeds tol * |q_min|.
     """
     radius = profile.window_radius(a)
 
     def fn(x1f: np.ndarray, x2: np.ndarray) -> np.ndarray:
         d1 = x1f.shape[-1]
-        tail = profile.tail_bound(d1)
-        if tail > tol * max(abs(q_min), 1e-300):
-            raise TailTooLarge(
-                f"truncation tail bound {tail:.3e} exceeds tol*|q| = {tol * abs(q_min):.3e}; "
-                f"increase truncation_radius"
-            )
         out = np.zeros(x1f.shape[0])
         for c in itertools.product(range(-radius, radius + 1), repeat=d1):
             out += q_min * profile.evaluate(x1f - np.asarray(c, dtype=float), x2)

@@ -203,8 +203,9 @@ def test_malformed_config_names_field(tmp_path, capsys):
     assert main(["band", "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "geometry.M" in err
-    # a strip ladder holds whole cell counts >= 1, in every subcommand that reads one
-    for L_values in ([4.5, 8], ["a"], [0, 4], [True, 8]):
+    # a strip ladder holds whole cell counts >= 1, and at least one, in every
+    # subcommand that reads one
+    for L_values in ([4.5, 8], ["a"], [0, 4], [True, 8], []):
         cfg = base_config(tmp_path)
         cfg["geometry"]["L_values"] = L_values
         path = write_cfg(tmp_path, cfg)
@@ -260,7 +261,26 @@ def test_malformed_config_names_field(tmp_path, capsys):
              (("potential", "profile"), {"kind": "power_law", "alpha": 1.5}, ("band",),
               "potential.tail_tol"),
              (("potential", "tail_tol"), -1, ("band",)),
-             (("potential", "tail_tol"), 0, ("band",)))
+             (("potential", "tail_tol"), 0, ("band",)),
+             # a run ladder needs 0 < lo <= hi < inf, defaults filled in
+             (("run", "deltas"), {"lo": -0.1}, ("lifshits",), "run.deltas.lo"),
+             (("run", "deltas"), {"lo": 0.8, "hi": 0.7}, ("lifshits",), "run.deltas.hi"),
+             (("run", "deltas"), {"lo": 0.8}, ("lifshits",), "run.deltas.lo"),
+             (("run", "deltas"), {"hi": float("inf")}, ("lifshits",), "run.deltas.hi"),
+             (("run", "eps"), {"lo": -1e-3}, ("wegner",), "run.eps.lo"),
+             (("run", "eps"), {"lo": 0}, ("wegner",), "run.eps.lo"),
+             (("run", "eps"), {"lo": 0.1, "hi": 0.01}, ("wegner",), "run.eps.hi"),
+             # finite reals with a sign rule
+             (("run", "c_factor"), -1, ("lifshits",)),
+             (("run", "t_max"), -5, ("dynamics",)),
+             (("run", "window_frac"), -0.1, ("dynamics",)),
+             (("run", "p"), -1, ("dynamics",)),
+             (("run", "p"), float("inf"), ("dynamics",)),
+             # lists that would fall back or fail late
+             (("geometry", "L_values"), [1, 4], ("gap",)),
+             (("run", "energies"), {"kind": "explicit", "values": [-1, -1, -0.9]}, ("idss",),
+              "run.energies.values"),
+             (("run", "energy_offsets"), [], ("initial-scale",)))
     for keys, value, subs, *named in cases:  # named: the path the error names, if not keys
         cfg = base_config(tmp_path)
         block = cfg

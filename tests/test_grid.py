@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from striplab.errors import CapExceeded, InvalidParam
-from striplab.grid import Bloch, BoundarySpec, Dirichlet, build_grid
+from striplab.grid import Bloch, BoundarySpec, Dirichlet, build_grid, central_layers
 
 grids = st.builds(
     lambda d1, d2, L, a, M: (d1, d2, L, a, 2 * M),
@@ -100,3 +100,25 @@ def test_bloch_angle_bounds():
     assert Bloch((np.pi,)).is_real
     assert Bloch((0.0, -np.pi)).is_real
     assert not Bloch((0.5,)).is_real
+
+
+@pytest.mark.parametrize("d1", [1, 2])
+@pytest.mark.parametrize("d2", [1, 2])
+def test_central_layers(d1, d2):
+    big, small = build_grid(d1, d2, L=3, a=2, M=8), build_grid(d1, d2, L=3, a=2, M=4)
+    off = (big.M - small.M) // 2
+    # a site field of the deeper grid, restricted to the shallow one's layers
+    field = np.arange(big.n_sites, dtype=float).reshape(big.shape)
+    got = central_layers(field, d2, small.M)
+    assert got.shape == small.shape
+    sl = (slice(None),) * d1 + (slice(off, off + small.M),) * d2
+    assert np.array_equal(got, field[sl])
+    # the block holds the shallow grid's x2 layers: it straddles the surface
+    assert np.array_equal(np.unique(big.x2_positions()[field[sl].ravel().astype(int)]),
+                          np.unique(small.x2_positions()))
+    # a flat transverse profile of the deeper grid, by its central flat indices
+    profile = np.arange(big.M**d2, dtype=float)
+    rows = np.arange(off, off + small.M)
+    sel = rows if d2 == 1 else (rows[:, None] * big.M + rows[None, :]).ravel()
+    assert np.array_equal(central_layers(profile.reshape((big.M,) * d2), d2, small.M).ravel(),
+                          profile[sel])

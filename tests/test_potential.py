@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import surface_field
 from striplab.errors import InvalidParam, ShapeMismatch, TailTooLarge
 from striplab.grid import build_grid
-from striplab.instances import default_model
+from striplab.instances import SurfaceModel, default_model
 from striplab.potential import (
     CompactProfile,
     IidUniformBulk,
@@ -81,18 +81,27 @@ def test_power_law_doubled_radius_oracle():
     assert rel <= tol
 
 
+def power_law_model(d1, tail_tol):
+    return SurfaceModel(d1=d1, d2=1, a=1, profile=PowerLawProfile(alpha=1.5, truncation_radius=16),
+                        dist=UniformCouplings(-2.0, -1.0), tail_tol=tail_tol)
+
+
 def test_power_law_tail_too_large():
-    g = build_grid(1, 1, L=4, a=1, M=4)
-    prof = PowerLawProfile(alpha=1.5, truncation_radius=16)
+    # the model checks the truncation tail when it is built, not at first use
     with pytest.raises(TailTooLarge):
-        periodic_bulk(g, surface_cell_potential(prof, -2.0, 1, 1e-8))
-    periodic_bulk(g, surface_cell_potential(prof, -2.0, 1, 0.5))  # tail bound 1.0 = 0.5 * |q_min|
+        power_law_model(1, 1e-8)
+    m = power_law_model(1, 0.5)  # tail bound 1.0 = 0.5 * |q_min|
+    periodic_bulk(build_grid(1, 1, L=4, a=1, M=4), m.u_per())
+    with pytest.raises(TailTooLarge):
+        replace(m, tail_tol=0.4)
 
 
 def test_power_law_dimension_check():
     prof = PowerLawProfile(alpha=1.5, truncation_radius=16)
     with pytest.raises(InvalidParam):
         prof.validate_for_dimension(2)  # needs alpha > d1
+    with pytest.raises(InvalidParam):
+        power_law_model(2, 0.5)  # at construction, whatever the tolerance
 
 
 def test_pinned_sampling_matches_floor_bitwise():
@@ -163,7 +172,7 @@ def test_cell_potential_matches_strip_floor():
     m = default_model()
     for a in (1, 2):
         g = build_grid(1, 1, L=5, a=a, M=6)
-        fn = surface_cell_potential(m.profile, -2.0, a, m.tail_tol)
+        fn = surface_cell_potential(m.profile, -2.0, a)
         assert np.array_equal(periodic_bulk(g, fn), pinned_floor(g, m.profile, -2.0))
 
 
