@@ -40,18 +40,22 @@ IID = copy.deepcopy(SMALL)
 IID["potential"]["bulk_random"] = {"kind": "iid_uniform", "v_max": 0.4}
 CONFIGS = {"small": SMALL, "cosine": COSINE, "iid": IID}
 
-# (subcommand, run fields set over the config's, CSV it writes); the two idss
-# variants count the sandwich's chi ensemble apart from a Dirichlet curve, and
-# take it from the first 200 rows of a 240-sample chi curve
+# (subcommand, run fields set over the config's, CSV it writes); the "D" and
+# 240-sample idss variants count the sandwich's chi ensemble apart from a
+# Dirichlet curve, and take it from the first 200 rows of a 240-sample chi
+# curve; with the "N" and "chi_x1" variants every boundary tag is run
 RUNS = [
     ("band", {}, "band.csv"),
     ("gap", {}, "gap.csv"),
     ("idss", {}, "idss.csv"),
     ("idss", {"bc": "D"}, "idss.csv"),
+    ("idss", {"bc": "N"}, "idss.csv"),
+    ("idss", {"bc": "chi_x1"}, "idss.csv"),
     ("idss", {"n_samples": 240}, "idss.csv"),
     ("lifshits", {"mode": "quantum"}, "lifshits_quantum.csv"),
     ("lifshits", {"mode": "classical"}, "lifshits_classical.csv"),
     ("decay", {}, "decay.csv"),
+    ("decay", {"bc": "D"}, "decay.csv"),
     ("wegner", {}, "wegner.csv"),
     ("initial-scale", {}, "initial_scale.csv"),
     ("dynamics", {}, "dynamics.csv"),

@@ -22,8 +22,8 @@ from .config import (_int_at_least, _is_number, _opt, _real, build_model, energy
                      load_config, validate_geometry)
 from .errors import ConfigInvalid, StripLabError
 from .floquet import band_curve, cached_reference, default_theta_grid, gap_certificate
+from .grid import BC_TAGS
 from .idss import (
-    BC_TAGS,
     StripEnsemble,
     bracketing_check,
     classical_campaign,
@@ -228,15 +228,8 @@ def run_dynamics(model, geo, run, seed, workers):
     times = np.linspace(0.0, t_max, _int_at_least(run, "t_points", 60, "run", 1))
     eng = StripEnsemble(model, geo["L"] or 64, geo["M"], bc="D", M_ref=geo["M_ref"],
                         master_seed=seed)
-    H = eng.hamiltonian(0)
-    grid = eng.grid
-    coords = grid.coords_of(np.arange(grid.n_sites))
-    center = grid.shape[0] // 2
-    mid = [grid.M // 2 - 1, grid.M // 2]
-    sites = [int(i) for i in np.nonzero(
-        (coords[:, 0] == center) & np.isin(coords[:, grid.d1], mid))[0]]
     interval = (eng.e0, eng.e0 + window_frac * abs(eng.e0))
-    rep = dynamics_moment(H, interval, p, times, sites)
+    rep = dynamics_moment(eng.hamiltonian(0), interval, p, times, eng.grid.center_sites())
     ok = _check(rep.norm_drift <= 1e-9, "filtered evolution unitary",
                 f"drift={rep.norm_drift:.2e}")
     return (ok, "dynamics", ["t", "moment"], list(zip(rep.times, rep.moments)),
@@ -247,9 +240,9 @@ def run_bounds(model, geo, run, seed, workers):
     L = geo["L"] or 8
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     gap = gap_certificate(model.u_per(), [L], ref, M=geo["M"])[0].gap
-    n_x1 = (model.a * L) ** model.d1
-    w = np.zeros(n_x1)
-    w[n_x1 // 2] = gap / 4
+    grid = model.strip_grid(L, geo["M"])
+    w = np.zeros((model.a * L,) * model.d1)  # a bump on the x1 sites at the strip's centre
+    w[tuple(grid.coords_of(grid.center_sites()[0])[: model.d1])] = gap / 4
     tb = temple_tail_bound(model, ref, L, w, M=geo["M"], gap=gap)
     rb = rayleigh_tail_bound(model, L, geo["M"], seed, M_ref=geo["M_ref"])
     ok = _check(tb.margin >= -1e-10, "Temple tail bound below direct energy",

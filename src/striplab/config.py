@@ -77,12 +77,27 @@ def _real(block: dict, key: str, default: float, path: str, closed: bool) -> flo
                       f"must be finite and {'>=' if closed else '>'} 0"))
 
 
+def _check_finite(val, path: str) -> None:
+    """Raise at the first NaN or infinite number under ``val``: JSON has neither, yet
+    Python's parser reads the NaN and Infinity tokens and overflows 1e400 to inf."""
+    if isinstance(val, dict):
+        for key, item in val.items():
+            _check_finite(item, f"{path}.{key}" if path else key)
+    if isinstance(val, list):
+        for i, item in enumerate(val):
+            _check_finite(item, f"{path}[{i}]")
+    if isinstance(val, float) and not np.isfinite(val):
+        raise ConfigInvalid(f"{path or '(root)'}: must be a finite number, got {val}")
+
+
 def load_config(path) -> dict:
     with open(path) as fh:
         try:
-            return json.load(fh)
+            cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"(root): not valid JSON: {exc}") from exc
+    _check_finite(cfg, "")
+    return cfg
 
 
 def validate_geometry(cfg: dict) -> dict:

@@ -26,7 +26,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DivisionUnderflow, InvalidParam, NearDegenerate, ShapeMismatch
-from .grid import Bloch, BoundarySpec, Dirichlet, GridSpec, Mezincescu, build_grid, central_layers
+from .grid import (Bloch, BoundarySpec, Dirichlet, GridSpec, bc_for_tag, build_grid,
+                   central_layers)
 from .instances import SurfaceModel
 from .operator import GroundStateRef, Hamiltonian, assemble
 from .potential import periodic_bulk
@@ -242,10 +243,7 @@ def default_theta_grid(d1: int, points_per_axis: int = 33) -> np.ndarray:
     if points_per_axis % 2 == 0:
         points_per_axis += 1  # keep 0 on the grid
     axis = np.linspace(-np.pi, np.pi, points_per_axis)
-    if d1 == 1:
-        return axis[:, None]
-    A, B = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([A.ravel(), B.ravel()], axis=-1)
+    return np.stack(np.meshgrid(*[axis] * d1, indexing="ij"), axis=-1).reshape(-1, d1)
 
 
 def band_curve(cell_grid: GridSpec, u_per, thetas=None) -> BandCurve:
@@ -342,8 +340,7 @@ def gap_certificate(u_per, L_values: Sequence[int], ref: GroundStateRef, M: int)
     reports = []
     for L in L_values:
         strip = build_grid(ref.grid.d1, ref.grid.d2, L=int(L), a=ref.grid.a, M=M)
-        bc = BoundarySpec(x1=Mezincescu(ref), x2=Mezincescu(ref))
-        H = assemble(strip, periodic_bulk(strip, u_per), bc)
+        H = assemble(strip, periodic_bulk(strip, u_per), bc_for_tag("chi", ref))
         res = lowest_k(H, 2, tol=1e-8)
         e0L, e1L = float(res.eigenvalues[0]), float(res.eigenvalues[1])
         gap = e1L - e0L

@@ -60,43 +60,37 @@ class GridSpec:
 
     # -- index & coordinate maps ------------------------------------------
 
-    def index_of(self, coords) -> np.ndarray:
-        """Flat site index for integer coordinates (vectorized)."""
-        coords = np.asarray(coords)
-        return np.ravel_multi_index(tuple(coords.T) if coords.ndim == 2 else tuple(coords), self.shape)
-
     def coords_of(self, index) -> np.ndarray:
         """Integer coordinates for flat indices; shape (..., n_axes)."""
         return np.stack(np.unravel_index(np.asarray(index), self.shape), axis=-1)
 
-    def coord_arrays(self) -> tuple:
-        """Per-axis integer coordinate of every site, each shape (n_sites,)."""
-        grids = np.unravel_index(np.arange(self.n_sites), self.shape)
-        return tuple(g for g in grids)
-
     def x1_positions(self) -> np.ndarray:
         """Physical x1 positions of all sites, shape (n_sites, d1)."""
-        coords = self.coord_arrays()
-        return np.stack([coords[j] * self.h for j in range(self.d1)], axis=-1)
+        return self.coords_of(np.arange(self.n_sites))[:, : self.d1] * self.h
 
     def x2_positions(self) -> np.ndarray:
         """Physical x2 positions of all sites, shape (n_sites, d2).
 
         Spans [-M*h/2, M*h/2) symmetrically about the surface.
         """
-        coords = self.coord_arrays()
-        return np.stack([self.x2_layer_coordinate(coords[self.d1 + j]) for j in range(self.d2)],
-                        axis=-1)
+        return self.x2_layer_coordinate(self.coords_of(np.arange(self.n_sites))[:, self.d1:])
 
     def x1_frac_positions(self) -> np.ndarray:
         """x1 positions folded to the unit cell [0,1)^d1, shape (n_sites, d1)."""
-        coords = self.coord_arrays()
-        return np.stack([(coords[j] % self.a) * self.h for j in range(self.d1)], axis=-1)
+        return (self.coords_of(np.arange(self.n_sites))[:, : self.d1] % self.a) * self.h
 
     def cell_of_sites(self) -> np.ndarray:
         """Unit-cell index per x1 axis of every site, shape (n_sites, d1)."""
-        coords = self.coord_arrays()
-        return np.stack([coords[j] // self.a for j in range(self.d1)], axis=-1)
+        return self.coords_of(np.arange(self.n_sites))[:, : self.d1] // self.a
+
+    def center_sites(self) -> np.ndarray:
+        """Ascending flat indices of the 2^d2 sites at the strip's centre.
+
+        A centre site has x1 index (a*L)//2 on every x1 axis and, on every x2
+        axis, one of the two layers M/2 - 1 and M/2 that straddle the surface.
+        """
+        axes = [[self.a * self.L // 2]] * self.d1 + [[self.M // 2 - 1, self.M // 2]] * self.d2
+        return np.ravel_multi_index(np.meshgrid(*axes, indexing="ij"), self.shape).ravel()
 
     def x2_layer_coordinate(self, k) -> np.ndarray:
         """Physical x2 coordinate of transverse layer index k."""
@@ -197,13 +191,25 @@ class BoundarySpec:
                 raise InvalidParam(f"unknown boundary condition for {name}: {bc!r}")
 
 
-DIRICHLET = Dirichlet()
-NEUMANN = Neumann()
-
-
 def bc_all_dirichlet() -> BoundarySpec:
-    return BoundarySpec(x1=DIRICHLET, x2=DIRICHLET)
+    return BoundarySpec(x1=Dirichlet(), x2=Dirichlet())
 
 
 def bc_all_neumann() -> BoundarySpec:
-    return BoundarySpec(x1=NEUMANN, x2=NEUMANN)
+    return BoundarySpec(x1=Neumann(), x2=Neumann())
+
+
+# the boundary tags of a strip ensemble:
+#   "D"       Dirichlet x1 faces, Dirichlet x2 faces
+#   "N"       Neumann x1, Dirichlet x2
+#   "chi"     Mezincescu on all faces (ground-state invariant variant)
+#   "chi_x1"  Mezincescu x1, Dirichlet x2 (truncation error decays in M)
+BC_TAGS = ("D", "N", "chi", "chi_x1")
+
+
+def bc_for_tag(tag: str, ref) -> BoundarySpec:
+    """The BoundarySpec of a tag; ``ref`` (a GroundStateRef) feeds its Mezincescu faces."""
+    if tag not in BC_TAGS:
+        raise InvalidParam(f"unknown boundary tag {tag!r}")
+    x1 = Dirichlet() if tag == "D" else Neumann() if tag == "N" else Mezincescu(ref)
+    return BoundarySpec(x1=x1, x2=Mezincescu(ref) if tag == "chi" else Dirichlet())

@@ -7,12 +7,9 @@ inertia kernel; every sample's field is a pure function of
 (parameters, master_seed, sample_index) and results are independent of
 the counting blocks and the worker count.
 
-Boundary tags:
-
-* ``"D"``      Dirichlet x1 faces, Dirichlet x2 faces
-* ``"N"``      Neumann x1, Dirichlet x2
-* ``"chi"``    Mezincescu on all faces (ground-state invariant variant)
-* ``"chi_x1"`` Mezincescu x1, Dirichlet x2 (truncation error decays in M)
+An ensemble's faces are named by a boundary tag (``"D"``, ``"N"``, ``"chi"``
+or ``"chi_x1"``); ``grid.BC_TAGS`` lists them and ``grid.bc_for_tag`` maps
+each to its BoundarySpec.
 """
 
 from __future__ import annotations
@@ -26,14 +23,7 @@ import numpy as np
 
 from .errors import GapTooSmall, InequalityViolated, InvalidParam, S4Violated
 from .floquet import cached_reference
-from .grid import (
-    BoundarySpec,
-    Dirichlet,
-    Mezincescu,
-    Neumann,
-    bc_all_dirichlet,
-    central_layers,
-)
+from .grid import Mezincescu, bc_all_dirichlet, bc_for_tag, central_layers
 from .instances import SurfaceModel
 from .operator import GroundStateRef, Hamiltonian, assemble, quadratic_form
 from .potential import (
@@ -52,16 +42,6 @@ from .spectral import count_below, count_below_ensemble, lower_band, lowest_k
 # tables in ``spectral``); the byte cap bounds memory on wide strips.
 BLOCK_LANES = 256
 BLOCK_BYTES = 64 << 20
-
-BC_TAGS = ("D", "N", "chi", "chi_x1")  # the boundary tags of the module docstring
-
-
-def bc_for_tag(tag: str, ref: Optional[GroundStateRef]) -> BoundarySpec:
-    if tag not in BC_TAGS:
-        raise InvalidParam(f"unknown boundary tag {tag!r}")
-    x1 = Dirichlet() if tag == "D" else Neumann() if tag == "N" else Mezincescu(ref)
-    return BoundarySpec(x1=x1, x2=Mezincescu(ref) if tag == "chi" else Dirichlet())
-
 
 class StripEnsemble:
     """Shared-structure disorder ensemble on one strip geometry.
@@ -244,11 +224,23 @@ def _density_curve(jobs, deltas, counts) -> DensityCurve:
     )
 
 
-def _surface_e0(model: SurfaceModel, M: int, M_ref: Optional[int]) -> float:
-    """Periodic ground energy, which must be negative (surface regime)."""
+def _surface_e0(model: SurfaceModel, M: int, M_ref: Optional[int], top) -> float:
+    """The periodic ground energy e0, once the IDSS energy rule holds.
+
+    e0 must be negative (surface regime), and the highest energy counted,
+    ``top(e0)``, must lie below the bulk bottom estimate.
+    """
     e0 = cached_reference(model, M, M_ref).e0
     if e0 >= 0:
         raise S4Violated(f"periodic ground energy {e0:.6g} is not negative")
+    if isinstance(model.bulk_periodic, ZeroBulk):
+        bottom = 0.0
+    else:
+        bottom, _ = estimate_bulk_bottom(
+            model.bulk_periodic.as_callable(), model.d1, model.d2, model.a, M_probe=2 * M
+        )
+    if top(e0) >= bottom:
+        raise InvalidParam(f"energies must stay below the bulk bottom estimate {bottom:.6g}")
     return e0
 
 
@@ -302,17 +294,7 @@ def idss_job(
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     if np.any(np.diff(energies) <= 0):
         raise InvalidParam("energy grid must be strictly ascending")
-    _surface_e0(model, M, M_ref)
-    if isinstance(model.bulk_periodic, ZeroBulk):
-        bottom = 0.0
-    else:
-        bottom, _ = estimate_bulk_bottom(
-            model.bulk_periodic.as_callable(), model.d1, model.d2, model.a, M_probe=2 * M
-        )
-    if energies.max() >= bottom:
-        raise InvalidParam(
-            f"energies must stay below the bulk bottom estimate {bottom:.6g}"
-        )
+    _surface_e0(model, M, M_ref, lambda e0: energies.max())
     engine = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
     return engine, n_samples, energies
 
@@ -690,9 +672,10 @@ def quantum_campaign(
 
     L = round(c_factor / sqrt(delta)) clipped to ``L_bounds``; each point
     is an independent chi-boundary ensemble at the single energy E0 + delta.
+    Both campaigns keep every energy below the bulk bottom, as ``idss_job`` does.
     """
     deltas = _offsets(deltas)
-    e0 = _surface_e0(model, M, M_ref)
+    e0 = _surface_e0(model, M, M_ref, lambda e0: e0 + deltas[-1])
     L_values = np.clip(np.round(c_factor / np.sqrt(deltas)).astype(int), *L_bounds)
     jobs = [
         (StripEnsemble(model, int(L), M, M_ref=M_ref, master_seed=mix64(master_seed, 7000 + i)),
@@ -714,7 +697,7 @@ def classical_campaign(
 ) -> DensityCurve:
     """Chi-boundary tail campaign at fixed strip length for slowly decaying profiles."""
     deltas = _offsets(deltas)
-    e0 = _surface_e0(model, M, M_ref)
+    e0 = _surface_e0(model, M, M_ref, lambda e0: e0 + deltas[-1])
     jobs = [(StripEnsemble(model, L, M, M_ref=M_ref, master_seed=master_seed),
              n_samples, e0 + deltas)]
     return _density_curve(jobs, deltas, ensemble_counts(jobs, workers=workers))

@@ -53,14 +53,10 @@ def decay_profile(grid: GridSpec, eigenvalue: float, eigenvector: np.ndarray) ->
         )
     vec = np.abs(np.asarray(eigenvector)).reshape(grid.shape)
     sup_x1 = vec.max(axis=tuple(range(grid.d1)))  # shape (M,)*d2
-    x2_of_layer = grid.x2_layer_coordinate(np.arange(grid.M))
-    if grid.d2 == 1:
-        r = np.abs(x2_of_layer)
-        flat = sup_x1
-    else:
-        A, B = np.meshgrid(np.abs(x2_of_layer), np.abs(x2_of_layer), indexing="ij")
-        r = np.maximum(A, B).ravel()
-        flat = sup_x1.ravel()
+    # a layer's shell is the sup norm of its x2 position
+    abs_x2 = np.abs(grid.x2_layer_coordinate(np.arange(grid.M)))
+    r = np.max(np.meshgrid(*[abs_x2] * grid.d2, indexing="ij"), axis=0).ravel()
+    flat = sup_x1.ravel()
     shells = np.unique(r)
     prof = np.array([flat[r == s].max() for s in shells])
 

@@ -15,7 +15,7 @@ from .floquet import (
     cached_reference,
     gap_certificate,
 )
-from .grid import BoundarySpec, Mezincescu, bc_all_dirichlet, bc_all_neumann, build_grid
+from .grid import bc_all_dirichlet, bc_all_neumann, bc_for_tag, build_grid
 from .idss import bracketing_check, rayleigh_tail_bound, temple_tail_bound
 from .instances import default_model
 from .operator import assemble
@@ -47,8 +47,7 @@ def _mezincescu_invariance():
     worst = 0.0
     for L in (4, 8):
         grid = m.strip_grid(L, 14)
-        H = assemble(grid, periodic_bulk(grid, m.u_per()),
-                     BoundarySpec(x1=Mezincescu(ref), x2=Mezincescu(ref)))
+        H = assemble(grid, periodic_bulk(grid, m.u_per()), bc_for_tag("chi", ref))
         e0 = lowest_k(H, 1, tol=1e-9).eigenvalues[0]
         worst = max(worst, abs(e0 - ref.e0))
     ok = worst <= 10 * ref.residual
@@ -111,7 +110,7 @@ def _ordering():
         levels = {}
         for tag, bcs in (
             ("N", bc_all_neumann()),
-            ("chi", BoundarySpec(x1=Mezincescu(ref), x2=Mezincescu(ref))),
+            ("chi", bc_for_tag("chi", ref)),
             ("D", bc_all_dirichlet()),
         ):
             levels[tag] = np.sort(np.linalg.eigvalsh(assemble(grid, v_s, bcs).dense()))[:3]

@@ -280,7 +280,16 @@ def test_malformed_config_names_field(tmp_path, capsys):
              (("geometry", "L_values"), [1, 4], ("gap",)),
              (("run", "energies"), {"kind": "explicit", "values": [-1, -1, -0.9]}, ("idss",),
               "run.energies.values"),
-             (("run", "energy_offsets"), [], ("initial-scale",)))
+             (("run", "energy_offsets"), [], ("initial-scale",)),
+             # JSON has no NaN or Infinity: json.dumps writes the bare tokens,
+             # and the config refuses them when it is loaded
+             (("run", "energy"), float("nan"), ("wegner",)),
+             (("run", "energy"), -float("inf"), ("wegner",)),
+             (("run", "energies"), {"kind": "explicit", "values": [float("nan"), -1]}, ("idss",),
+              "run.energies.values[0]"),
+             (("run", "energy_offsets"), [float("inf")], ("initial-scale",),
+              "run.energy_offsets[0]"),
+             (("potential", "profile", "amplitude"), float("inf"), ("band",)))
     for keys, value, subs, *named in cases:  # named: the path the error names, if not keys
         cfg = base_config(tmp_path)
         block = cfg
@@ -295,6 +304,73 @@ def test_malformed_config_names_field(tmp_path, capsys):
             assert main([sub, "--config", path, "--out", str(tmp_path)]) == 2, (sub, keys, value)
             err = capsys.readouterr().err
             assert (named[0] if named else ".".join(keys)) in err, (sub, keys, value, err)
+
+
+def test_float_overflow_exits_2(tmp_path, capsys):
+    # Python's parser reads 1e400 as inf; the config refuses it with its path
+    cfg = base_config(tmp_path)
+    cfg["run"]["energy"] = "@energy@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"@energy@"', "1e400"))
+    assert main(["wegner", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "run.energy: must be a finite number, got inf" in capsys.readouterr().err
+
+
+def test_lifshits_past_bulk_bottom_exits_1(tmp_path, capsys):
+    # the tail campaigns obey the idss energy rule: e0 + 2.5 lies above the
+    # zero bulk bottom, so neither mode counts there
+    for mode in ("quantum", "classical"):
+        cfg = base_config(tmp_path)
+        cfg["run"].update(mode=mode, deltas={"lo": 0.5, "hi": 2.5, "points": 6})
+        path = write_cfg(tmp_path, cfg)
+        assert main(["lifshits", "--config", path, "--out", str(tmp_path)]) == 1, mode
+        assert "InvalidParam: energies must stay below the bulk bottom" in capsys.readouterr().err
+
+
+def small_strip_config(out, d1, d2):
+    cfg = base_config(out)
+    cfg["geometry"].update(d1=d1, d2=d2, L=4, M=4, M_ref=8)
+    return cfg
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_dynamics_starts_from_center_sites(tmp_path, monkeypatch, d1, d2):
+    # the local state covers the 2^d2 sites at x1 = (aL)//2 on every x1 axis
+    # that straddle the surface, whatever the dimensions
+    from striplab import cli
+
+    seen, dynamics_moment = [], cli.dynamics_moment
+
+    def recording(H, interval, p, times, sites):
+        seen.append((H.grid, np.asarray(sites)))
+        return dynamics_moment(H, interval, p, times, sites)
+
+    monkeypatch.setattr(cli, "dynamics_moment", recording)
+    path = write_cfg(tmp_path, small_strip_config(tmp_path, d1, d2))
+    main(["dynamics", "--config", path, "--out", str(tmp_path)])
+    ((grid, sites),) = seen
+    assert len(sites) == 2**d2
+    coords = grid.coords_of(sites)
+    assert np.all(coords[:, :d1] == 2)
+    assert {tuple(c - 1) for c in coords[:, d1:]} == set(np.ndindex((2,) * d2))
+
+
+def test_bounds_bump_at_x1_center(tmp_path, monkeypatch):
+    # at d1 = 2 the Temple bump sits on the x1 site (aL/2, aL/2), not on an edge
+    from striplab import cli
+
+    seen, temple_tail_bound = [], cli.temple_tail_bound
+
+    def recording(model, ref, L, w_x1, M, gap):
+        seen.append(np.asarray(w_x1))
+        return temple_tail_bound(model, ref, L, w_x1, M=M, gap=gap)
+
+    monkeypatch.setattr(cli, "temple_tail_bound", recording)
+    path = write_cfg(tmp_path, small_strip_config(tmp_path, 2, 1))
+    main(["bounds", "--config", path, "--out", str(tmp_path)])
+    (w,) = seen
+    w = w.reshape(4, 4)
+    assert np.count_nonzero(w) == 1 and w[2, 2] > 0
 
 
 def test_wegner_writes_csv_when_uninformative(tmp_path, capsys):

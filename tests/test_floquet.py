@@ -186,3 +186,15 @@ def test_default_theta_grid_contains_endpoints():
     assert th.shape == (33, 1)
     assert 0.0 in th
     assert np.pi in th and -np.pi in th
+
+
+@pytest.mark.parametrize("d1", [1, 2])
+def test_default_theta_grid_is_the_product_grid(d1):
+    # oracle: the d1 = 1 column and the d1 = 2 meshgrid pairs, written out
+    axis = np.linspace(-np.pi, np.pi, 9)
+    if d1 == 1:
+        want = axis[:, None]
+    else:
+        A, B = np.meshgrid(axis, axis, indexing="ij")
+        want = np.stack([A.ravel(), B.ravel()], axis=-1)
+    assert np.array_equal(default_theta_grid(d1, 8), want)  # 8 rounds up to 9 points

@@ -51,17 +51,17 @@ def boundary_faces(g, site):
 
 def test_neighbors_corner_and_interior():
     g = build_grid(1, 1, L=2, a=1, M=2)
-    corner = int(g.index_of((0, 0)))
+    corner = int(np.ravel_multi_index((0, 0), g.shape))
     assert boundary_faces(g, corner) == [(0, -1), (1, -1)]
 
     g2 = build_grid(1, 1, L=4, a=1, M=4)
-    inner = int(g2.index_of((2, 2)))
+    inner = int(np.ravel_multi_index((2, 2), g2.shape))
     assert boundary_faces(g2, inner) == []
 
 
 def test_x2_face_tagging():
     g = build_grid(1, 1, L=4, a=1, M=4)
-    top = int(g.index_of((1, 3)))
+    top = int(np.ravel_multi_index((1, 3), g.shape))
     assert boundary_faces(g, top) == [(1, 1)]
 
 
@@ -71,7 +71,7 @@ def test_index_round_trip(shape, raw):
     g = build_grid(d1, d2, L=L, a=a, M=M)
     site = raw % g.n_sites
     coords = g.coords_of(site)
-    assert int(g.index_of(coords)) == site
+    assert int(np.ravel_multi_index(tuple(coords), g.shape)) == site
 
 
 @given(grids)
@@ -122,3 +122,17 @@ def test_central_layers(d1, d2):
     sel = rows if d2 == 1 else (rows[:, None] * big.M + rows[None, :]).ravel()
     assert np.array_equal(central_layers(profile.reshape((big.M,) * d2), d2, small.M).ravel(),
                           profile[sel])
+
+
+@pytest.mark.parametrize("d1", [1, 2])
+@pytest.mark.parametrize("d2", [1, 2])
+def test_center_sites(d1, d2):
+    g = build_grid(d1, d2, L=3, a=2, M=6)
+    sites = g.center_sites()
+    assert len(sites) == 2**d2
+    assert np.all(np.diff(sites) > 0)
+    coords = g.coords_of(sites)
+    # x1 index (a*L)//2 = 3 on every x1 axis; the layers 2 and 3 straddle x2 = 0
+    assert np.all(coords[:, :d1] == 3)
+    assert {tuple(c - 2) for c in coords[:, d1:]} == set(np.ndindex((2,) * d2))
+    assert np.allclose(np.abs(g.x2_positions()[sites]), g.h / 2)

@@ -3,7 +3,7 @@ import pytest
 
 import striplab.localization as localization
 from striplab.errors import DenseCapExceeded, InvalidParam
-from striplab.grid import BoundarySpec, Dirichlet, Neumann, bc_all_dirichlet
+from striplab.grid import BoundarySpec, Dirichlet, Neumann, bc_all_dirichlet, build_grid
 from striplab.idss import StripEnsemble
 from striplab.localization import (
     decay_profile,
@@ -38,6 +38,26 @@ def test_decay_default_realization(model):
     fit = decay_profile(eng.grid, float(res.eigenvalues[0]), res.eigenvectors[:, 0])
     assert fit.gamma > 0
     assert fit.r_squared >= 0.95
+
+
+@pytest.mark.parametrize("d2", [1, 2])
+def test_decay_shells_are_x2_sup_norms(d2):
+    # oracle: a layer's shell is |x2| at d2 = 1 and max(|x2_0|, |x2_1|) at d2 = 2
+    grid = build_grid(2, d2, L=2, a=1, M=12)
+    rng = np.random.default_rng(5)
+    r_site = np.abs(grid.x2_positions()).max(axis=1)
+    vec = np.exp(-r_site) * rng.uniform(0.5, 1.0, grid.n_sites)
+    fit = decay_profile(grid, -1.0, vec)
+    sup_x1 = vec.reshape(grid.shape).max(axis=(0, 1))
+    x2 = np.abs(grid.x2_layer_coordinate(np.arange(grid.M)))
+    if d2 == 1:
+        r, flat = x2, sup_x1
+    else:
+        A, B = np.meshgrid(x2, x2, indexing="ij")
+        r, flat = np.maximum(A, B).ravel(), sup_x1.ravel()
+    shells = np.unique(r)
+    assert np.array_equal(fit.shells, shells)
+    assert np.array_equal(fit.profile, [flat[r == s].max() for s in shells])
 
 
 def test_decay_refuses_bulk_energies(model):
