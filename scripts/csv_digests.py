@@ -3,8 +3,9 @@
 
 Runs each CSV-writing subcommand through ``striplab.cli.main`` on the test
 suite's small config (``tests/small_config.json``), on a variant with a
-cosine periodic bulk and on one with an i.i.d. uniform random bulk, for seeds
-0-3, at ``--workers 1`` and ``2``, and prints one line per CSV:
+cosine periodic bulk, on one with an i.i.d. uniform random bulk and on one
+with a power-law impurity profile, for seeds 0-3, at ``--workers 1`` and
+``2``, and prints one line per CSV:
 
     sha256 exit_code checks_sha256 results_sha256 config seed workers csv [run overrides]
 
@@ -38,7 +39,12 @@ COSINE = copy.deepcopy(SMALL)
 COSINE["potential"]["bulk_periodic"] = {"kind": "cosine", "amplitude": 0.3}
 IID = copy.deepcopy(SMALL)
 IID["potential"]["bulk_random"] = {"kind": "iid_uniform", "v_max": 0.4}
-CONFIGS = {"small": SMALL, "cosine": COSINE, "iid": IID}
+# a power-law tail truncated at 16 cells needs a loose tolerance; both lifshits
+# modes fail their fit there (too few usable points), which still digests
+POWER = copy.deepcopy(SMALL)
+POWER["potential"]["profile"] = {"kind": "power_law", "alpha": 1.5, "truncation_radius": 16}
+POWER["potential"]["tail_tol"] = 0.6
+CONFIGS = {"small": SMALL, "cosine": COSINE, "iid": IID, "power": POWER}
 
 # (subcommand, run fields set over the config's, CSV it writes); the "D" and
 # 240-sample idss variants count the sandwich's chi ensemble apart from a

@@ -23,7 +23,7 @@ from .grid import (
     build_grid,
 )
 from .instances import SurfaceModel, classical_model, default_model, pinned_model
-from .operator import GroundStateRef, Hamiltonian, assemble, quadratic_form
+from .operator import GroundStateRef, Hamiltonian, assemble
 from .potential import (
     CompactProfile,
     IidUniformBulk,

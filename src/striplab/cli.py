@@ -295,13 +295,18 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else _default_config()
+        # the outer blocks are checked before --seed writes into run and
+        # before the output directory is made
+        run = _opt(cfg, "run", {}, "(root)", dict)
+        output = _opt(cfg, "output", {}, "(root)", dict)
+        directory = _opt(output, "directory", ".", "output", str)
         if args.seed is not None:
-            cfg.setdefault("run", {})["master_seed"] = args.seed
-        out = args.out or cfg.get("output", {}).get("directory", ".")
+            cfg["run"] = run
+            run["master_seed"] = args.seed
+        out = args.out or directory
         ensure_dir(out)
         geo = validate_geometry(cfg)
         model = build_model(cfg)
-        run = _opt(cfg, "run", {}, "(root)", dict)
         seed = int(_opt(run, "master_seed", 0, "run", int))
         ok, stem, header, rows, results = _RUNNERS[args.subcommand](
             model, geo, run, seed, max(1, args.workers))

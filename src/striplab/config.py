@@ -96,6 +96,8 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"(root): not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid(f"(root): expected an object, got {type(cfg).__name__}")
     _check_finite(cfg, "")
     return cfg
 

@@ -144,16 +144,6 @@ class AveragedModel:
     identity_residual: float
 
 
-@dataclass(frozen=True)
-class HarnackConstants:
-    c1: float
-    c2: float
-
-    @property
-    def ratio_sq(self) -> float:
-        return (self.c1 / self.c2) ** 2
-
-
 def transverse_operator(ubar: np.ndarray, d2: int, a: int, M: int, edge="dirichlet", psibar=None):
     """Dense transverse operator -Delta_{x2} + ubar on (M,)^d2 sites.
 
@@ -212,13 +202,15 @@ def averaged_reduction(ref: GroundStateRef, u_per) -> AveragedModel:
     return AveragedModel(psibar=psibar_f, ubar=ubar_f, identity_residual=residual)
 
 
-def harnack_constants(ref: GroundStateRef, avg: AveragedModel) -> HarnackConstants:
-    """Extremal ratios of the periodic ground state to its x1 average."""
-    shape = ref.grid.shape
-    psi = ref.psi0.reshape(shape)
-    pb = avg.psibar.reshape((ref.grid.M,) * ref.grid.d2)
-    ratio = psi / pb  # broadcasts over the leading x1 axes
-    return HarnackConstants(c1=float(ratio.min()), c2=float(ratio.max()))
+def harnack_constants(grid: GridSpec, psi: np.ndarray) -> tuple:
+    """Harnack constants (C1, C2) of a positive ground state ``psi`` on a cell grid.
+
+    C1 and C2 are the extremal ratios of psi to psibar, its sum over the
+    cell's x1 sites; the band and gap comparisons scale by (C1/C2)^2.
+    """
+    psi = psi.reshape(grid.shape)
+    ratio = psi / psi.sum(axis=tuple(range(grid.d1)))  # broadcasts over the x1 axes
+    return float(ratio.min()), float(ratio.max())
 
 
 # -- ground band ----------------------------------------------------------------
@@ -265,10 +257,7 @@ def band_curve(cell_grid: GridSpec, u_per, thetas=None) -> BandCurve:
 
     h0 = reduced_operator(cell_grid, u_per, np.zeros(cell_grid.d1))
     e0, _, psi, _ = _positive_ground(h0)
-    shape = cell_grid.shape
-    psibar = psi.reshape(shape).sum(axis=tuple(range(cell_grid.d1)))
-    ratio = psi.reshape(shape) / psibar
-    c1, c2 = float(ratio.min()), float(ratio.max())
+    c1, c2 = harnack_constants(cell_grid, psi)
 
     values = np.empty(len(thetas))
     residuals = np.empty(len(thetas))
@@ -329,7 +318,8 @@ def gap_certificate(u_per, L_values: Sequence[int], ref: GroundStateRef, M: int)
     if min(L_values) < 2:
         raise InvalidParam("gap certificates need L >= 2")
     avg = averaged_reduction(ref, u_per)
-    har = harnack_constants(ref, avg)
+    c1, c2 = harnack_constants(ref.grid, ref.psi0)
+    ratio_sq = (c1 / c2) ** 2
     # transverse comparison operator at the working depth with chi ends
     d2 = ref.grid.d2
     ubar_M = central_layers(avg.ubar.reshape((ref.grid.M,) * d2), d2, M).ravel()
@@ -352,8 +342,8 @@ def gap_certificate(u_per, L_values: Sequence[int], ref: GroundStateRef, M: int)
                 e1=e1L,
                 gap=gap,
                 gbar=gbar,
-                harnack_ratio_sq=har.ratio_sq,
-                margin=gap - har.ratio_sq * gbar,
+                harnack_ratio_sq=ratio_sq,
+                margin=gap - ratio_sq * gbar,
                 e0_error=abs(e0L - ref.e0),
             )
         )

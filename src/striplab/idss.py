@@ -25,16 +25,17 @@ from .errors import GapTooSmall, InequalityViolated, InvalidParam, S4Violated
 from .floquet import cached_reference
 from .grid import Mezincescu, bc_all_dirichlet, bc_for_tag, central_layers
 from .instances import SurfaceModel
-from .operator import GroundStateRef, Hamiltonian, assemble, quadratic_form
+from .operator import GroundStateRef, Hamiltonian, assemble
 from .potential import (
     ZeroBulk,
     contract_couplings,
     estimate_bulk_bottom,
     f_weight_matrix,
+    in_x2_box,
     periodic_bulk,
 )
 from .rng import mix64, sample_seed
-from .spectral import count_below, count_below_ensemble, lower_band, lowest_k
+from .spectral import count_below, count_below_ensemble, lower_band, lowest_k, rayleigh_ritz_upper
 
 # A counting block holds at most BLOCK_LANES samples, and no more than keep its
 # LDL^T work array, (n + bw) x (bw + 1) entries a lane, within BLOCK_BYTES.  A
@@ -74,7 +75,7 @@ class StripEnsemble:
         self.ref = cached_reference(model, self.M, M_ref)
         self.e0 = self.ref.e0
         self.bcs = bc_for_tag(bc, self.ref)
-        self.u_b = periodic_bulk(self.grid, model.bulk_periodic.as_callable())
+        self.u_b = periodic_bulk(self.grid, model.bulk_periodic)
         self.base_band = lower_band(assemble(self.grid, self.u_b, self.bcs).matrix)
         self.F = f_weight_matrix(self.grid, model.profile)
         self.n_window_cells = self.F.shape[0]
@@ -237,7 +238,7 @@ def _surface_e0(model: SurfaceModel, M: int, M_ref: Optional[int], top) -> float
         bottom = 0.0
     else:
         bottom, _ = estimate_bulk_bottom(
-            model.bulk_periodic.as_callable(), model.d1, model.d2, model.a, M_probe=2 * M
+            model.bulk_periodic, model.d1, model.d2, model.a, M_probe=2 * M
         )
     if top(e0) >= bottom:
         raise InvalidParam(f"energies must stay below the bulk bottom estimate {bottom:.6g}")
@@ -351,7 +352,7 @@ def bracketing_check(
         grid = model.strip_grid(L, M)
         v_s = contract_couplings(q, f_weight_matrix(grid, model.profile))
         v_b = central_layers(v_b_max.reshape(grid_max.shape), grid.d2, M).ravel()
-        u_b = periodic_bulk(grid, model.bulk_periodic.as_callable())
+        u_b = periodic_bulk(grid, model.bulk_periodic)
         values = (u_b + v_b) + v_s
         for tag, store in (("D", counts_dd), ("N", counts_nd)):
             H = assemble(grid, values, bc_for_tag(tag, None))
@@ -513,10 +514,7 @@ def temple_tail_bound(
     x1_flat = np.ravel_multi_index(
         tuple(coords[:, j] for j in range(grid.d1)), (grid.a * L,) * grid.d1
     )
-    x2 = grid.x2_positions()
-    lo, hi = model.profile.x2_box
-    in_f2 = np.all((x2 >= lo) & (x2 < hi), axis=-1)
-    w_site = w_x1[x1_flat] * in_f2
+    w_site = w_x1[x1_flat] * in_x2_box(grid.x2_positions(), model.profile.x2_box)
 
     psi_sq = psi * psi
     wbar = float(np.sum(w_site * psi_sq) / np.sum(psi_sq))
@@ -585,13 +583,13 @@ def rayleigh_tail_bound(
     nrm2 = float(trial @ trial)
 
     H_per = assemble(grid, u_per_vals, bc_all_dirichlet())
-    penalty = quadratic_form(H_per, trial) / nrm2 - ref.e0
+    penalty = rayleigh_ritz_upper(H_per, trial) - ref.e0
     coupling = float(np.sum(w_vals * trial * trial)) / nrm2
     bulk = float(np.sum(v_b * trial * trial)) / nrm2
     bound = ref.e0 + coupling + bulk + penalty
 
     H_full = assemble(grid, u_per_vals + (w_vals + v_b), bc_all_dirichlet())
-    quotient = quadratic_form(H_full, trial) / nrm2
+    quotient = rayleigh_ritz_upper(H_full, trial)
     if abs(quotient - bound) > 1e-9 * (1 + abs(quotient)):
         raise InequalityViolated(
             f"decomposition mismatch: quotient {quotient!r} vs terms {bound!r}"

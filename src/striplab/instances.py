@@ -58,9 +58,8 @@ class SurfaceModel:
 
     def u_per(self) -> Callable:
         """Cell potential of the periodic background: U_b + U_s (floor)."""
-        bulk = self.bulk_periodic.as_callable()
         floor = surface_cell_potential(self.profile, self.dist.q_min, self.a)
-        return lambda x1f, x2: bulk(x1f, x2) + floor(x1f, x2)
+        return lambda x1f, x2: self.bulk_periodic(x1f, x2) + floor(x1f, x2)
 
     def draw(self, seed: int, n_cells: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
         """Couplings q of ``n_cells`` window cells and random bulk V_b of ``n_sites`` sites.

@@ -175,15 +175,3 @@ def assemble(grid: GridSpec, values: np.ndarray, bcs: BoundarySpec) -> Hamiltoni
     mat.sum_duplicates()
     mat.sort_indices()
     return Hamiltonian(grid=grid, bcs=bcs, matrix=mat, is_complex=use_complex)
-
-
-def quadratic_form(H, u: np.ndarray) -> float:
-    """<u, H u>; real up to roundoff even for Hermitian operators."""
-    mat = getattr(H, "matrix", H)
-    u = np.asarray(u)
-    if u.shape != (mat.shape[0],):
-        raise ShapeMismatch(f"vector shape {u.shape} != ({mat.shape[0]},)")
-    val = np.vdot(u, mat @ u)
-    if abs(val.imag) > 1e-12 * (abs(val.real) + 1.0):
-        raise ShapeMismatch(f"quadratic form unexpectedly complex: {val}")
-    return float(val.real)

@@ -8,10 +8,14 @@ The total potential decomposes as ``V = U_b + V_b + V_s``:
 
 plus the deterministic floor ``U_s`` obtained by pinning every coupling to
 ``q_min``.  Continuum single-site profiles are evaluated pointwise at grid
-nodes, and every field is a plain per-site array.  The couplings and the
-random bulk of one realization come from ``SurfaceModel.draw``, a pure
-function of (parameters, seed): identical seeds give bit-identical fields
-no matter how samples are partitioned across workers.
+nodes, and every field is a plain per-site array.  ``in_x2_box`` holds the
+half-open [lo, hi) rule for a profile's transverse support; the profiles
+and the Temple tail bound all use it.  The deterministic bulk kinds
+(``ZeroBulk``, ``ConstantBulk``, ``CosineBulk``) are cell functions
+themselves: ``periodic_bulk`` calls them with (x1_frac, x2).  The couplings
+and the random bulk of one realization come from ``SurfaceModel.draw``, a
+pure function of (parameters, seed): identical seeds give bit-identical
+fields no matter how samples are partitioned across workers.
 
 Alloy sums use a per-site symmetric truncation window: a site in unit cell
 ``c`` sums contributions from cells within sup-distance ``R`` of ``c``
@@ -35,6 +39,12 @@ from .grid import GridSpec, build_grid, bc_all_dirichlet, bc_all_neumann
 
 
 # -- single-site profiles ----------------------------------------------------
+
+
+def in_x2_box(x2: np.ndarray, box: tuple) -> np.ndarray:
+    """Mask of the sites whose transverse coordinates all lie in [lo, hi)."""
+    lo, hi = box
+    return np.all((x2 >= lo) & (x2 < hi), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -61,9 +71,7 @@ class CompactProfile:
 
     def evaluate(self, x1_offset: np.ndarray, x2: np.ndarray) -> np.ndarray:
         inside_x1 = np.all(np.abs(x1_offset) <= self.x1_halfwidth + 1e-12, axis=-1)
-        lo, hi = self.x2_box
-        inside_x2 = np.all((x2 >= lo) & (x2 < hi), axis=-1)
-        return self.amplitude * (inside_x1 & inside_x2)
+        return self.amplitude * (inside_x1 & in_x2_box(x2, self.x2_box))
 
     def tail_bound(self, d1: int) -> float:
         return 0.0  # compact support: no neglected tail
@@ -103,9 +111,7 @@ class PowerLawProfile:
 
     def evaluate(self, x1_offset: np.ndarray, x2: np.ndarray) -> np.ndarray:
         r = np.max(np.abs(x1_offset), axis=-1)
-        lo, hi = self.x2_box
-        inside_x2 = np.all((x2 >= lo) & (x2 < hi), axis=-1)
-        return self.f0 * np.maximum(r, 1.0) ** (-self.alpha) * inside_x2
+        return self.f0 * np.maximum(r, 1.0) ** (-self.alpha) * in_x2_box(x2, self.x2_box)
 
     def tail_bound(self, d1: int) -> float:
         """Upper bound on the neglected sum over cells beyond the radius (d1 < alpha)."""
@@ -188,16 +194,16 @@ class IidUniformBulk:
 
 @dataclass(frozen=True)
 class ZeroBulk:
-    def as_callable(self) -> Callable:
-        return lambda x1f, x2: np.zeros(x1f.shape[0])
+    def __call__(self, x1f: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        return np.zeros(x1f.shape[0])
 
 
 @dataclass(frozen=True)
 class ConstantBulk:
     value: float
 
-    def as_callable(self) -> Callable:
-        return lambda x1f, x2: np.full(x1f.shape[0], float(self.value))
+    def __call__(self, x1f: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        return np.full(x1f.shape[0], float(self.value))
 
 
 @dataclass(frozen=True)
@@ -207,11 +213,8 @@ class CosineBulk:
     amplitude: float
     wavelength: float = 4.0
 
-    def as_callable(self) -> Callable:
-        def fn(x1f, x2):
-            return self.amplitude * (1.0 + np.cos(2 * np.pi * x2[..., 0] / self.wavelength))
-
-        return fn
+    def __call__(self, x1f: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        return self.amplitude * (1.0 + np.cos(2 * np.pi * x2[..., 0] / self.wavelength))
 
 
 # -- alloy machinery ----------------------------------------------------------

@@ -322,20 +322,14 @@ class CountCertificate:
     Guarantees N(A, threshold) >= n from verified near-orthonormality and
     near-diagonality of the trial family.  ``rayleigh_max`` is the exact
     supremum of the Rayleigh quotient over the trial span (always <=
-    threshold); ``threshold`` reduces to the familiar
-    (alpha + eps2) / (1 - eps1) for small deviations and nonnegative
-    numerator, with the Gram extremal eigenvalues replacing the first-order
-    1 -+ eps1 factors so the certificate stays valid for negative spectra.
+    threshold).  ``variational_count_bound`` computes the threshold as
+    (alpha + spectral A-deviation) / extremal Gram eigenvalue, which reduces
+    to the familiar (alpha + eps2) / (1 - eps1) for small deviations and
+    nonnegative numerator and stays valid for negative spectra.
     """
 
     threshold: float
     n: int
-    alpha: float
-    eps1: float
-    eps2: float
-    eps1_spectral: float
-    eps2_spectral: float
-    gram_min_eig: float
     rayleigh_max: float
 
 
@@ -375,21 +369,10 @@ def variational_count_bound(apply_A, phis, alpha: float, eps1: float, eps2: floa
     if g_eigs[0] <= 0:
         raise GramDegenerate(f"Gram matrix minimum eigenvalue {g_eigs[0]:.3e} <= 0")
 
-    e1s = float(np.abs(np.linalg.eigvalsh(G - np.eye(n_vec))).max())
     e2s = float(np.abs(np.linalg.eigvalsh(B - np.diag(alphas))).max())
     num = alpha + e2s
     denom = g_eigs[0] if num >= 0 else g_eigs[-1]
     threshold = num / denom
 
     rayleigh_max = float(sla.eigh(B, G, eigvals_only=True)[-1])
-    return CountCertificate(
-        threshold=threshold,
-        n=n_vec,
-        alpha=float(alpha),
-        eps1=float(eps1),
-        eps2=float(eps2),
-        eps1_spectral=e1s,
-        eps2_spectral=e2s,
-        gram_min_eig=float(g_eigs[0]),
-        rayleigh_max=rayleigh_max,
-    )
+    return CountCertificate(threshold=threshold, n=n_vec, rayleigh_max=rayleigh_max)

@@ -6,7 +6,7 @@ import pytest
 
 from striplab.cli import main
 from striplab.config import build_model, energy_grid, validate_geometry
-from striplab.errors import ConfigInvalid
+from striplab.errors import ConfigInvalid, InequalityViolated
 
 SMALL_CONFIG = Path(__file__).with_name("small_config.json")
 
@@ -159,6 +159,29 @@ def test_idss_counts_each_ensemble_once(tmp_path, monkeypatch, bc, n, checks, wo
         assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
 
+def test_idss_sandwich_violation_fails_the_run(tmp_path, monkeypatch, capsys):
+    # Dirichlet hits in every sample where the chi ensemble counts nothing put
+    # the lower end of the sandwich above its middle
+    import striplab.cli as cli
+    import striplab.idss as idss
+
+    cfg = base_config(tmp_path)
+    geo, model = validate_geometry(cfg), build_model(cfg)
+    eng = idss.StripEnsemble(model, geo["L"], geo["M"], M_ref=geo["M_ref"])
+    energies = energy_grid(cfg["run"], eng.e0)
+    shape = (cfg["run"]["n_samples"], len(energies))
+    with pytest.raises(InequalityViolated, match="sandwich violated"):
+        idss.sandwich_from_counts(eng, energies, np.zeros(shape, int), np.ones(shape, int))
+
+    sandwich = cli.sandwich_from_counts
+    monkeypatch.setattr(cli, "sandwich_from_counts", lambda eng, energies, chi, d: sandwich(
+        eng, energies, np.zeros_like(chi), np.ones_like(d)))
+    path = write_cfg(tmp_path, cfg)
+    assert main(["idss", "--config", path, "--out", str(tmp_path)]) == 1
+    assert "FAIL IDSS sandwich within 3 SE" in capsys.readouterr().out
+    assert (tmp_path / "idss.csv").exists() and (tmp_path / "idss.json").exists()
+
+
 def count_reference_solves(monkeypatch):
     """Clear the reference memo and record every ground-state solve from here on."""
     import striplab.floquet
@@ -196,7 +219,7 @@ def test_idss_solves_one_reference(tmp_path, monkeypatch):
             assert len(calls) == 1, (sub, mode, M_ref, len(calls))
 
 
-def test_malformed_config_names_field(tmp_path, capsys):
+def test_malformed_config_names_field(tmp_path, capsys, monkeypatch):
     cfg = base_config(tmp_path)
     cfg["geometry"]["M"] = 13  # odd
     path = write_cfg(tmp_path, cfg)
@@ -304,6 +327,21 @@ def test_malformed_config_names_field(tmp_path, capsys):
             assert main([sub, "--config", path, "--out", str(tmp_path)]) == 2, (sub, keys, value)
             err = capsys.readouterr().err
             assert (named[0] if named else ".".join(keys)) in err, (sub, keys, value, err)
+    # the outer blocks: the root, output and run are objects and the directory a
+    # string, checked before --seed writes into run or the directory is made
+    monkeypatch.chdir(tmp_path)
+    for block, value, named, extra in (("output", "out", "output", []),
+                                       ("output", {"directory": 5}, "output.directory", []),
+                                       ("run", "x", "run", ["--seed", "3"])):
+        cfg = base_config(tmp_path)
+        cfg[block] = value
+        path = write_cfg(tmp_path, cfg)
+        assert main(["band", "--config", path] + extra) == 2, (block, value)
+        assert f"{named}: " in capsys.readouterr().err, (block, value)
+        assert not (tmp_path / "out").exists()
+    (tmp_path / "cfg.json").write_text("[1, 2]")
+    assert main(["band", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "(root): " in capsys.readouterr().err
 
 
 def test_float_overflow_exits_2(tmp_path, capsys):

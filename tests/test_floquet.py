@@ -116,8 +116,8 @@ def test_averaged_reduction_x1_independent(model, ref14):
     # a = 1: psibar equals psi0 itself and ubar the cell potential profile
     assert np.array_equal(avg.psibar, ref14.psi0)
     assert avg.identity_residual <= 1e-10 * (1 + abs(ref14.e0))
-    har = harnack_constants(ref14, avg)
-    assert har.c1 == har.c2 == 1.0
+    c1, c2 = harnack_constants(grid, ref14.psi0)
+    assert c1 == c2 == 1.0
 
 
 def test_averaged_reduction_random_cell():
@@ -126,13 +126,13 @@ def test_averaged_reduction_random_cell():
     ref = ground_state_cell(cell, fn, 12)
     avg = averaged_reduction(ref, fn)
     assert avg.identity_residual <= 1e-10 * (1 + abs(ref.e0))
-    har = harnack_constants(ref, avg)
-    assert 0 < har.c1 <= har.c2
+    c1, c2 = harnack_constants(ref.grid, ref.psi0)
+    assert 0 < c1 <= c2
     # the two-sided bound holds sitewise by construction
     psi = ref.psi0.reshape(ref.grid.shape)
     pb = avg.psibar
-    assert np.all(har.c1 * pb <= psi + 1e-15)
-    assert np.all(psi <= har.c2 * pb + 1e-15)
+    assert np.all(c1 * pb <= psi + 1e-15)
+    assert np.all(psi <= c2 * pb + 1e-15)
 
 
 def test_harnack_stabilizes_under_deepening():

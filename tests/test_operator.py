@@ -12,7 +12,8 @@ from striplab.grid import (
     bc_all_neumann,
     build_grid,
 )
-from striplab.operator import assemble, quadratic_form
+from striplab.operator import assemble
+from striplab.spectral import rayleigh_ritz_upper
 from conftest import surface_field
 from striplab.potential import periodic_bulk
 
@@ -128,14 +129,16 @@ def test_shape_mismatch():
             assemble(g, np.array([0.0, 1.0, bad, 0.0]), bc_all_dirichlet())
 
 
+# The operator's quadratic form, read through its one implementation,
+# spectral.rayleigh_ritz_upper (<u, H u> / <u, u>).
 def test_quadratic_form_ground_and_constant():
     g = build_grid(1, 1, L=3, a=1, M=4)
     H = assemble(g, np.zeros(g.n_sites), bc_all_neumann())
     const = np.full(g.n_sites, 1.0 / np.sqrt(g.n_sites))
-    assert abs(quadratic_form(H, const)) <= 1e-12
+    assert abs(rayleigh_ritz_upper(H, const)) <= 1e-12
     evals, evecs = np.linalg.eigh(H.dense())
     v = evecs[:, 0]
-    assert abs(quadratic_form(H, v) - evals[0]) <= 1e-12
+    assert abs(rayleigh_ritz_upper(H, v) - evals[0]) <= 1e-12
 
 
 def test_quadratic_form_dense_oracle():
@@ -146,4 +149,5 @@ def test_quadratic_form_dense_oracle():
     dense = H.dense()
     for _ in range(5):
         u = rng.standard_normal(g.n_sites)
-        assert abs(quadratic_form(H, u) - u @ dense @ u) <= 1e-12 * (1 + abs(u @ dense @ u))
+        want = (u @ dense @ u) / (u @ u)
+        assert abs(rayleigh_ritz_upper(H, u) - want) <= 1e-12 * (1 + abs(want))
