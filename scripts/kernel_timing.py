@@ -1,28 +1,30 @@
 #!/usr/bin/env python3
-"""Cost of the two counting kernels on real strip ensembles, and their crossover.
+"""Cost of the counting kernels on real strip ensembles.
 
-For each strip shape (n sites, bandwidth bw) the script draws 256 samples of
-the two-point compact-impurity model and times, through
-``count_below_ensemble``:
+Three tables, each time the median of three runs:
 
-* one batched LDL^T pass (a single energy, e0 + 0.1) over 1, 48, 96, 128,
-  192, 256, 512, 1024 and 1536 lanes: one operator, half of a 96-sample
-  ensemble (the block of a lone ensemble split over two workers), a whole
+* the single-energy LDL^T pass (e0 + 0.1) of ``count_below_ensemble`` on
+  the two-point compact-impurity model, per lane, over 1, 48, 96, 128, 192,
+  256, 512, 1024 and 1536 lanes: one operator, half of a 96-sample ensemble
+  (the block of a lone ensemble split over two workers), a whole
   quantum-tail ensemble (the task a worker takes when a campaign's
   ensembles share one pool), the ensembles of the IDSS curve and of the
   classical tail, a block of ``idss.BLOCK_LANES``, and the larger blocks a
-  2000-sample ensemble would take without that cap.  Lane counts whose work
-  array exceeds ``idss.BLOCK_BYTES`` are skipped;
-* one banded eigensolve per lane (a 12-point tail grid, e0 + 0.02 ... e0 +
-  0.7), on 32 lanes.
+  2000-sample ensemble would take without that cap.  Beside it, one lane's
+  banded eigensolve over a 12-point tail grid (e0 + 0.02 ... e0 + 0.7,
+  median over 32 lanes), and the crossover: how many passes that
+  eigensolve costs.  ``count_below`` counts a grid on one operator by the
+  eigensolve and one energy by the pass;
+* the same pass on 96 lanes at the quantum tail's strips (M = 24, n = 192
+  to 1152) for several row counts of the LDL^T buffer, the last being n
+  (the whole band at once); ``spectral.INERTIA_ROWS`` is chosen from it;
+* the two grid kernels on the benchmark's grid ensembles, the IDSS curve
+  (12 energies, n = 256, bw = 16, 128 lanes) and the classical tail (10
+  energies, n = 384, bw = 24, 192 lanes): the bisection of
+  ``count_below_ensemble``, with its (lane, energy) passes per lane, and one
+  banded eigensolve per lane.  Both give the same counts.
 
-The crossover is the eigensolve per lane over the pass per lane: how many
-single-energy passes one lane's eigenvalues cost.  ``count_below_ensemble``
-counts one energy by the pass and more by the eigenvalues, which is the
-cheaper choice wherever the crossover lies between one and the number of
-energies sent.  Each time is the median of three runs.
-
-    python scripts/kernel_timing.py
+    PYTHONPATH=src python scripts/kernel_timing.py
 """
 
 import os
@@ -33,10 +35,11 @@ from dataclasses import replace
 import numpy as np
 import scipy
 
-from striplab.idss import BLOCK_BYTES, StripEnsemble
+from striplab import spectral
+from striplab.config import build_model, energy_grid
+from striplab.idss import StripEnsemble
 from striplab.instances import default_model
 from striplab.potential import TwoPointCouplings
-from striplab.spectral import count_below_ensemble
 
 # (L, M): n = L * M sites at bandwidth M; L 8..48 at M=24 spans the quantum
 # tail's strips, 8 x 16 is the shortest of a quantum tail at M=16, 16 x 16 the
@@ -44,7 +47,23 @@ from striplab.spectral import count_below_ensemble
 SHAPES = [(8, 24), (16, 24), (30, 24), (48, 24), (8, 16), (16, 16), (16, 32)]
 LANES = (1, 48, 96, 128, 192, 256, 512, 1024, 1536)
 EIG_LANES = 32
+ROWS = (16, 32, 64, 128)
 REPEATS = 3
+
+COMPACT = {"kind": "compact", "x1_halfwidth": 0.25, "x2_box": [-1.0, 1.0], "amplitude": 1.0}
+TWO_POINT = {"kind": "two_point", "q_min": -2.0, "q_max": -1.0, "p": 0.5}
+# (name, geometry, potential, energies above e0) of the benchmark's grid ensembles
+GRIDS = [
+    ("idss curve", {"d1": 1, "d2": 1, "a": 1, "L": 16, "M": 16, "M_ref": 20},
+     {"profile": COMPACT, "distribution": {"kind": "uniform", "q_min": -2.0, "q_max": -1.0}},
+     lambda e0: energy_grid({"energies": {"kind": "geometric", "points_per_decade": 8}}, e0),
+     128),
+    ("classical tail", {"d1": 1, "d2": 1, "a": 1, "L": 16, "M": 24, "M_ref": 28},
+     {"profile": {"kind": "power_law", "alpha": 1.5, "truncation_radius": 256},
+      "distribution": TWO_POINT, "tail_tol": 0.2},
+     lambda e0: e0 + np.geomspace(0.9, 3.0, 10),
+     192),
+]
 
 
 def median_seconds(fn) -> float:
@@ -56,28 +75,86 @@ def median_seconds(fn) -> float:
     return float(np.median(times))
 
 
-def main():
-    print(f"python {platform.python_version()}, numpy {np.__version__}, "
-          f"scipy {scipy.__version__}, {os.cpu_count()} cores, {platform.machine()}")
+def eigenvalue_counts(band, diags, energies):
+    """The per-lane eigenvalue kernel: each lane's banded eigenvalues, searched for every energy."""
+    lane_norm, tie = spectral._lane_scales(band, diags, energies)
+    return np.array([spectral._lane_counts(band, d, energies + t, nrm)
+                     for d, t, nrm in zip(diags, tie, lane_norm)])
+
+
+def pass_table(model):
     print(f"{'n':>5} {'bw':>3} {'lanes':>5} {'pass ms':>9} {'pass ms/lane':>12} "
           f"{'eig ms/lane':>11} {'crossover':>9}")
-    model = replace(default_model(), dist=TwoPointCouplings(-2.0, -1.0, p=0.5))
     for L, M in SHAPES:
         eng = StripEnsemble(model, L=L, M=M, master_seed=0)
         n, bw = eng.base_band.shape[1], eng.base_band.shape[0] - 1
-        lane_bytes = (n + bw) * (bw + 1) * eng.base_band.itemsize
-        lanes_fit = [s for s in LANES if s * lane_bytes <= BLOCK_BYTES]
-        diags = eng.sample_diags(range(max(lanes_fit)))
+        diags = eng.sample_diags(range(max(LANES)))
         grid = eng.e0 + np.geomspace(0.02, 0.7, 12)
         eig = median_seconds(
-            lambda: count_below_ensemble(eng.base_band, diags[:EIG_LANES], grid)
+            lambda: eigenvalue_counts(eng.base_band, diags[:EIG_LANES], grid)
         ) / EIG_LANES
-        for lanes in lanes_fit:
+        for lanes in LANES:
             ldl = median_seconds(
-                lambda: count_below_ensemble(eng.base_band, diags[:lanes], [eng.e0 + 0.1])
+                lambda: spectral.count_below_ensemble(eng.base_band, diags[:lanes], [eng.e0 + 0.1])
             ) / lanes
             print(f"{n:>5} {bw:>3} {lanes:>5} {ldl * lanes * 1e3:>9.2f} {ldl * 1e3:>12.3f} "
                   f"{eig * 1e3:>11.3f} {eig / ldl:>9.2f}")
+
+
+def rows_table(model):
+    print(f"{'n':>5} {'bw':>3} " + " ".join(f"{f'B={b}':>8}" for b in ROWS) + f" {'B=n':>8}"
+          "   (pass ms/lane, 96 lanes)")
+    kept = spectral.INERTIA_ROWS
+    for L in (8, 16, 30, 48):
+        eng = StripEnsemble(model, L=L, M=24, master_seed=0)
+        diags = eng.sample_diags(range(96))
+        row = []
+        for rows in ROWS + (eng.grid.n_sites,):
+            spectral.INERTIA_ROWS = rows
+            row.append(median_seconds(
+                lambda: spectral.count_below_ensemble(eng.base_band, diags, [eng.e0 + 0.1])) / 96)
+        spectral.INERTIA_ROWS = kept
+        print(f"{eng.grid.n_sites:>5} {24:>3} " + " ".join(f"{t * 1e3:>8.3f}" for t in row))
+
+
+def grid_table():
+    print(f"{'ensemble':>14} {'n':>5} {'bw':>3} {'lanes':>5} {'energies':>8} {'bisect ms':>10} "
+          f"{'passes/lane':>11} {'eig ms':>8} {'eig/bisect':>10}")
+    probes = []
+    inertia = spectral.banded_inertia
+
+    def counting(base_band, shifts, reg):
+        probes.append(len(shifts))
+        return inertia(base_band, shifts, reg)
+
+    for name, geometry, potential, energies_of, lanes in GRIDS:
+        model = build_model({"geometry": geometry, "potential": potential})
+        eng = StripEnsemble(model, L=geometry["L"], M=geometry["M"], M_ref=geometry["M_ref"],
+                            master_seed=0)
+        diags = eng.sample_diags(range(lanes))
+        energies = energies_of(eng.e0)
+        spectral.banded_inertia = counting
+        counts = spectral.count_below_ensemble(eng.base_band, diags, energies)
+        spectral.banded_inertia = inertia
+        assert np.array_equal(counts, eigenvalue_counts(eng.base_band, diags, energies))
+        bisect = median_seconds(
+            lambda: spectral.count_below_ensemble(eng.base_band, diags, energies))
+        eig = median_seconds(lambda: eigenvalue_counts(eng.base_band, diags, energies))
+        n, bw = eng.base_band.shape[1], eng.base_band.shape[0] - 1
+        print(f"{name:>14} {n:>5} {bw:>3} {lanes:>5} {len(energies):>8} {bisect * 1e3:>10.1f} "
+              f"{sum(probes) / lanes:>11.2f} {eig * 1e3:>8.1f} {eig / bisect:>10.2f}")
+        probes.clear()
+
+
+def main():
+    print(f"python {platform.python_version()}, numpy {np.__version__}, "
+          f"scipy {scipy.__version__}, {os.cpu_count()} cores, {platform.machine()}")
+    model = replace(default_model(), dist=TwoPointCouplings(-2.0, -1.0, p=0.5))
+    pass_table(model)
+    print()
+    rows_table(model)
+    print()
+    grid_table()
 
 
 if __name__ == "__main__":

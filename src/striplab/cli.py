@@ -25,6 +25,7 @@ from .floquet import band_curve, cached_reference, default_theta_grid, gap_certi
 from .grid import BC_TAGS
 from .idss import (
     StripEnsemble,
+    _surface_e0,
     bracketing_check,
     classical_campaign,
     ensemble_counts,
@@ -196,6 +197,7 @@ def run_wegner(model, geo, run, seed, workers):
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     energy = float(_opt(run, "energy", ref.e0 + 0.45 * abs(ref.e0), "run", (int, float)))
     eps, _ = ladder(run, "eps", 3e-4, 1e-2, 8)
+    _surface_e0(model, geo["M"], geo["M_ref"], lambda e0: energy + eps.max())
     rep = wegner_probe(model, energy, eps, geo["L"] or 16, geo["M"], n_samples, seed,
                        M_ref=geo["M_ref"], workers=workers)
     ok = _check(bool(np.all(np.diff(rep.probs) >= 0)), "window probability monotone in eps")

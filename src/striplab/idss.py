@@ -35,12 +35,21 @@ from .potential import (
     periodic_bulk,
 )
 from .rng import mix64, sample_seed
-from .spectral import count_below, count_below_ensemble, lower_band, lowest_k, rayleigh_ritz_upper
+from .spectral import (
+    INERTIA_ROWS,
+    count_below,
+    count_below_ensemble,
+    lower_band,
+    lowest_k,
+    rayleigh_ritz_upper,
+)
 
-# A counting block holds at most BLOCK_LANES samples, and no more than keep its
-# LDL^T work array, (n + bw) x (bw + 1) entries a lane, within BLOCK_BYTES.  A
-# pass costs least per lane at about 192 to 512 lanes and more past them (the
-# tables in ``spectral``); the byte cap bounds memory on wide strips.
+# A counting block holds at most BLOCK_LANES samples, and no more than keep
+# what the kernel holds a lane, its row of the diagonal block and its
+# (INERTIA_ROWS + bw) x (bw + 1) share of the LDL^T buffer, within
+# BLOCK_BYTES.  A pass costs least per lane at about 192 to 512 lanes and more
+# past them (the tables in ``spectral``); the byte cap bounds memory on wide
+# strips.
 BLOCK_LANES = 256
 BLOCK_BYTES = 64 << 20
 
@@ -106,14 +115,14 @@ class StripEnsemble:
         """Eigenvalue counts, shape (len(indices), len(energies)).
 
         Samples go to the counting kernel in blocks of at most
-        ``BLOCK_LANES`` whose LDL^T work array fits in ``BLOCK_BYTES``, so
-        its memory does not grow with n or bw.
+        ``BLOCK_LANES`` whose diagonals and LDL^T buffer fit in
+        ``BLOCK_BYTES``, so its memory does not grow with n or bw.
         """
         indices = list(indices)
         energies = np.atleast_1d(np.asarray(energies, dtype=float))
         out = np.empty((len(indices), len(energies)), dtype=np.int64)
         bw1, n = self.base_band.shape
-        lane_bytes = (n + bw1 - 1) * bw1 * self.base_band.itemsize
+        lane_bytes = (n + (INERTIA_ROWS + bw1 - 1) * bw1) * self.base_band.itemsize
         lanes = max(1, min(BLOCK_LANES, BLOCK_BYTES // lane_bytes))
         for lo in range(0, len(indices), lanes):
             block = indices[lo : lo + lanes]

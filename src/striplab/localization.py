@@ -20,7 +20,7 @@ from .errors import (
     ProfileUnderflow,
 )
 from .grid import GridSpec
-from .idss import StripEnsemble, ensemble_counts, hit_rate, line_fit
+from .idss import StripEnsemble, _surface_e0, ensemble_counts, hit_rate, line_fit
 from .instances import SurfaceModel
 from .spectral import DENSE_CAP
 
@@ -125,7 +125,9 @@ def wegner_probe(
     The event is evaluated from two inertia counts per sample; it is
     monotone in eps realization by realization, which is asserted.  The
     log-log slope uses windows with nondegenerate probabilities; with fewer
-    than two of them it is nan, and ``n_usable`` says so.
+    than two of them it is nan, and ``n_usable`` says so.  Windows may reach
+    past the bulk bottom (wider than the spectrum, they saturate at 1);
+    ``striplab wegner`` keeps them below it.
     """
     eps = np.sort(np.atleast_1d(np.asarray(eps_list, dtype=float)))
     if np.any(eps < 0):
@@ -181,9 +183,11 @@ def initial_scale_probe(
     Reports raw probabilities.  At fixed E they are nondecreasing in L:
     enlarging a Dirichlet box can only lower its ground energy, so larger
     strips reach a fixed tail energy at least as often (checked here
-    within three combined standard errors).
+    within three combined standard errors).  Raises like ``idss_estimate``
+    unless the highest energy lies below the bulk bottom.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    _surface_e0(model, M, M_ref, lambda e0: energies.max())
     L_values = np.asarray(sorted(int(L) for L in L_values))
     probs = np.empty((len(L_values), len(energies)))
     ses = np.empty_like(probs)

@@ -20,7 +20,7 @@ from .idss import bracketing_check, rayleigh_tail_bound, temple_tail_bound
 from .instances import default_model
 from .operator import assemble
 from .potential import contract_couplings, f_weight_matrix, periodic_bulk
-from .spectral import count_below, lowest_k
+from .spectral import count_below, count_below_ensemble, lower_band, lowest_k
 
 
 def _free_eigs_1d(n: int, bc: str) -> np.ndarray:
@@ -79,8 +79,15 @@ def _gap():
     return ok, f"gap = {rep.gap:.12f}"
 
 
+def _dense_counts(A, energies):
+    tie = 1e-12 * (abs(A).sum(axis=1).max() + np.abs(energies) + 1)
+    return np.searchsorted(np.linalg.eigvalsh(A.toarray()), energies + tie, side="right")
+
+
 def _count_oracle():
-    # a single energy takes the LDL^T pass and a 12-point grid the eigenvalues
+    # on one operator a single energy takes the LDL^T pass and a 12-point
+    # grid the eigenvalues; a 3-lane ensemble bisects an unsorted grid with
+    # one repeated energy by LDL^T passes
     rng = np.random.default_rng(2024)
     for _ in range(20):
         n = int(rng.integers(10, 120))
@@ -88,12 +95,18 @@ def _count_oracle():
         A = rng.standard_normal((n, n))
         A = sp.csr_matrix(np.triu(np.tril(A + A.T, bw), -bw))
         energies = np.append(rng.standard_normal() * 2, np.sort(rng.standard_normal(12) * 2))
-        tie = 1e-12 * (abs(A).sum(axis=1).max() + np.abs(energies) + 1)
-        want = np.searchsorted(np.linalg.eigvalsh(A.toarray()), energies + tie, side="right")
+        want = _dense_counts(A, energies)
         one, grid = count_below(A, energies[0]), count_below(A, energies[1:])
         if one != want[0] or not np.array_equal(grid, want[1:]):
             return False, f"counts {one}, {grid.tolist()} != dense {want.tolist()} (n={n})"
-    return True, "20 random instances, one energy and a 12-point grid"
+        diags = rng.uniform(-1.0, 1.0, (3, n))
+        unsorted = rng.permutation(np.append(energies[1:], energies[5]))
+        got = count_below_ensemble(lower_band(A), diags, unsorted)
+        for s, diag in enumerate(diags):
+            want = _dense_counts(A + sp.diags(diag), unsorted)
+            if not np.array_equal(got[s], want):
+                return False, f"lane {s} counts {got[s].tolist()} != dense {want.tolist()} (n={n})"
+    return True, "20 random instances, one energy, a 12-point grid and a 3-lane ensemble"
 
 
 def _ordering():

@@ -1,18 +1,20 @@
 """Eigenvalue machinery: lowest eigenpairs, counting, certified bounds.
 
-Counting below energies runs through ``count_below_ensemble``, one lane per
-operator sharing the off-diagonal structure; a single operator is the
-one-lane case.  Two kernels answer the same question:
+Counting below energies has two entry points: ``count_below_ensemble`` for
+lanes that share off-diagonal structure (the disorder ensembles), and
+``count_below`` for one operator.  Two kernels answer the same question:
 
 * the inertia of the shifted operator: an unpivoted batched LDL^T pass
-  over the lower band storage counts negative pivots at one energy;
-* the eigenvalues of each lane's band (LAPACK ``?sbevx``/``?hbevx`` over a
+  over the lower band storage counts negative pivots at one energy a lane
+  (``banded_inertia``);
+* the eigenvalues of one lane's band (LAPACK ``?sbevx``/``?hbevx`` over a
   range), found once and searched for every energy.
 
 A pass costs about n bw^2 multiply-adds per lane in about ten numpy calls
 per pivot, whatever the bandwidth and the lane count: pivot j subtracts one
-rank-1 update from its bw x bw trailing window in all lanes at once.  A
-banded eigensolve costs about n^2 bw per lane, inside LAPACK.
+rank-1 update from its bw x bw trailing window in all lanes at once.  Its
+buffer holds ``INERTIA_ROWS`` + bw rows a lane, so its memory does not grow
+with n.  A banded eigensolve costs about n^2 bw per lane, inside LAPACK.
 ``scripts/kernel_timing.py`` times both on real strip ensembles.  One
 lane's eigensolve, counted in passes per lane, over three runs on a 2-core
 x86 VM (numpy 2.4, scipy 1.17; the 96-lane column from three later runs):
@@ -25,24 +27,31 @@ x86 VM (numpy 2.4, scipy 1.17; the 96-lane column from three later runs):
     720 / 24    1.2-1.6   10-14      12-17      17-25       14-24       17-32
     1152 / 24   2.1-2.8   20-22      21-31      28-35       28-36       26-39
 
-A single energy takes the LDL^T pass and more than one take the
-eigenvalues, which stays the cheaper choice on the campaigns' traffic: the
-quantum tail counts one energy on whole 96-sample ensembles at n=192 to
-1152 (one pool task each), where a pass is 3 to 31 times cheaper, and
-bracketing and the sandwich check's periodic ``H_per`` count grids on one
-operator, where an eigensolve costs 0.4 to 2.8 passes.  The margin on ensemble grids is thin:
-the benchmark's IDSS curve sends 12 energies at n=256/bw16 on 128 lanes
-(crossover 9-10) and its classical tail 10 energies at n=384/bw24 on 192
-lanes (crossover 10-12), where the two kernels tie within the noise.  Grids
-of fewer than about 20 energies on ensembles at n >= 720, and a single
-energy on one operator below n of about 720, would be cheaper the other
-way, but no campaign sends them.  The rule reads only the number of
-energies, never the lane count, so a counting or worker block never changes
-the kernel a sample is counted with.
+The kernel follows the entry point, never the lane count, so a counting or
+worker block never changes the kernel a sample is counted with:
+
+* ``count_below_ensemble`` counts every energy by passes.  Counts are
+  nondecreasing in E, so a lane bisects its grid: it counts its highest
+  energy first, and an interval whose two end counts agree is filled
+  without a pass.  Near the band bottom counts are small, so most of a
+  grid is filled.  On the benchmark's grid ensembles (seed 0; time of the
+  per-lane eigensolves over the bisection's, three runs):
+
+      ensemble         n / bw     lanes   energies   passes a lane   eig / bisection
+      IDSS curve       256 / 16   128     12         7.08            1.37-1.61
+      classical tail   384 / 24   192     10         5.42            1.68-1.71
+
+  A single energy is one round, the quantum tail's traffic: 96-sample
+  ensembles at n=192 to 1152 (one pool task each), where a pass is 3 to
+  31 times cheaper than an eigensolve.
+* ``count_below`` counts one energy by a one-lane pass and a grid by the
+  operator's eigenvalues: bracketing and the sandwich check's periodic
+  ``H_per`` count grids on one operator, where an eigensolve costs 0.4 to
+  2.8 passes, fewer than a bisection takes.
 
 Past a few hundred lanes a pass gets dearer per lane.  Milliseconds per lane
 of one pass, three runs of the script on the same VM (blocks whose work
-array exceeds 64 MiB not run):
+array then exceeded 64 MiB not run):
 
     n / bw      256 lanes     512 lanes     1024 lanes    1536 lanes
     128 / 16    0.058-0.083   0.055-0.074   0.079-0.100   0.068-0.098
@@ -50,18 +59,30 @@ array exceeds 64 MiB not run):
     256 / 16    0.11-0.15     0.12-0.15     0.16-0.20     0.17-0.19
     384 / 24    0.50-0.56     0.49-0.63
 
-So ``idss.StripEnsemble.counts`` sends at most 256 lanes a block.  On a
+So ``idss.StripEnsemble.counts`` sends at most 256 lanes a block, and a
+grid round takes at most as many probes as the block has lanes.  On a
 2000-sample quantum tail at M=24 (n = 192 to 1152, one worker), five
 alternating pairs of runs took a median 15.1 s that way, against 17.2 s in
 blocks filling 64 MiB (1553 lanes at n=192); the 256-lane run was faster
 in four pairs.
 
+The buffer's ``INERTIA_ROWS`` = 32 rows cost no time against holding all n
+rows, and keep a lane's share at (32 + bw)(bw + 1) entries where the
+whole band took (n + bw)(bw + 1).  Milliseconds per lane of one pass on 96
+lanes, three runs:
+
+    n / bw      16 rows     32 rows     64 rows     128 rows    n rows
+    192 / 24    0.38-0.65   0.30-0.60   0.30-0.64   0.28-0.63   0.30-0.58
+    384 / 24    0.56-0.85   0.66-0.80   0.61-0.78   0.70-0.81   0.68-0.79
+    720 / 24    1.26-1.32   1.27-1.41   1.27-1.45   1.24-1.47   1.34-1.49
+    1152 / 24   2.31-2.39   2.01-2.50   2.13-2.44   2.12-2.37   2.15-2.39
+
 Both kernels keep one tie contract: each lane counts eigenvalues <= E +
 tie with tie = 1e-12 * (||H_s||_inf + |E| + 1) from its own operator.
 The LDL^T pass shifts by E + tie, nudges near-zero pivots to the tie
-scale and flags them; a flagged lane is recounted from its eigenvalues.
-So every call returns a count, counts never depend on the batch, and the
-eigenvalue kernel is nondecreasing in E by construction.
+scale and flags them; a lane with a flagged pass is recounted from its
+eigenvalues at every energy.  So every call returns a count, and counts
+never depend on the batch.
 """
 
 from __future__ import annotations
@@ -85,6 +106,7 @@ from .errors import (
 
 DENSE_CAP = 2000
 TIE_REL = 1e-12
+INERTIA_ROWS = 32  # rows an LDL^T pass factors between two loads of its buffer
 _EIGSH_SEED = 0x5EED_C0DE
 
 
@@ -168,6 +190,14 @@ def _offdiag_row_sums(band: np.ndarray) -> np.ndarray:
     return s
 
 
+def _load_rows(dst, base_band, shifts, first):
+    """Rows first, first+1, ... of the shifted operators into ``dst``, zero past n."""
+    m = min(len(dst), max(0, shifts.shape[1] - first))
+    dst[:m] = base_band.T[first : first + m, :, None]
+    dst[:m, 0] += shifts.T[first : first + m]
+    dst[m:] = 0
+
+
 def banded_inertia(base_band: np.ndarray, shifts: np.ndarray, reg):
     """Negative-pivot counts of batched banded LDL^T.
 
@@ -179,34 +209,40 @@ def banded_inertia(base_band: np.ndarray, shifts: np.ndarray, reg):
     continue).  Lanes are independent: results do not depend on the batch
     size.  The inputs are not modified.
 
-    The work array ``work[j, r, s]`` = A_s[j+r, j] keeps the lanes last and
-    bw zero rows past n, so pivot j updates its whole trailing window at
-    once: ``work[j+q, r] -= (d conj(l_q)) l_{q+r}`` for q = 1..bw, r =
-    0..bw-1, with the multipliers l read through a Hankel view of a
-    zero-padded buffer.  Every entry of the operator takes the same
-    products, in the same order, as in a column-by-column update; the
-    extra updates subtract zeros or land past n, where no pivot reads them.
+    The work buffer ``work[i, r, s]`` = A_s[top+i+r, top+i] holds
+    ``INERTIA_ROWS`` + bw rows from row ``top`` on, lanes last.  Pivot j
+    updates its whole trailing window at once: ``work[j+q, r] -= (d
+    conj(l_q)) l_{q+r}`` for q = 1..bw, r = 0..bw-1, with the multipliers l
+    read through a Hankel view of a zero-padded buffer.  After
+    ``INERTIA_ROWS`` pivots the bw rows they updated but did not factor
+    move to the front and the next rows load behind them.  Every entry of the
+    operator takes the same products, in the same order, as in a
+    column-by-column update; the extra updates subtract zeros or land past
+    n, where no pivot reads them.
     """
     S, n = shifts.shape
     bw = base_band.shape[0] - 1
+    rows = INERTIA_ROWS
     reg = np.broadcast_to(np.asarray(reg, dtype=float), (S,))
-    work = np.zeros((n + bw, bw + 1, S), dtype=np.result_type(base_band, shifts))
-    work[:n] = base_band.T[:, :, None]
-    work[:n, 0] += shifts.T
+    work = np.empty((rows + bw, bw + 1, S), dtype=np.result_type(base_band, shifts))
     l_pad = np.zeros((2 * bw, S), dtype=work.dtype)
     # hankel[c, r] = l_pad[c + r] = l_{c+r+1}
     hankel = sliding_window_view(l_pad, bw, axis=0)[:bw].transpose(0, 2, 1)
     neg = np.zeros(S, dtype=np.int64)
     hit = np.zeros(S, dtype=bool)
-    for j in range(n):
-        d = work[j, 0].real.copy()
-        small = np.abs(d) < reg
-        if small.any():
-            hit |= small
-            d[small] = np.where(d[small] < 0, -reg[small], reg[small])
-        neg += d < 0
-        np.divide(work[j, 1:], d, out=l_pad[:bw])
-        work[j + 1 : j + 1 + bw, :bw] -= (d * np.conj(l_pad[:bw]))[:, None, :] * hankel
+    _load_rows(work[rows:], base_band, shifts, 0)
+    for top in range(0, n, rows):
+        work[:bw] = work[rows:]  # rows top .. top+bw-1, updated by every pivot above them
+        _load_rows(work[bw:], base_band, shifts, top + bw)
+        for j in range(min(rows, n - top)):
+            d = work[j, 0].real.copy()
+            small = np.abs(d) < reg
+            if small.any():
+                hit |= small
+                d[small] = np.where(d[small] < 0, -reg[small], reg[small])
+            neg += d < 0
+            np.divide(work[j, 1:], d, out=l_pad[:bw])
+            work[j + 1 : j + 1 + bw, :bw] -= (d * np.conj(l_pad[:bw]))[:, None, :] * hankel
     return neg, hit
 
 
@@ -214,16 +250,31 @@ def count_below(H, E):
     """Number of eigenvalues <= E, multiplicity counted.
 
     ``E`` is a scalar or an array of energies, with numpy semantics: a
-    scalar gives an ``int``, an array an int64 array of its shape, counted
-    by one call of count_below_ensemble with one lane.  So single operators
-    and ensembles share the kernels and their tie rule: eigenvalues within
+    scalar gives an ``int``, an array an int64 array of its shape.  One
+    energy is counted by ``count_below_ensemble`` on one lane (an LDL^T
+    pass); more than one are searched in the operator's banded eigenvalues,
+    found once.  Both keep the ensemble's tie rule: eigenvalues within
     1e-12 * (||H||_inf + |E| + 1) of E count as below.  A near-tie pivot
     is resolved by the banded eigenvalue recount, so no size of operator
     raises and no caller retries with a perturbed energy.
     """
     band = lower_band(_as_matrix(H))
-    counts = count_below_ensemble(band, np.zeros((1, band.shape[1])), np.ravel(E))[0]
+    energies = np.ravel(np.asarray(E, dtype=float))
+    diag = np.zeros((1, band.shape[1]))
+    if len(energies) == 1:
+        counts = count_below_ensemble(band, diag, energies)[0]
+    else:
+        lane_norm, tie = _lane_scales(band, diag, energies)
+        counts = _lane_counts(band, diag[0], energies + tie[0], lane_norm[0])
     return int(counts[0]) if np.ndim(E) == 0 else counts.reshape(np.shape(E))
+
+
+def _lane_scales(base_band, diag_samples, energies: np.ndarray):
+    """(||H_s||_inf, tie) per lane, tie[s, k] = 1e-12 * (||H_s||_inf + |E_k| + 1)."""
+    # ||H_s||_inf from the shared off-diagonal row sums and each lane's diagonal
+    off = _offdiag_row_sums(base_band)
+    lane_norm = (np.abs(base_band[0] + diag_samples) + off).max(axis=1, initial=0.0)
+    return lane_norm, TIE_REL * (lane_norm[:, None] + np.abs(energies) + 1.0)
 
 
 def _lane_counts(base_band, diag, thresholds: np.ndarray, lane_norm: float) -> np.ndarray:
@@ -253,27 +304,56 @@ def count_below_ensemble(base_band: np.ndarray, diag_samples: np.ndarray, energi
     integer array of shape (S, n_energies): the eigenvalues of each lane
     <= E + tie, with tie = 1e-12 * (||H_s||_inf + |E| + 1) taken from that
     lane's own operator, so a count never depends on which samples share
-    the batch.
+    the batch.  The energies may come in any order and may repeat.
 
-    For more than one energy, each lane's eigenvalues below the largest
-    E + tie are found once with the LAPACK banded solver and searched for
-    every energy; the counts are then nondecreasing in E.  A single energy
-    takes one batched LDL^T pass, and a lane whose factorization meets a
-    pivot below its tie scale is recounted from its eigenvalues, at any n.
+    Every count is an LDL^T inertia, and counts are nondecreasing in E, so
+    each lane bisects its thresholds E + tie in ascending order: it counts
+    the highest first, and is done if that counts zero; then it splits
+    every interval whose two end counts differ at its midpoint, and fills
+    one whose end counts agree without a pass.  One round is one
+    ``banded_inertia`` call over at most S (lane, energy) probes.  A lane
+    is recounted from its banded eigenvalues, at every energy, when a
+    probe meets a pivot below its tie scale or counts outside the bracket
+    of its interval's end counts.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    S = diag_samples.shape[0]
-    counts = np.empty((S, len(energies)), dtype=np.int64)
-    # ||H_s||_inf from the shared off-diagonal row sums and each lane's diagonal
-    off = _offdiag_row_sums(base_band)
-    lane_norm = (np.abs(base_band[0] + diag_samples) + off).max(axis=1, initial=0.0)
-    tie = TIE_REL * (lane_norm[:, None] + np.abs(energies) + 1.0)
-    if len(energies) == 1:
-        counts[:, 0], hit = banded_inertia(base_band, diag_samples - (energies + tie), tie[:, 0])
-        lanes = np.nonzero(hit)[0]
-    else:
-        lanes = range(S)
-    for s in lanes:
+    S, K = diag_samples.shape[0], len(energies)
+    if S == 0 or K == 0:
+        return np.zeros((S, K), dtype=np.int64)
+    lane_norm, tie = _lane_scales(base_band, diag_samples, energies)
+    order = np.argsort(energies + tie, axis=1, kind="stable")
+    thresholds = np.take_along_axis(energies + tie, order, axis=1)
+    regs = np.take_along_axis(tie, order, axis=1)
+    found = np.full((S, K), -1, dtype=np.int64)
+    recount = np.zeros(S, dtype=bool)
+
+    def probe(lane, k):
+        shifts = diag_samples[lane] - thresholds[lane, k][:, None]
+        neg, hit = banded_inertia(base_band, shifts, regs[lane, k])
+        found[lane, k] = neg
+        recount[lane[hit]] = True
+        return neg
+
+    lanes = np.arange(S)
+    top = probe(lanes, np.full(S, K - 1))
+    # open intervals (lane, a, b, count at a, count at b); index -1 counts 0
+    todo = np.stack([lanes, np.full(S, -1), np.full(S, K - 1), np.zeros(S, dtype=np.int64), top])
+    while True:
+        lane, a, b, ca, cb = todo
+        todo = todo[:, (b - a > 1) & (ca != cb) & ~recount[lane]]
+        if not todo.shape[1]:
+            break
+        (lane, a, b, ca, cb), todo = todo[:, :S], todo[:, S:]
+        m = (a + b) // 2
+        c = probe(lane, m)
+        recount[lane[(c < ca) | (c > cb)]] = True
+        todo = np.concatenate([todo, [lane, a, m, ca, c], [lane, m, b, c, cb]], axis=1)
+    # an energy left unprobed takes the count of the next probed one above it
+    probed = np.where(found >= 0, np.arange(K), K - 1)
+    above = np.minimum.accumulate(probed[:, ::-1], axis=1)[:, ::-1]
+    counts = np.empty((S, K), dtype=np.int64)
+    np.put_along_axis(counts, order, np.take_along_axis(found, above, axis=1), axis=1)
+    for s in np.nonzero(recount)[0]:
         counts[s] = _lane_counts(base_band, diag_samples[s], energies + tie[s], lane_norm[s])
     return counts
 

@@ -365,6 +365,18 @@ def test_lifshits_past_bulk_bottom_exits_1(tmp_path, capsys):
         assert "InvalidParam: energies must stay below the bulk bottom" in capsys.readouterr().err
 
 
+def test_probes_past_bulk_bottom_exit_1(tmp_path, capsys):
+    # wegner and initial-scale obey the idss energy rule too: e0 is about
+    # -1.33, so a window around 0.5, or E = e0 + 3 |e0|, reaches past the
+    # zero bulk bottom
+    for sub, run in (("wegner", {"energy": 0.5}), ("initial-scale", {"energy_offsets": [0.2, 3.0]})):
+        cfg = base_config(tmp_path)
+        cfg["run"].update(run)
+        path = write_cfg(tmp_path, cfg)
+        assert main([sub, "--config", path, "--out", str(tmp_path)]) == 1, sub
+        assert "InvalidParam: energies must stay below the bulk bottom" in capsys.readouterr().err
+
+
 def small_strip_config(out, d1, d2):
     cfg = base_config(out)
     cfg["geometry"].update(d1=d1, d2=d2, L=4, M=4, M_ref=8)

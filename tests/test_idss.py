@@ -28,7 +28,7 @@ from striplab.instances import classical_model, default_model, pinned_model
 from striplab.operator import assemble
 from striplab.potential import CosineBulk, IidUniformBulk, TwoPointCouplings, periodic_bulk
 from striplab.rng import mix64
-from striplab.spectral import count_below, count_below_ensemble
+from striplab.spectral import INERTIA_ROWS, count_below, count_below_ensemble
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +91,9 @@ def test_ground_state_reference_solved_once(model, monkeypatch):
 
 
 def test_engine_counts_batch_size_invariant(model, energies, monkeypatch):
-    # a lane cap of five, or a byte budget of three lanes' LDL^T work arrays,
-    # splits 12 samples into blocks of at most that many lanes, with the
-    # counts of one 12-lane block, with and without a random bulk V_b
+    # a lane cap of five, or a byte budget of three lanes' diagonals and LDL^T
+    # buffer shares, splits 12 samples into blocks of at most that many lanes,
+    # with the counts of one 12-lane block, with and without a random bulk V_b
     lanes = []
 
     def recording(base_band, diag_samples, energies):
@@ -103,12 +103,12 @@ def test_engine_counts_batch_size_invariant(model, energies, monkeypatch):
     monkeypatch.setattr(idss, "count_below_ensemble", recording)
     eng = StripEnsemble(model, L=6, M=8, bc="D", master_seed=3)
     bw1, n = eng.base_band.shape
-    per_lane = (n + bw1 - 1) * bw1 * eng.base_band.itemsize
+    per_lane = (n + (INERTIA_ROWS + bw1 - 1) * bw1) * eng.base_band.itemsize
     caps = ((idss.BLOCK_LANES, idss.BLOCK_BYTES, [12]), (5, idss.BLOCK_BYTES, [5, 5, 2]),
             (idss.BLOCK_LANES, 3 * per_lane, [3] * 4), (5, 4 * per_lane - 1, [3] * 4))
     for m in (model, replace(model, bulk_random=IidUniformBulk(0.4))):
         eng = StripEnsemble(m, L=6, M=8, bc="D", master_seed=3)
-        for E in (energies, energies[:1]):  # the eigenvalue and the LDL^T kernel
+        for E in (energies, energies[:1]):  # a bisected grid and one round
             got = []
             for max_lanes, budget, want in caps:
                 monkeypatch.setattr(idss, "BLOCK_LANES", max_lanes)

@@ -158,30 +158,158 @@ def _random_lower_band(rng, n, bw, is_complex):
 
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_ensemble_kernels_agree_by_column(is_complex, monkeypatch):
-    # an energy grid takes the eigenvalues and each of its columns the LDL^T
-    # pass: the same counts, nondecreasing along the grid
+    # an energy grid is bisected by LDL^T passes and makes no eigensolve; it
+    # counts as its columns do one energy at a time, nondecreasing along it
     import striplab.spectral
 
-    passes = []
-    inertia = striplab.spectral.banded_inertia
+    passes, solves = [], []
+    inertia, lane_counts = striplab.spectral.banded_inertia, striplab.spectral._lane_counts
 
     def counting(base_band, shifts, reg):
-        passes.append(shifts.shape)
+        passes.append(len(shifts))
         return inertia(base_band, shifts, reg)
 
+    def solving(*args):
+        solves.append(args)
+        return lane_counts(*args)
+
     monkeypatch.setattr(striplab.spectral, "banded_inertia", counting)
+    monkeypatch.setattr(striplab.spectral, "_lane_counts", solving)
     rng = np.random.default_rng(19 + is_complex)
     for n, bw, n_e in ((12, 2, 6), (150, 2, 9), (300, 5, 3), (300, 5, 8)):
         base = _random_lower_band(rng, n, bw, is_complex)
         diags = rng.uniform(-2.0, 2.0, (5, n))
         energies = np.sort(rng.uniform(-4.0, 4.0, n_e))
         counts = count_below_ensemble(base, diags, energies)
-        assert passes == []
+        assert passes and max(passes) <= 5 and solves == []
+        passes.clear()
         cols = [count_below_ensemble(base, diags, [E])[:, 0] for E in energies]
-        assert len(passes) == n_e
+        assert passes == [5] * n_e and solves == []
         passes.clear()
         assert np.array_equal(counts, np.column_stack(cols))
         assert np.all(np.diff(counts, axis=1) >= 0)
+
+
+def _dense_lane(base, diag):
+    """Dense Hermitian operator of the lower band ``base`` plus ``diag`` on its diagonal."""
+    n = base.shape[1]
+    A = np.diag(base[0] + diag).astype(base.dtype)
+    for r in range(1, base.shape[0]):
+        A[np.arange(r, n), np.arange(n - r)] = base[r, : n - r]
+        A[np.arange(n - r), np.arange(r, n)] = np.conj(base[r, : n - r])
+    return A
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_ensemble_grid_bisection_dense_oracle(is_complex, monkeypatch):
+    # unsorted grids with repeated energies, a lane above the whole grid
+    # (counts 0 at its top), an empty grid and no lanes; no call takes more
+    # lanes than were sent, and each lane alone counts as in the batch
+    import striplab.spectral
+
+    passes, inertia = [], striplab.spectral.banded_inertia
+
+    def counting(base_band, shifts, reg):
+        passes.append(len(shifts))
+        return inertia(base_band, shifts, reg)
+
+    monkeypatch.setattr(striplab.spectral, "banded_inertia", counting)
+    rng = np.random.default_rng(37 + is_complex)
+    for n, bw in ((1, 0), (7, 3), (40, 0), (60, 2), (120, 6)):
+        base = _random_lower_band(rng, n, bw, is_complex)
+        diags = rng.uniform(-3.0, 3.0, (9, n))
+        diags[0] += 100.0
+        grid = rng.uniform(-4.0, 4.0, 7)
+        energies = rng.permutation(np.concatenate([grid, grid[:3]]))
+        passes.clear()
+        counts = count_below_ensemble(base, diags, energies)
+        assert max(passes) <= 9
+        assert counts.dtype == np.int64 and counts.shape == (9, 10)
+        assert not counts[0].any()
+        for s in range(9):
+            A = _dense_lane(base, diags[s])
+            assert counts[s].tolist() == [dense_count(A, E) for E in energies]
+            assert count_below_ensemble(base, diags[s : s + 1], energies)[0].tolist() == counts[s].tolist()
+        assert count_below_ensemble(base, diags, []).shape == (9, 0)
+        assert count_below_ensemble(base, diags[:0], energies).shape == (0, 10)
+
+
+def test_ensemble_grid_recounts_flagged_mid_probe(monkeypatch):
+    # the 2x2 lane of test_count_below_recounts_flagged_pivot on a grid: the
+    # top and bottom probes count 2 and 0, so the bisection probes E = 1,
+    # where the nudged pivot undercounts; the lane is recounted from its
+    # eigenvalues at every energy, and only that lane
+    import striplab.spectral
+
+    recounted, lane_counts = [], striplab.spectral._lane_counts
+
+    def solving(base_band, diag, thresholds, lane_norm):
+        recounted.append(diag.tolist())
+        return lane_counts(base_band, diag, thresholds, lane_norm)
+
+    monkeypatch.setattr(striplab.spectral, "_lane_counts", solving)
+    E, b, c = 1.0, 8e-7, 1.3
+    tie = 1e-12 * (c + b + E + 1.0)
+    base = np.array([[0.0, 0.0], [b, 0.0]])
+    diags = np.array([[E + 1.5 * tie, c], [0.7, 1.6], [-0.2, 2.5]])
+    energies = [2.0, E, 0.5, E]
+    counts = count_below_ensemble(base, diags, energies)
+    assert recounted == [diags[0].tolist()]
+    for s in range(3):
+        A = _dense_lane(base, diags[s])
+        assert counts[s].tolist() == [dense_count(A, e) for e in energies]
+    assert counts[0].tolist() == [2, 1, 0, 1]
+    # the flagged pass alone undercounts E: only the recount sees 1
+    neg, hit = banded_inertia(base, diags[:1] - (E + tie), tie)
+    assert neg[0] == 0 and hit[0]
+
+
+def test_ensemble_grid_recounts_probe_outside_bracket(monkeypatch):
+    # a second-round probe that counts more than its interval's upper end
+    # (here n + 1, forced) sends its lane to the eigenvalue recount
+    import striplab.spectral
+
+    rounds, inertia = [], striplab.spectral.banded_inertia
+    recounted, lane_counts = [], striplab.spectral._lane_counts
+
+    def lying(base_band, shifts, reg):
+        neg, hit = inertia(base_band, shifts, reg)
+        rounds.append(shifts.copy())
+        return (neg + base_band.shape[1] + 1 if len(rounds) == 2 else neg), hit
+
+    def solving(base_band, diag, thresholds, lane_norm):
+        recounted.append(diag.tolist())
+        return lane_counts(base_band, diag, thresholds, lane_norm)
+
+    monkeypatch.setattr(striplab.spectral, "banded_inertia", lying)
+    monkeypatch.setattr(striplab.spectral, "_lane_counts", solving)
+    rng = np.random.default_rng(43)
+    base = _random_lower_band(rng, 30, 2, False)
+    diags = rng.uniform(-2.0, 2.0, (4, 30))
+    energies = np.linspace(-3.0, 3.0, 8)
+    counts = count_below_ensemble(base, diags, energies)
+    assert len(rounds[1]) == 4 and len(recounted) == 4
+    for s in range(4):
+        A = _dense_lane(base, diags[s])
+        assert counts[s].tolist() == [dense_count(A, E) for E in energies]
+
+
+def test_banded_inertia_memory_flat_in_n():
+    # the rolling row buffer holds INERTIA_ROWS + bw rows whatever n is
+    import tracemalloc
+
+    rng = np.random.default_rng(41)
+    peaks = []
+    for n in (256, 4096):
+        base = _random_lower_band(rng, n, 8, False)
+        shifts = rng.uniform(-3.0, 3.0, (16, n))
+        tracemalloc.start()
+        banded_inertia(base, shifts, 1e-12)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # a whole-band (n + bw, bw + 1, S) work array would take 4.7 MB at n = 4096
+    assert peaks[1] <= 1.1 * peaks[0] + 4096
+    assert peaks[1] < 200_000
 
 
 def _column_loop_inertia(band, reg):
@@ -300,8 +428,8 @@ def test_count_below_recounts_flagged_pivot():
 
 def test_ensemble_count_independent_of_chunkmates():
     # the tie scale is the lane's own norm, so a large-diagonal chunkmate
-    # cannot widen it, in the LDL^T pass of one energy and in the
-    # eigenvalues of a grid; one lane eigenvalue lies exactly at E
+    # cannot widen it, in the LDL^T pass of one energy and in the bisection
+    # of a grid; one lane eigenvalue lies exactly at E
     base = np.zeros((1, 3))
     lane = np.array([1.0 + 1e-9, 1.0, 3.0])
     grid = np.linspace(1.0, 2.0, 5)
