@@ -49,7 +49,9 @@ CONFIGS = {"small": SMALL, "cosine": COSINE, "iid": IID, "power": POWER}
 # (subcommand, run fields set over the config's, CSV it writes); the "D" and
 # 240-sample idss variants count the sandwich's chi ensemble apart from a
 # Dirichlet curve, and take it from the first 200 rows of a 240-sample chi
-# curve; with the "N" and "chi_x1" variants every boundary tag is run
+# curve; with the "N" and "chi_x1" variants every boundary tag is run; the
+# 300-sample curve is more than one block of spectral.BLOCK_LANES, so two
+# trees that cut it into different blocks must still print the same digests
 RUNS = [
     ("band", {}, "band.csv"),
     ("gap", {}, "gap.csv"),
@@ -58,6 +60,7 @@ RUNS = [
     ("idss", {"bc": "N"}, "idss.csv"),
     ("idss", {"bc": "chi_x1"}, "idss.csv"),
     ("idss", {"n_samples": 240}, "idss.csv"),
+    ("idss", {"n_samples": 300}, "idss.csv"),
     ("lifshits", {"mode": "quantum"}, "lifshits_quantum.csv"),
     ("lifshits", {"mode": "classical"}, "lifshits_classical.csv"),
     ("decay", {}, "decay.csv"),

@@ -9,12 +9,13 @@ Three tables, each time the median of three runs:
   (the block of a lone ensemble split over two workers), a whole
   quantum-tail ensemble (the task a worker takes when a campaign's
   ensembles share one pool), the ensembles of the IDSS curve and of the
-  classical tail, a block of ``idss.BLOCK_LANES``, and the larger blocks a
-  2000-sample ensemble would take without that cap.  Beside it, one lane's
+  classical tail, a block of ``spectral.BLOCK_LANES`` (the cap of
+  ``spectral.block_lanes``), and the larger blocks a 2000-sample ensemble
+  would take without that cap.  Beside it, one lane's
   banded eigensolve over a 12-point tail grid (e0 + 0.02 ... e0 + 0.7,
   median over 32 lanes), and the crossover: how many passes that
-  eigensolve costs.  ``count_below`` counts a grid on one operator by the
-  eigensolve and one energy by the pass;
+  eigensolve costs.  ``count_below`` counts one operator by the eigensolve,
+  at one energy or many;
 * the same pass on 96 lanes at the quantum tail's strips (M = 24, n = 192
   to 1152) for several row counts of the LDL^T buffer, the last being n
   (the whole band at once); ``spectral.INERTIA_ROWS`` is chosen from it;

@@ -240,6 +240,8 @@ def run_dynamics(model, geo, run, seed, workers):
 
 def run_bounds(model, geo, run, seed, workers):
     L = geo["L"] or 8
+    if L < 2:
+        raise ConfigInvalid("geometry.L: gap certificates need L >= 2")
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     gap = gap_certificate(model.u_per(), [L], ref, M=geo["M"])[0].gap
     grid = model.strip_grid(L, geo["M"])

@@ -15,6 +15,7 @@ each to its BoundarySpec.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -36,22 +37,13 @@ from .potential import (
 )
 from .rng import mix64, sample_seed
 from .spectral import (
-    INERTIA_ROWS,
+    block_lanes,
     count_below,
     count_below_ensemble,
     lower_band,
     lowest_k,
     rayleigh_ritz_upper,
 )
-
-# A counting block holds at most BLOCK_LANES samples, and no more than keep
-# what the kernel holds a lane, its row of the diagonal block and its
-# (INERTIA_ROWS + bw) x (bw + 1) share of the LDL^T buffer, within
-# BLOCK_BYTES.  A pass costs least per lane at about 192 to 512 lanes and more
-# past them (the tables in ``spectral``); the byte cap bounds memory on wide
-# strips.
-BLOCK_LANES = 256
-BLOCK_BYTES = 64 << 20
 
 class StripEnsemble:
     """Shared-structure disorder ensemble on one strip geometry.
@@ -112,24 +104,8 @@ class StripEnsemble:
         return assemble(self.grid, self.u_b + self.sample_diag(index), self.bcs)
 
     def counts(self, indices: Sequence[int], energies) -> np.ndarray:
-        """Eigenvalue counts, shape (len(indices), len(energies)).
-
-        Samples go to the counting kernel in blocks of at most
-        ``BLOCK_LANES`` whose diagonals and LDL^T buffer fit in
-        ``BLOCK_BYTES``, so its memory does not grow with n or bw.
-        """
-        indices = list(indices)
-        energies = np.atleast_1d(np.asarray(energies, dtype=float))
-        out = np.empty((len(indices), len(energies)), dtype=np.int64)
-        bw1, n = self.base_band.shape
-        lane_bytes = (n + (INERTIA_ROWS + bw1 - 1) * bw1) * self.base_band.itemsize
-        lanes = max(1, min(BLOCK_LANES, BLOCK_BYTES // lane_bytes))
-        for lo in range(0, len(indices), lanes):
-            block = indices[lo : lo + lanes]
-            out[lo : lo + len(block)] = count_below_ensemble(
-                self.base_band, self.sample_diags(block), energies
-            )
-        return out
+        """Counts of one sample block, shape (len(indices), len(energies)), in one kernel call."""
+        return count_below_ensemble(self.base_band, self.sample_diags(indices), energies)
 
 
 def _counts_block(args):
@@ -143,15 +119,17 @@ def ensemble_counts(jobs, workers: int = 1) -> list:
     ``jobs`` is a list of ``(engine, n_samples, energies)``; each job counts
     its samples 0..n_samples-1.  A caller sends all the ensembles of one run
     in one call: a campaign its ensembles, ``striplab idss`` its curve's
-    ensemble with the sandwich check's.  At one worker the jobs run in order
-    in this process.  Otherwise every job is split into ceil(workers / len(jobs))
-    sample blocks, and all blocks go out largest first (sites x samples) as
-    one task list to one process pool that lives for this call only; each
-    task carries its built engine.  So a campaign's many ensembles travel
-    whole and fill the workers between them, while a lone ensemble is still
-    split across the workers.  On the benchmark's two-worker quantum tail
-    (12 ensembles of 96 samples, 2-core VM) the median run took 1.10 s,
-    against 1.45 s with a pool per ensemble and half-ensemble blocks.
+    ensemble with the sandwich check's.  Only here are samples split: each
+    job into max(ceil(workers / len(jobs)), ceil(n_samples / block_lanes))
+    contiguous blocks (``spectral.block_lanes``), each one ``_counts_block``
+    task.  The tasks run largest first (sites x samples), at one worker in
+    this process, else in one pool of at most ``os.cpu_count()`` processes
+    that lives for this call only; each task carries its built engine.  So
+    a campaign's many ensembles travel whole and fill the workers between
+    them, while a lone ensemble is still split across the workers.  On the
+    benchmark's two-worker quantum tail (12 ensembles of 96 samples, 2-core
+    VM) the median run took 1.10 s, against 1.45 s with a pool per ensemble
+    and half-ensemble blocks.
 
     Neither the partition nor the task order affects a count: each sample's
     seed is derived from its index alone, and the counting kernel never
@@ -159,18 +137,21 @@ def ensemble_counts(jobs, workers: int = 1) -> list:
     """
     jobs = [(engine, n, np.atleast_1d(np.asarray(energies, dtype=float)))
             for engine, n, energies in jobs]
-    if workers <= 1:
-        return [engine.counts(range(n), energies) for engine, n, energies in jobs]
-    split = -(-workers // max(1, len(jobs)))
-    tasks = [(j, block) for j, (_, n, _) in enumerate(jobs)
-             for block in np.array_split(np.arange(n), split) if len(block)]
+    tasks = []
+    for j, (engine, n, _) in enumerate(jobs):
+        split = max(1, -(-workers // len(jobs)), -(-n // block_lanes(engine.base_band)))
+        tasks += [(j, block) for block in np.array_split(np.arange(n), split) if len(block)]
     tasks.sort(key=lambda t: jobs[t[0]][0].grid.n_sites * len(t[1]), reverse=True)
+    args = [(jobs[j][0], block.tolist(), jobs[j][2]) for j, block in tasks]
+    if workers <= 1:
+        results = [_counts_block(a) for a in args]
+    else:
+        processes = min(workers, len(args), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=max(1, processes)) as ex:
+            results = [fut.result() for fut in [ex.submit(_counts_block, a) for a in args]]
     out = [np.empty((n, len(energies)), dtype=np.int64) for _, n, energies in jobs]
-    with ProcessPoolExecutor(max_workers=max(1, min(workers, len(tasks)))) as ex:
-        futures = [ex.submit(_counts_block, (jobs[j][0], block.tolist(), jobs[j][2]))
-                   for j, block in tasks]
-        for (j, block), fut in zip(tasks, futures):
-            out[j][block[0] : block[-1] + 1] = fut.result()
+    for (j, block), counts in zip(tasks, results):
+        out[j][block[0] : block[-1] + 1] = counts
     return out
 
 

@@ -85,9 +85,10 @@ def _dense_counts(A, energies):
 
 
 def _count_oracle():
-    # on one operator a single energy takes the LDL^T pass and a 12-point
-    # grid the eigenvalues; a 3-lane ensemble bisects an unsorted grid with
-    # one repeated energy by LDL^T passes
+    # ensembles are counted by LDL^T passes, one operator by its eigenvalues:
+    # count_below on one energy and on a 12-point grid; a 3-lane ensemble at
+    # one energy (the quantum tail's traffic, one round of passes) and on an
+    # unsorted grid with one repeated energy (a bisection)
     rng = np.random.default_rng(2024)
     for _ in range(20):
         n = int(rng.integers(10, 120))
@@ -101,12 +102,13 @@ def _count_oracle():
             return False, f"counts {one}, {grid.tolist()} != dense {want.tolist()} (n={n})"
         diags = rng.uniform(-1.0, 1.0, (3, n))
         unsorted = rng.permutation(np.append(energies[1:], energies[5]))
-        got = count_below_ensemble(lower_band(A), diags, unsorted)
-        for s, diag in enumerate(diags):
-            want = _dense_counts(A + sp.diags(diag), unsorted)
-            if not np.array_equal(got[s], want):
-                return False, f"lane {s} counts {got[s].tolist()} != dense {want.tolist()} (n={n})"
-    return True, "20 random instances, one energy, a 12-point grid and a 3-lane ensemble"
+        for probes in (energies[:1], unsorted):
+            got = count_below_ensemble(lower_band(A), diags, probes)
+            for s, diag in enumerate(diags):
+                want = _dense_counts(A + sp.diags(diag), probes)
+                if not np.array_equal(got[s], want):
+                    return False, f"lane {s}: {got[s].tolist()} != dense {want.tolist()} (n={n})"
+    return True, "20 random instances, one energy and a 12-point grid, one operator and 3 lanes"
 
 
 def _ordering():

@@ -28,7 +28,8 @@ x86 VM (numpy 2.4, scipy 1.17; the 96-lane column from three later runs):
     1152 / 24   2.1-2.8   20-22      21-31      28-35       28-36       26-39
 
 The kernel follows the entry point, never the lane count, so a counting or
-worker block never changes the kernel a sample is counted with:
+worker block never changes the kernel a sample is counted with: ensembles
+are counted by passes, one operator by its eigenvalues.
 
 * ``count_below_ensemble`` counts every energy by passes.  Counts are
   nondecreasing in E, so a lane bisects its grid: it counts its highest
@@ -44,10 +45,10 @@ worker block never changes the kernel a sample is counted with:
   A single energy is one round, the quantum tail's traffic: 96-sample
   ensembles at n=192 to 1152 (one pool task each), where a pass is 3 to
   31 times cheaper than an eigensolve.
-* ``count_below`` counts one energy by a one-lane pass and a grid by the
-  operator's eigenvalues: bracketing and the sandwich check's periodic
-  ``H_per`` count grids on one operator, where an eigensolve costs 0.4 to
-  2.8 passes, fewer than a bisection takes.
+* ``count_below`` counts one operator from its banded eigenvalues, found
+  once, at one energy or many: its callers, bracketing and the sandwich
+  check's periodic ``H_per``, count grids, where an eigensolve costs 0.4
+  to 2.8 passes, fewer than a bisection takes.
 
 Past a few hundred lanes a pass gets dearer per lane.  Milliseconds per lane
 of one pass, three runs of the script on the same VM (blocks whose work
@@ -59,12 +60,11 @@ array then exceeded 64 MiB not run):
     256 / 16    0.11-0.15     0.12-0.15     0.16-0.20     0.17-0.19
     384 / 24    0.50-0.56     0.49-0.63
 
-So ``idss.StripEnsemble.counts`` sends at most 256 lanes a block, and a
-grid round takes at most as many probes as the block has lanes.  On a
-2000-sample quantum tail at M=24 (n = 192 to 1152, one worker), five
-alternating pairs of runs took a median 15.1 s that way, against 17.2 s in
-blocks filling 64 MiB (1553 lanes at n=192); the 256-lane run was faster
-in four pairs.
+So ``block_lanes`` caps a block at ``BLOCK_LANES`` = 256 lanes, and a grid
+round takes at most as many probes as the block has lanes.  On a 2000-sample
+quantum tail at M=24 (n = 192 to 1152, one worker), five alternating pairs
+of runs took a median 15.1 s that way, against 17.2 s in blocks filling
+64 MiB (1553 lanes at n=192); the 256-lane run was faster in four pairs.
 
 The buffer's ``INERTIA_ROWS`` = 32 rows cost no time against holding all n
 rows, and keep a lane's share at (32 + bw)(bw + 1) entries where the
@@ -107,6 +107,8 @@ from .errors import (
 DENSE_CAP = 2000
 TIE_REL = 1e-12
 INERTIA_ROWS = 32  # rows an LDL^T pass factors between two loads of its buffer
+BLOCK_LANES = 256
+BLOCK_BYTES = 64 << 20
 _EIGSH_SEED = 0x5EED_C0DE
 
 
@@ -250,22 +252,17 @@ def count_below(H, E):
     """Number of eigenvalues <= E, multiplicity counted.
 
     ``E`` is a scalar or an array of energies, with numpy semantics: a
-    scalar gives an ``int``, an array an int64 array of its shape.  One
-    energy is counted by ``count_below_ensemble`` on one lane (an LDL^T
-    pass); more than one are searched in the operator's banded eigenvalues,
-    found once.  Both keep the ensemble's tie rule: eigenvalues within
-    1e-12 * (||H||_inf + |E| + 1) of E count as below.  A near-tie pivot
-    is resolved by the banded eigenvalue recount, so no size of operator
-    raises and no caller retries with a perturbed energy.
+    scalar gives an ``int``, an array an int64 array of its shape.  Every
+    energy is searched in the operator's banded eigenvalues, found once,
+    under the ensemble's tie rule: eigenvalues within
+    1e-12 * (||H||_inf + |E| + 1) of E count as below.  So no size of
+    operator raises and no caller retries with a perturbed energy.
     """
     band = lower_band(_as_matrix(H))
     energies = np.ravel(np.asarray(E, dtype=float))
     diag = np.zeros((1, band.shape[1]))
-    if len(energies) == 1:
-        counts = count_below_ensemble(band, diag, energies)[0]
-    else:
-        lane_norm, tie = _lane_scales(band, diag, energies)
-        counts = _lane_counts(band, diag[0], energies + tie[0], lane_norm[0])
+    lane_norm, tie = _lane_scales(band, diag, energies)
+    counts = _lane_counts(band, diag[0], energies + tie[0], lane_norm[0])
     return int(counts[0]) if np.ndim(E) == 0 else counts.reshape(np.shape(E))
 
 
@@ -295,6 +292,18 @@ def _lane_counts(base_band, diag, thresholds: np.ndarray, lane_norm: float) -> n
     return np.searchsorted(evals, thresholds, side="right")
 
 
+def block_lanes(base_band: np.ndarray) -> int:
+    """Most lanes one ``count_below_ensemble`` call should take on ``base_band``.
+
+    At most ``BLOCK_LANES``, and no more than fit in ``BLOCK_BYTES`` at a
+    lane's diagonal row plus its (INERTIA_ROWS + bw)(bw + 1) buffer share,
+    so a block's memory does not grow with n or bw.
+    """
+    bw1, n = base_band.shape
+    lane_bytes = (n + (INERTIA_ROWS + bw1 - 1) * bw1) * base_band.itemsize
+    return max(1, min(BLOCK_LANES, BLOCK_BYTES // lane_bytes))
+
+
 def count_below_ensemble(base_band: np.ndarray, diag_samples: np.ndarray, energies) -> np.ndarray:
     """Counts for an ensemble sharing off-diagonal structure.
 
@@ -314,7 +323,7 @@ def count_below_ensemble(base_band: np.ndarray, diag_samples: np.ndarray, energi
     ``banded_inertia`` call over at most S (lane, energy) probes.  A lane
     is recounted from its banded eigenvalues, at every energy, when a
     probe meets a pivot below its tie scale or counts outside the bracket
-    of its interval's end counts.
+    of its interval's end counts.  ``block_lanes`` sizes the call.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     S, K = diag_samples.shape[0], len(energies)

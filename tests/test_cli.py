@@ -248,6 +248,7 @@ def test_malformed_config_names_field(tmp_path, capsys, monkeypatch):
              (("potential", "profile"), {"kind": "compact", "x2_box": [1, -1]}, ("band",)),
              (("geometry", "L"), True, ("idss",)),
              (("geometry", "L"), None, ("idss",)),
+             (("geometry", "L"), 1, ("bounds",)),  # a gap certificate needs L >= 2
              (("run", "n_samples"), "abc", ("wegner",)),
              (("run", "deltas"), 5, ("lifshits",)),
              (("run", "L_bounds"), 7, ("lifshits",)),

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import striplab.floquet as floquet
 import striplab.idss as idss
+import striplab.spectral as spectral
 from striplab.errors import GapTooSmall, InvalidParam, S4Violated
 from striplab.floquet import gap_certificate, ground_state_cell
 from striplab.grid import bc_all_dirichlet
@@ -28,7 +29,7 @@ from striplab.instances import classical_model, default_model, pinned_model
 from striplab.operator import assemble
 from striplab.potential import CosineBulk, IidUniformBulk, TwoPointCouplings, periodic_bulk
 from striplab.rng import mix64
-from striplab.spectral import INERTIA_ROWS, count_below, count_below_ensemble
+from striplab.spectral import count_below, count_below_ensemble
 
 
 @pytest.fixture(scope="module")
@@ -90,10 +91,38 @@ def test_ground_state_reference_solved_once(model, monkeypatch):
     assert len(calls) == 1
 
 
+def inline_pool():
+    """A ProcessPoolExecutor stand-in that runs each task in this process.
+
+    It records every pool's ``max_workers`` and every task's sample count.
+    """
+
+    class InlinePool:
+        sizes, blocks = [], []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def submit(self, fn, args):
+            self.blocks.append(len(args[1]))
+            result = fn(args)
+            return SimpleNamespace(result=lambda: result)
+
+    return InlinePool
+
+
 def test_engine_counts_batch_size_invariant(model, energies, monkeypatch):
     # a lane cap of five, or a byte budget of three lanes' diagonals and LDL^T
-    # buffer shares, splits 12 samples into blocks of at most that many lanes,
-    # with the counts of one 12-lane block, with and without a random bulk V_b
+    # buffer shares, cuts 12 samples into near-equal blocks of at most that
+    # many lanes, and two workers into at least two blocks; ensemble_counts
+    # sends each block as one kernel call, with the counts of one 12-lane
+    # call, with and without a random bulk V_b
     lanes = []
 
     def recording(base_band, diag_samples, energies):
@@ -101,22 +130,45 @@ def test_engine_counts_batch_size_invariant(model, energies, monkeypatch):
         return count_below_ensemble(base_band, diag_samples, energies)
 
     monkeypatch.setattr(idss, "count_below_ensemble", recording)
+    monkeypatch.setattr(idss, "ProcessPoolExecutor", inline_pool())
     eng = StripEnsemble(model, L=6, M=8, bc="D", master_seed=3)
-    bw1, n = eng.base_band.shape
-    per_lane = (n + (INERTIA_ROWS + bw1 - 1) * bw1) * eng.base_band.itemsize
-    caps = ((idss.BLOCK_LANES, idss.BLOCK_BYTES, [12]), (5, idss.BLOCK_BYTES, [5, 5, 2]),
-            (idss.BLOCK_LANES, 3 * per_lane, [3] * 4), (5, 4 * per_lane - 1, [3] * 4))
+    # one lane's bytes, read back from block_lanes under a budget so far above
+    # a lane's that the floor division loses nothing
+    max_lanes, max_bytes = spectral.BLOCK_LANES, spectral.BLOCK_BYTES
+    monkeypatch.setattr(spectral, "BLOCK_LANES", 1 << 40)
+    monkeypatch.setattr(spectral, "BLOCK_BYTES", 1 << 40)
+    per_lane = (1 << 40) // spectral.block_lanes(eng.base_band)
+    # (lane cap, byte budget, blocks at one worker, blocks at two)
+    caps = ((max_lanes, max_bytes, [12], [6, 6]), (5, max_bytes, [4] * 3, [4] * 3),
+            (max_lanes, 3 * per_lane, [3] * 4, [3] * 4), (5, 4 * per_lane - 1, [3] * 4, [3] * 4))
     for m in (model, replace(model, bulk_random=IidUniformBulk(0.4))):
         eng = StripEnsemble(m, L=6, M=8, bc="D", master_seed=3)
         for E in (energies, energies[:1]):  # a bisected grid and one round
-            got = []
-            for max_lanes, budget, want in caps:
-                monkeypatch.setattr(idss, "BLOCK_LANES", max_lanes)
-                monkeypatch.setattr(idss, "BLOCK_BYTES", budget)
-                lanes.clear()
-                got.append(eng.counts(range(12), E))
-                assert lanes == want
-            assert all(np.array_equal(g, got[0]) for g in got)
+            want = eng.counts(range(12), E)
+            for cap, budget, *blocks in caps:
+                monkeypatch.setattr(spectral, "BLOCK_LANES", cap)
+                monkeypatch.setattr(spectral, "BLOCK_BYTES", budget)
+                for workers, want_lanes in zip((1, 2), blocks):
+                    lanes.clear()
+                    (got,) = ensemble_counts([(eng, 12, E)], workers=workers)
+                    assert lanes == want_lanes, (cap, budget, workers)
+                    assert np.array_equal(got, want)
+
+
+def test_pool_capped_at_cpu_count(model, energies, monkeypatch):
+    # 64 workers on a 2-core machine: the samples are cut for 64 workers, one
+    # block a sample here, but the pool holds two processes, with the counts
+    # of one worker, which starts no pool; no process is started
+    pool = inline_pool()
+    monkeypatch.setattr(idss, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(idss.os, "cpu_count", lambda: 2)
+    eng = StripEnsemble(model, L=6, M=8, bc="chi", master_seed=9)
+    jobs = [(eng, 16, energies), (eng, 3, energies[:1])]
+    got = ensemble_counts(jobs, workers=64)
+    assert pool.sizes == [2] and pool.blocks == [1] * 19
+    for g, w in zip(got, ensemble_counts(jobs, workers=1)):
+        assert np.array_equal(g, w)
+    assert pool.sizes == [2] and multiprocessing.active_children() == []
 
 
 def test_worker_count_never_changes_results(model, energies):
@@ -124,6 +176,10 @@ def test_worker_count_never_changes_results(model, energies):
     (one,) = ensemble_counts([(eng, 16, energies)], workers=1)
     (two,) = ensemble_counts([(eng, 16, energies)], workers=2)
     assert np.array_equal(one, two)
+    # a job of no samples is an empty array at any worker count, zero included
+    for workers in (0, 1):
+        (none,) = ensemble_counts([(eng, 0, energies)], workers=workers)
+        assert none.shape == (0, len(energies))
 
 
 def test_ensemble_counts_job_list(model, energies, monkeypatch):

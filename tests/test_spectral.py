@@ -402,28 +402,32 @@ def test_count_below_grid_under_spectrum():
 
 def test_count_below_near_tie_beyond_dense_size():
     # an eigenvalue strictly inside the regularization band around E + tie,
-    # also on an operator past the old dense-fallback size: the flagged
-    # LDL^T pivot is recounted from the banded eigenvalues, with no
-    # exception, and an energy grid counts it from the eigenvalues
+    # also on an operator past the old dense-fallback size: count_below
+    # counts it from the banded eigenvalues, at one energy and on a grid,
+    # and an ensemble lane recounts its flagged LDL^T pivot the same way,
+    # with no exception
     diag = np.full(2001, 3.0)
     diag[:2] = [1.0 + 2.5e-12, 1.0]
     near = sp.csr_matrix(np.diag([1.0 + 2.5e-12, 1.0, 3.0]))
     assert count_below(near, 1.0) == 2
     assert count_below(near, [1.0, 2.0]).tolist() == [2, 2]
     assert count_below(sp.diags(diag, format="csr"), 1.0) == 2
+    assert count_below_ensemble(np.zeros((1, 2001)), diag[None], [1.0]).tolist() == [[2]]
 
 
 def test_count_below_recounts_flagged_pivot():
     # the first pivot lies inside the tie band and is nudged, which flips the
     # sign of the second; the lowest eigenvalue sits 4.8e-13 below E + tie, so
-    # only the eigenvalue recount of the flagged lane counts it
+    # only the eigenvalue recount of the flagged lane counts it, in a one-lane
+    # ensemble at one energy as on one operator
     E, b, c = 1.0, 8e-7, 1.3
     tie = 1e-12 * (c + b + E + 1.0)
     A = np.array([[E + 1.5 * tie, b], [b, c]])
-    band = np.array([[A[0, 0] - E - tie, c - E - tie], [b, 0.0]])
-    neg, hit = banded_inertia(band, np.zeros((1, 2)), tie)
+    base, diag = np.array([[0.0, 0.0], [b, 0.0]]), np.array([[A[0, 0], c]])
+    neg, hit = banded_inertia(base, diag - (E + tie), tie)
     assert neg[0] == 0 and hit[0]
-    assert count_below(sp.csr_matrix(A), E) == dense_count(A, E) == 1
+    assert count_below_ensemble(base, diag, [E]).tolist() == [[dense_count(A, E)]] == [[1]]
+    assert count_below(sp.csr_matrix(A), E) == 1
 
 
 def test_ensemble_count_independent_of_chunkmates():
