@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cost of the counting kernels on real strip ensembles.
 
-Three tables, each time the median of three runs:
+Four tables, each time the median of three runs:
 
 * the single-energy LDL^T pass (e0 + 0.1) of ``count_below_ensemble`` on
   the two-point compact-impurity model, per lane, over 1, 48, 96, 128, 192,
@@ -19,6 +19,11 @@ Three tables, each time the median of three runs:
 * the same pass on 96 lanes at the quantum tail's strips (M = 24, n = 192
   to 1152) for several row counts of the LDL^T buffer, the last being n
   (the whole band at once); ``spectral.INERTIA_ROWS`` is chosen from it;
+* the same pass on 96 lanes at those strips and at the IDSS curve's
+  (n = 256, bw = 16) for several panel widths, the pivots whose trailing
+  updates one matmul applies; ``spectral.INERTIA_PANEL`` is chosen from
+  it.  Widths 6 and 12 do not divide ``INERTIA_ROWS``, so each buffer load
+  ends in a shorter panel;
 * the two grid kernels on the benchmark's grid ensembles, the IDSS curve
   (12 energies, n = 256, bw = 16, 128 lanes) and the classical tail (10
   energies, n = 384, bw = 24, 192 lanes): the bisection of
@@ -49,6 +54,7 @@ SHAPES = [(8, 24), (16, 24), (30, 24), (48, 24), (8, 16), (16, 16), (16, 32)]
 LANES = (1, 48, 96, 128, 192, 256, 512, 1024, 1536)
 EIG_LANES = 32
 ROWS = (16, 32, 64, 128)
+PANELS = (4, 6, 8, 12, 16)
 REPEATS = 3
 
 COMPACT = {"kind": "compact", "x1_halfwidth": 0.25, "x2_box": [-1.0, 1.0], "amplitude": 1.0}
@@ -102,20 +108,21 @@ def pass_table(model):
                   f"{eig * 1e3:>11.3f} {eig / ldl:>9.2f}")
 
 
-def rows_table(model):
-    print(f"{'n':>5} {'bw':>3} " + " ".join(f"{f'B={b}':>8}" for b in ROWS) + f" {'B=n':>8}"
-          "   (pass ms/lane, 96 lanes)")
-    kept = spectral.INERTIA_ROWS
-    for L in (8, 16, 30, 48):
-        eng = StripEnsemble(model, L=L, M=24, master_seed=0)
+def sweep_table(model, constant, label, shapes, values):
+    """Pass ms per lane on 96 lanes with ``spectral.<constant>`` set to each of ``values(n)``."""
+    print(f"{'n':>5} {'bw':>3} " + " ".join(f"{f'{label}={b}':>8}" for b in values("n"))
+          + "   (pass ms/lane, 96 lanes)")
+    kept = getattr(spectral, constant)
+    for L, M in shapes:
+        eng = StripEnsemble(model, L=L, M=M, master_seed=0)
         diags = eng.sample_diags(range(96))
         row = []
-        for rows in ROWS + (eng.grid.n_sites,):
-            spectral.INERTIA_ROWS = rows
+        for value in values(eng.grid.n_sites):
+            setattr(spectral, constant, value)
             row.append(median_seconds(
                 lambda: spectral.count_below_ensemble(eng.base_band, diags, [eng.e0 + 0.1])) / 96)
-        spectral.INERTIA_ROWS = kept
-        print(f"{eng.grid.n_sites:>5} {24:>3} " + " ".join(f"{t * 1e3:>8.3f}" for t in row))
+        setattr(spectral, constant, kept)
+        print(f"{eng.grid.n_sites:>5} {M:>3} " + " ".join(f"{t * 1e3:>8.3f}" for t in row))
 
 
 def grid_table():
@@ -153,7 +160,10 @@ def main():
     model = replace(default_model(), dist=TwoPointCouplings(-2.0, -1.0, p=0.5))
     pass_table(model)
     print()
-    rows_table(model)
+    quantum = [(L, 24) for L in (8, 16, 30, 48)]
+    sweep_table(model, "INERTIA_ROWS", "B", quantum, lambda n: ROWS + (n,))
+    print()
+    sweep_table(model, "INERTIA_PANEL", "nb", quantum + [(16, 16)], lambda n: PANELS)
     print()
     grid_table()
 

@@ -253,11 +253,17 @@ def contract_couplings(couplings: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Sum_c q_c * F[c] accumulated in ascending cell order.
 
     A plain loop rather than a BLAS product: the fixed accumulation order
-    makes fields bit-identical across batch sizes and worker counts.
+    makes fields bit-identical across batch sizes and worker counts.  Only
+    the sites some cell reaches are summed; at any other site each term is
+    q * (+-0.0) = +-0.0, which leaves the sum +0.0.
     """
-    out = np.zeros(couplings.shape[:-1] + (F.shape[1],))
+    sites = np.flatnonzero(F.any(axis=0))
+    reached = F[:, sites]
+    part = np.zeros(couplings.shape[:-1] + (len(sites),))
     for c in range(F.shape[0]):
-        out += couplings[..., c, None] * F[c]
+        part += couplings[..., c, None] * reached[c]
+    out = np.zeros(couplings.shape[:-1] + (F.shape[1],))
+    out[..., sites] = part
     return out
 
 

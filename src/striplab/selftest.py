@@ -88,11 +88,12 @@ def _count_oracle():
     # ensembles are counted by LDL^T passes, one operator by its eigenvalues:
     # count_below on one energy and on a 12-point grid; a 3-lane ensemble at
     # one energy (the quantum tail's traffic, one round of passes) and on an
-    # unsorted grid with one repeated energy (a bisection)
+    # unsorted grid with one repeated energy (a bisection); bands up to 24
+    # wide and up to 200 sites take full LDL^T panels and buffer reloads
     rng = np.random.default_rng(2024)
     for _ in range(20):
-        n = int(rng.integers(10, 120))
-        bw = int(rng.integers(1, 8))
+        n = int(rng.integers(10, 201))
+        bw = int(rng.integers(1, 25))
         A = rng.standard_normal((n, n))
         A = sp.csr_matrix(np.triu(np.tril(A + A.T, bw), -bw))
         energies = np.append(rng.standard_normal() * 2, np.sort(rng.standard_normal(12) * 2))
@@ -108,7 +109,8 @@ def _count_oracle():
                 want = _dense_counts(A + sp.diags(diag), probes)
                 if not np.array_equal(got[s], want):
                     return False, f"lane {s}: {got[s].tolist()} != dense {want.tolist()} (n={n})"
-    return True, "20 random instances, one energy and a 12-point grid, one operator and 3 lanes"
+    return True, ("20 random instances (n <= 200, bw <= 24), one energy and a 12-point grid, "
+                  "one operator and 3 lanes")
 
 
 def _ordering():

@@ -4,28 +4,29 @@ Counting below energies has two entry points: ``count_below_ensemble`` for
 lanes that share off-diagonal structure (the disorder ensembles), and
 ``count_below`` for one operator.  Two kernels answer the same question:
 
-* the inertia of the shifted operator: an unpivoted batched LDL^T pass
-  over the lower band storage counts negative pivots at one energy a lane
+* the inertia of the shifted operator: an unpivoted, blocked, batched
+  LDL^T pass over the band counts negative pivots at one energy a lane
   (``banded_inertia``);
 * the eigenvalues of one lane's band (LAPACK ``?sbevx``/``?hbevx`` over a
   range), found once and searched for every energy.
 
-A pass costs about n bw^2 multiply-adds per lane in about ten numpy calls
-per pivot, whatever the bandwidth and the lane count: pivot j subtracts one
-rank-1 update from its bw x bw trailing window in all lanes at once.  Its
-buffer holds ``INERTIA_ROWS`` + bw rows a lane, so its memory does not grow
-with n.  A banded eigensolve costs about n^2 bw per lane, inside LAPACK.
-``scripts/kernel_timing.py`` times both on real strip ensembles.  One
-lane's eigensolve, counted in passes per lane, over three runs on a 2-core
-x86 VM (numpy 2.4, scipy 1.17; the 96-lane column from three later runs):
+A pass costs about n bw^2 multiply-adds per lane.  It takes its pivots in
+panels of ``INERTIA_PANEL``: each pivot costs a few numpy calls on its
+panel's columns in all lanes at once, and each panel one batched matmul (a
+BLAS product a lane) for its rank-nb update of the bw x bw trailing block.
+Its buffer holds ``INERTIA_ROWS`` + bw rows a lane, so its memory does not
+grow with n.  A banded eigensolve costs about n^2 bw per lane, inside
+LAPACK.  ``scripts/kernel_timing.py`` times both on real strip ensembles.
+One lane's eigensolve, counted in passes per lane, over three runs on a
+2-core x86 VM (numpy 2.4, scipy 1.17):
 
-    n / bw      1 lane    48 lanes   96 lanes   128 lanes   192 lanes   256 lanes
-    192 / 24    0.3-0.4   3.0-4.0    3.1-5.5    4.6-5.9     3.3-5.4     4.9-6.8
-    256 / 16    0.4       6.5-7.3    8.7-10     9.1-10      14-15       13-15
-    384 / 24    0.7-0.8   6.7-7.6    6.8-8.9    9.7-13      9.8-12      10-13
-    512 / 32    1.1-1.2   6.0-7.4    7.9-11     8.7-11      9.1-13      8.4-10
-    720 / 24    1.2-1.6   10-14      12-17      17-25       14-24       17-32
-    1152 / 24   2.1-2.8   20-22      21-31      28-35       28-36       26-39
+    n / bw      1 lane      48 lanes   96 lanes   128 lanes   192 lanes   256 lanes
+    192 / 24    0.37-0.45   9-11       10-13      11-13       10-12       7-11
+    256 / 16    0.47-0.49   12-13      17-18      18-19       20-21       20-22
+    384 / 24    0.62-1.06   12-21      13-23      13-23       14-23       18-25
+    512 / 32    1.17-1.57   21-25      24-26      25-26       25-31       12-33
+    720 / 24    1.18-1.81   26-39      33-43      32-46       34-45       31-38
+    1152 / 24   1.83-2.75   50-80      72-94      67-95       59-70       60-70
 
 The kernel follows the entry point, never the lane count, so a counting or
 worker block never changes the kernel a sample is counted with: ensembles
@@ -39,32 +40,32 @@ are counted by passes, one operator by its eigenvalues.
   per-lane eigensolves over the bisection's, three runs):
 
       ensemble         n / bw     lanes   energies   passes a lane   eig / bisection
-      IDSS curve       256 / 16   128     12         7.08            1.37-1.61
-      classical tail   384 / 24   192     10         5.42            1.68-1.71
+      IDSS curve       256 / 16   128     12         7.08            2.6-3.7
+      classical tail   384 / 24   192     10         5.42            3.7-4.5
 
   A single energy is one round, the quantum tail's traffic: 96-sample
-  ensembles at n=192 to 1152 (one pool task each), where a pass is 3 to
-  31 times cheaper than an eigensolve.
+  ensembles at n=192 to 1152 (one pool task each), where a pass is 10 to
+  94 times cheaper than an eigensolve.
 * ``count_below`` counts one operator from its banded eigenvalues, found
   once, at one energy or many: its callers, bracketing and the sandwich
   check's periodic ``H_per``, count grids, where an eigensolve costs 0.4
-  to 2.8 passes, fewer than a bisection takes.
+  to 2.8 passes of one lane, fewer than a bisection takes.
 
-Past a few hundred lanes a pass gets dearer per lane.  Milliseconds per lane
-of one pass, three runs of the script on the same VM (blocks whose work
-array then exceeded 64 MiB not run):
+Past a few hundred lanes a pass gets no cheaper per lane.  Milliseconds
+per lane of one pass, three runs of the script on the same VM:
 
     n / bw      256 lanes     512 lanes     1024 lanes    1536 lanes
-    128 / 16    0.058-0.083   0.055-0.074   0.079-0.100   0.068-0.098
-    192 / 24    0.19-0.28     0.21-0.31     0.25-0.31     0.23-0.33
-    256 / 16    0.11-0.15     0.12-0.15     0.16-0.20     0.17-0.19
-    384 / 24    0.50-0.56     0.49-0.63
+    128 / 16    0.034-0.048   0.033-0.048   0.037-0.055   0.045-0.063
+    192 / 24    0.13-0.18     0.11-0.14     0.11-0.13     0.11-0.13
+    256 / 16    0.068-0.107   0.073-0.096   0.085-0.107   0.107-0.125
+    384 / 24    0.18-0.20     0.20-0.21     0.19-0.23     0.20-0.24
 
 So ``block_lanes`` caps a block at ``BLOCK_LANES`` = 256 lanes, and a grid
-round takes at most as many probes as the block has lanes.  On a 2000-sample
-quantum tail at M=24 (n = 192 to 1152, one worker), five alternating pairs
-of runs took a median 15.1 s that way, against 17.2 s in blocks filling
-64 MiB (1553 lanes at n=192); the 256-lane run was faster in four pairs.
+round takes at most as many probes as the block has lanes.  With the
+rank-1 pass that preceded the blocked one, a 2000-sample quantum tail at
+M=24 (n = 192 to 1152, one worker) took a median 15.1 s over five
+alternating pairs of runs that way, against 17.2 s in blocks filling
+64 MiB (1553 lanes at n=192).
 
 The buffer's ``INERTIA_ROWS`` = 32 rows cost no time against holding all n
 rows, and keep a lane's share at (32 + bw)(bw + 1) entries where the
@@ -72,10 +73,27 @@ whole band took (n + bw)(bw + 1).  Milliseconds per lane of one pass on 96
 lanes, three runs:
 
     n / bw      16 rows     32 rows     64 rows     128 rows    n rows
-    192 / 24    0.38-0.65   0.30-0.60   0.30-0.64   0.28-0.63   0.30-0.58
-    384 / 24    0.56-0.85   0.66-0.80   0.61-0.78   0.70-0.81   0.68-0.79
-    720 / 24    1.26-1.32   1.27-1.41   1.27-1.45   1.24-1.47   1.34-1.49
-    1152 / 24   2.31-2.39   2.01-2.50   2.13-2.44   2.12-2.37   2.15-2.39
+    192 / 24    0.10-0.14   0.09-0.15   0.09-0.15   0.10-0.15   0.11-0.14
+    384 / 24    0.23-0.30   0.20-0.28   0.25-0.28   0.22-0.28   0.24-0.30
+    720 / 24    0.42-0.54   0.33-0.52   0.40-0.51   0.47-0.55   0.39-0.54
+    1152 / 24   0.72-0.87   0.66-0.83   0.65-0.81   0.54-0.85   0.74-0.92
+
+The panel width ``INERTIA_PANEL`` = 8 (at most bw) ties with 16 within
+the spread of these runs and keeps the panel arrays half as large:
+narrower panels take more matmuls, wider ones more work in the per-pivot
+calls.  Milliseconds per lane, 96 lanes, three runs (6 and 12 do not
+divide ``INERTIA_ROWS``, so each buffer load ends in a shorter panel):
+
+    n / bw      4 pivots    6 pivots    8 pivots    12 pivots   16 pivots
+    192 / 24    0.16-0.18   0.15-0.17   0.13-0.14   0.12-0.15   0.11-0.14
+    384 / 24    0.23-0.34   0.20-0.32   0.18-0.28   0.18-0.33   0.18-0.26
+    720 / 24    0.43-0.64   0.36-0.60   0.31-0.53   0.37-0.54   0.33-0.50
+    1152 / 24   0.64-0.99   0.56-0.85   0.53-0.90   0.58-0.90   0.55-0.86
+    256 / 16    0.10-0.19   0.10-0.17   0.08-0.16   0.09-0.16   0.09-0.15
+
+At wide bands the blocked pass is several times cheaper than the rank-1
+one: 8 lanes took 0.18 s against 1.36 s at n=1728, bw=144, and 4 lanes
+1.57 s against 6.07 s at n=4096, bw=256 (one run each).
 
 Both kernels keep one tie contract: each lane counts eigenvalues <= E +
 tie with tie = 1e-12 * (||H_s||_inf + |E| + 1) from its own operator.
@@ -93,7 +111,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DenominatorNonpositive,
@@ -107,6 +125,8 @@ from .errors import (
 DENSE_CAP = 2000
 TIE_REL = 1e-12
 INERTIA_ROWS = 32  # rows an LDL^T pass factors between two loads of its buffer
+INERTIA_PANEL = 8  # pivots whose trailing updates an LDL^T pass applies as one product
+assert INERTIA_ROWS % INERTIA_PANEL == 0, "a buffer load must factor whole panels"
 BLOCK_LANES = 256
 BLOCK_BYTES = 64 << 20
 _EIGSH_SEED = 0x5EED_C0DE
@@ -193,11 +213,24 @@ def _offdiag_row_sums(band: np.ndarray) -> np.ndarray:
 
 
 def _load_rows(dst, base_band, shifts, first):
-    """Rows first, first+1, ... of the shifted operators into ``dst``, zero past n."""
+    """Rows first, first+1, ... of the shifted operators into ``dst`` in row storage.
+
+    ``dst[i, k, s]`` = A_s[first+i, first+i-bw+k]; rows past n are zero.
+    Entries left of column 0 are not written: only the first load, into a
+    zeroed buffer, reaches them.
+    """
+    bw = base_band.shape[0] - 1
     m = min(len(dst), max(0, shifts.shape[1] - first))
-    dst[:m] = base_band.T[first : first + m, :, None]
-    dst[:m, 0] += shifts.T[first : first + m]
     dst[m:] = 0
+    for r in range(bw + 1):  # subdiagonal r: band[r, c] = A[c+r, c] sits at k = bw - r
+        lo = min(m, max(0, r - first))
+        dst[lo:m, bw - r] = base_band[r, first + lo - r : first + m - r, None]
+    dst[:m, bw] += shifts.T[first : first + m]
+
+
+def _panel_width(bw: int) -> int:
+    """Pivots in one panel of an LDL^T pass at bandwidth bw."""
+    return min(INERTIA_PANEL, max(bw, 1))
 
 
 def banded_inertia(base_band: np.ndarray, shifts: np.ndarray, reg):
@@ -211,40 +244,82 @@ def banded_inertia(base_band: np.ndarray, shifts: np.ndarray, reg):
     continue).  Lanes are independent: results do not depend on the batch
     size.  The inputs are not modified.
 
-    The work buffer ``work[i, r, s]`` = A_s[top+i+r, top+i] holds
-    ``INERTIA_ROWS`` + bw rows from row ``top`` on, lanes last.  Pivot j
-    updates its whole trailing window at once: ``work[j+q, r] -= (d
-    conj(l_q)) l_{q+r}`` for q = 1..bw, r = 0..bw-1, with the multipliers l
-    read through a Hankel view of a zero-padded buffer.  After
-    ``INERTIA_ROWS`` pivots the bw rows they updated but did not factor
-    move to the front and the next rows load behind them.  Every entry of the
-    operator takes the same products, in the same order, as in a
-    column-by-column update; the extra updates subtract zeros or land past
-    n, where no pivot reads them.
+    The factorization is blocked.  Within a panel of ``INERTIA_PANEL``
+    pivots (at most bw), the pivots update only the panel's own columns:
+    column q takes the terms of the panel's earlier pivots on its bw + 1
+    band rows in one einsum over lanes, then gives the scalar pivot q,
+    nudged and flagged as above.  Then one batched matmul over lanes
+    subtracts the panel's rank-nb update B D^-1 B^H from the bw x bw
+    trailing block, where B is the bw x nb block under the panel.
+
+    The buffer holds ``INERTIA_ROWS`` + bw rows of the lower band from row
+    ``top`` on, in row storage with lanes last: ``buf[i, k, s]`` =
+    A_s[top+i, top+i-bw+k].  So entry (r, c) = A_s[top+r, top+c] sits at
+    flat offset bw*r + c past the diagonal of row 0, and the panel columns,
+    the block under them and the trailing block are plain slices of one
+    ``as_strided`` view; its last entry is the buffer's last diagonal.  An
+    (r, c) outside the band aliases a live entry of a neighbouring row:
+    - the block under the panel has such a corner, r - c > bw, read into the
+      panel copy and zeroed there;
+    - the trailing block's entries above its diagonal alias row r + 1 at
+      column c - bw, left of the trailing block: a column already factored,
+      which the matmul writes and nothing reads again.
+    After ``INERTIA_ROWS`` pivots the bw rows they updated but did not
+    factor move to the front and the next rows load behind them.  Every
+    entry takes the same rank-1 terms as in a column-by-column update,
+    summed per panel, so each pivot agrees with the column loop's to
+    rounding; extra updates subtract zeros or land past n, where no pivot
+    reads them.
     """
     S, n = shifts.shape
     bw = base_band.shape[0] - 1
-    rows = INERTIA_ROWS
+    rows, nb = INERTIA_ROWS, _panel_width(bw)
     reg = np.broadcast_to(np.asarray(reg, dtype=float), (S,))
-    work = np.empty((rows + bw, bw + 1, S), dtype=np.result_type(base_band, shifts))
-    l_pad = np.zeros((2 * bw, S), dtype=work.dtype)
-    # hankel[c, r] = l_pad[c + r] = l_{c+r+1}
-    hankel = sliding_window_view(l_pad, bw, axis=0)[:bw].transpose(0, 2, 1)
+    dtype = np.result_type(base_band, shifts)
+    buf = np.zeros((rows + bw, bw + 1, S), dtype=dtype)
+    item = buf.itemsize
+    A = as_strided(buf.reshape(-1)[bw * S :], (rows + bw, rows + bw, S),
+                   (bw * S * item, S * item, item), writeable=True)
+    panel = np.empty((nb + bw, nb, S), dtype=dtype)
+    corner = np.nonzero(np.subtract.outer(np.arange(nb + bw), np.arange(nb)) > bw)
+    below = np.empty((S, bw, nb), dtype=dtype)  # B, lanes first
+    scaled = np.empty((S, bw, nb), dtype=dtype)  # conj(B) D^-1
+    product = np.empty((S, bw, bw), dtype=dtype)
+    d = np.empty((nb, S))
     neg = np.zeros(S, dtype=np.int64)
     hit = np.zeros(S, dtype=bool)
-    _load_rows(work[rows:], base_band, shifts, 0)
+    _load_rows(buf[rows:], base_band, shifts, 0)
     for top in range(0, n, rows):
-        work[:bw] = work[rows:]  # rows top .. top+bw-1, updated by every pivot above them
-        _load_rows(work[bw:], base_band, shifts, top + bw)
-        for j in range(min(rows, n - top)):
-            d = work[j, 0].real.copy()
-            small = np.abs(d) < reg
-            if small.any():
-                hit |= small
-                d[small] = np.where(d[small] < 0, -reg[small], reg[small])
-            neg += d < 0
-            np.divide(work[j, 1:], d, out=l_pad[:bw])
-            work[j + 1 : j + 1 + bw, :bw] -= (d * np.conj(l_pad[:bw]))[:, None, :] * hankel
+        # rows top .. top+bw-1, updated by every pivot above them, in chunks that do not overlap
+        for i in range(0, bw, rows):
+            j = min(i + rows, bw)
+            buf[i:j] = buf[i + rows : j + rows]
+        _load_rows(buf[bw:], base_band, shifts, top + bw)
+        m = min(rows, n - top)
+        for p in range(0, m, nb):
+            w = min(nb, m - p)
+            col = panel[: w + bw, :w]
+            np.copyto(col, A[p : p + w + bw, p : p + w])
+            panel[corner] = 0
+            for q in range(w):
+                if q:  # the panel's earlier pivots, one rank-1 term each, on rows q .. q+bw
+                    x = np.conj(col[q, :q]) / d[:q]
+                    col[q : q + bw + 1, q] -= np.einsum("ijs,js->is", col[q : q + bw + 1, :q], x)
+                dq = d[q]
+                np.copyto(dq, col[q, q].real)
+                small = np.abs(dq) < reg
+                if small.any():
+                    hit |= small
+                    dq[small] = np.where(dq[small] < 0, -reg[small], reg[small])
+            neg += np.count_nonzero(d[:w] < 0, axis=0)
+            b, bs = below[:, :, :w], scaled[:, :, :w]
+            np.copyto(b, col[w:].transpose(2, 0, 1))
+            np.divide(b, d[:w].T[:, None, :], out=bs)
+            if np.iscomplexobj(bs):
+                np.conjugate(bs, out=bs)
+            np.matmul(b, bs.transpose(0, 2, 1), out=product)
+            trailing = A[p + w : p + w + bw, p + w : p + w + bw]
+            trailing -= product.transpose(1, 2, 0)
     return neg, hit
 
 
@@ -296,12 +371,18 @@ def block_lanes(base_band: np.ndarray) -> int:
     """Most lanes one ``count_below_ensemble`` call should take on ``base_band``.
 
     At most ``BLOCK_LANES``, and no more than fit in ``BLOCK_BYTES`` at a
-    lane's diagonal row plus its (INERTIA_ROWS + bw)(bw + 1) buffer share,
-    so a block's memory does not grow with n or bw.
+    lane's share of every array a pass holds: its diagonal row, the
+    (INERTIA_ROWS + bw)(bw + 1) row buffer, the bw x bw trailing product,
+    the (nb + bw) x nb panel copy, the bw x nb block under the panel and its
+    scaled copy, a column update and the panel's pivots.  So a block's
+    memory does not grow with n or bw.  A pass holds little besides its
+    lanes: index arrays, and numpy's ufunc buffers of at most
+    ``np.getbufsize()`` entries an operand.
     """
     bw1, n = base_band.shape
-    lane_bytes = (n + (INERTIA_ROWS + bw1 - 1) * bw1) * base_band.itemsize
-    return max(1, min(BLOCK_LANES, BLOCK_BYTES // lane_bytes))
+    bw, nb = bw1 - 1, _panel_width(bw1 - 1)
+    lane = n + (INERTIA_ROWS + bw) * bw1 + bw * bw + (nb + 3 * bw) * nb + bw1 + 2 * nb
+    return max(1, min(BLOCK_LANES, BLOCK_BYTES // (lane * base_band.itemsize)))
 
 
 def count_below_ensemble(base_band: np.ndarray, diag_samples: np.ndarray, energies) -> np.ndarray:

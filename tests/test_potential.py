@@ -122,6 +122,23 @@ def test_sampling_seed_determinism():
     assert not np.array_equal(q1, q3) and not np.array_equal(v1, v3)
 
 
+def test_contraction_skips_unreached_sites_bitwise():
+    # summing only the sites some cell reaches (12 of 48 here) gives the
+    # bytes of the loop over every site, for a compact and a power-law
+    # window, one sample and a batch, couplings of both signs
+    rng = np.random.default_rng(61)
+    g = build_grid(1, 1, L=6, a=1, M=8)
+    for profile in (default_model().profile, PowerLawProfile(alpha=1.5, truncation_radius=16)):
+        F = f_weight_matrix(g, profile)
+        assert 0 < np.count_nonzero(F.any(axis=0)) < F.shape[1]
+        for q in (rng.uniform(-2.0, 1.0, F.shape[0]), rng.uniform(-2.0, 1.0, (5, F.shape[0]))):
+            want = np.zeros(q.shape[:-1] + (F.shape[1],))
+            for c in range(F.shape[0]):
+                want += q[..., c, None] * F[c]
+            got = contract_couplings(q, F)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_coupling_mean_law_of_large_numbers():
     dist = UniformCouplings(-2.0, -1.0)
     rng = np.random.default_rng(8)

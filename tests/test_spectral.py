@@ -312,6 +312,25 @@ def test_banded_inertia_memory_flat_in_n():
     assert peaks[1] < 200_000
 
 
+def test_block_lanes_bounds_a_wide_band_pass(monkeypatch):
+    # one pass of block_lanes lanes at a wide band, its shifts included,
+    # peaks inside BLOCK_BYTES: every per-lane array of the kernel is counted
+    import tracemalloc
+
+    import striplab.spectral
+
+    rng = np.random.default_rng(47)
+    for n, bw, budget in ((512, 128, 3 << 20), (1024, 256, 5 << 20)):
+        monkeypatch.setattr(striplab.spectral, "BLOCK_BYTES", budget)
+        base = _random_lower_band(rng, n, bw, False)
+        diags = rng.uniform(-3.0, 3.0, (striplab.spectral.block_lanes(base), n))
+        tracemalloc.start()
+        banded_inertia(base, diags - 0.5, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(diags) > 1 and peak <= budget
+
+
 def _column_loop_inertia(band, reg):
     """Reference LDL^T: one strided update per column offset, in place on (S, bw+1, n)."""
     S, bwp1, n = band.shape
@@ -350,19 +369,32 @@ def _assert_matches_column_loop(base, shifts, reg):
 
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_banded_inertia_matches_column_loop(is_complex):
-    # the window update gives every pivot, count and flag of the column
-    # loop: narrow and wide bands, n at and around bw, a scalar and a
-    # per-lane reg, lanes with nudged pivots; each lane alone as in the batch
+    # the blocked pass gives every pivot, count and flag of the column loop:
+    # narrow and wide bands, n at and around bw, a panel and a buffer load,
+    # a scalar and a per-lane reg; each lane alone as in the batch.  Lanes
+    # 0-4 meet a zero or a negative pivot inside reg: at the first pivot,
+    # inside a panel, at a panel's last pivot and just after a buffer
+    # reload; each sits on a row with nothing left of its diagonal, so it
+    # is the same diagonal entry in both kernels
+    import striplab.spectral
+
     rng = np.random.default_rng(29 + is_complex)
-    for bw in (0, 1, 3, 24):
-        for n in sorted({1, max(bw - 1, 1), max(bw, 1), bw + 1, 300}):
+    rows, panel = striplab.spectral.INERTIA_ROWS, striplab.spectral.INERTIA_PANEL
+    for bw in (0, 1, 3, 7, 8, 9, 24):
+        nb = striplab.spectral._panel_width(bw)
+        nudged = [(0, 0.0), (0, -5e-13), (nb // 2, 0.0), (2 * nb - 1, -5e-13), (rows, 0.0)]
+        for n in sorted({0, 1, max(bw - 1, 1), max(bw, 1), bw + 1, panel - 1, panel, panel + 1,
+                         rows - 1, rows, rows + 1, 2 * rows + 3, 300}):
             base = _random_lower_band(rng, n, bw, is_complex)
             shifts = rng.uniform(-3.0, 3.0, (7, n))
-            shifts[0, 0] = -base[0, 0].real  # a zero first pivot
-            shifts[1, 0] = -base[0, 0].real - 5e-13  # a negative one inside reg
+            for s, (j, off) in enumerate(nudged):
+                if j < n:
+                    for r in range(1, min(bw, j) + 1):
+                        base[r, j - r] = 0
+                    shifts[s, j] = off - base[0, j].real
             for reg in (1e-12, rng.uniform(0.0, 0.5, 7)):
                 neg, hit = _assert_matches_column_loop(base, shifts, reg)
-                assert hit[:2].all()
+                assert all(hit[s] for s, (j, _) in enumerate(nudged) if j < n)
                 reg_s = np.broadcast_to(reg, (7,))
                 for s in range(7):
                     alone = banded_inertia(base, shifts[s : s + 1], reg_s[s])
