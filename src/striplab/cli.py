@@ -25,12 +25,10 @@ from .floquet import band_curve, cached_reference, default_theta_grid, gap_certi
 from .grid import BC_TAGS
 from .idss import (
     StripEnsemble,
-    _surface_e0,
     bracketing_check,
     classical_campaign,
     ensemble_counts,
     idss_from_counts,
-    idss_job,
     lifshits_fit,
     quantum_campaign,
     rayleigh_tail_bound,
@@ -116,12 +114,12 @@ def run_idss(model, geo, run, seed, workers):
     n_samples = _int_at_least(run, "n_samples", 200, "run", 1)
     bc = _bc(run)
     checks = _opt(run, "checks", True, "run", bool)
-    job = idss_job(model, geo["L"], geo["M"], energies, n_samples, seed, bc, geo["M_ref"])
+    engine = StripEnsemble(model, geo["L"], geo["M"], bc=bc, M_ref=geo["M_ref"], master_seed=seed)
     # one count per boundary tag: the sandwich check reads the first n_check
     # samples of its chi and Dirichlet ensembles, and a sample's seed depends
     # on its index only, so the curve's ensemble lends them when its tag matches
     n_check = min(n_samples, 200)
-    ensembles = {bc: job[:2]}
+    ensembles = {bc: (engine, n_samples)}
     if checks:
         for tag in ("D", "chi"):
             ensembles.setdefault(tag, (StripEnsemble(model, geo["L"], geo["M"], bc=tag,
@@ -129,7 +127,7 @@ def run_idss(model, geo, run, seed, workers):
                                        n_check))
     counts = dict(zip(ensembles, ensemble_counts(
         [(eng, n, energies) for eng, n in ensembles.values()], workers=workers)))
-    curve = idss_from_counts(job, counts[bc])
+    curve = idss_from_counts(engine, energies, counts[bc])
     ok = _check(bool(np.all(np.diff(curve.means) >= 0)), "IDSS means nondecreasing")
     if checks:
         try:
@@ -197,7 +195,6 @@ def run_wegner(model, geo, run, seed, workers):
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     energy = float(_opt(run, "energy", ref.e0 + 0.45 * abs(ref.e0), "run", (int, float)))
     eps, _ = ladder(run, "eps", 3e-4, 1e-2, 8)
-    _surface_e0(model, geo["M"], geo["M_ref"], lambda e0: energy + eps.max())
     rep = wegner_probe(model, energy, eps, geo["L"] or 16, geo["M"], n_samples, seed,
                        M_ref=geo["M_ref"], workers=workers)
     ok = _check(bool(np.all(np.diff(rep.probs) >= 0)), "window probability monotone in eps")

@@ -119,12 +119,22 @@ def ensemble_counts(jobs, workers: int = 1) -> list:
     ``jobs`` is a list of ``(engine, n_samples, energies)``; each job counts
     its samples 0..n_samples-1.  A caller sends all the ensembles of one run
     in one call: a campaign its ensembles, ``striplab idss`` its curve's
-    ensemble with the sandwich check's.  Only here are samples split: each
-    job into max(ceil(workers / len(jobs)), ceil(n_samples / block_lanes))
-    contiguous blocks (``spectral.block_lanes``), each one ``_counts_block``
-    task.  The tasks run largest first (sites x samples), at one worker in
-    this process, else in one pool of at most ``os.cpu_count()`` processes
-    that lives for this call only; each task carries its built engine.  So
+    ensemble with the sandwich check's.
+
+    Every count obeys the IDSS energy rule, checked for each job before any
+    task or pool is built: the engine's periodic ground energy e0 is
+    negative (the surface regime), else S4Violated, and every energy lies
+    below the bulk bottom estimate of the engine's model at probe depth
+    2M (``potential.estimate_bulk_bottom``; 0 for a zero periodic bulk),
+    else InvalidParam; a NaN energy, which lies below nothing, is refused.  The estimate is made once per distinct (bulk, d1,
+    d2, a, M) in the call.
+
+    Only here are samples split: each job into max(ceil(workers /
+    len(jobs)), ceil(n_samples / block_lanes)) contiguous blocks
+    (``spectral.block_lanes``), each one ``_counts_block`` task.  The tasks
+    run largest first (sites x samples), at one worker in this process,
+    else in one pool of at most ``os.cpu_count()`` processes that lives for
+    this call only; each task carries its built engine.  So
     a campaign's many ensembles travel whole and fill the workers between
     them, while a lone ensemble is still split across the workers.  On the
     benchmark's two-worker quantum tail (12 ensembles of 96 samples, 2-core
@@ -137,6 +147,18 @@ def ensemble_counts(jobs, workers: int = 1) -> list:
     """
     jobs = [(engine, n, np.atleast_1d(np.asarray(energies, dtype=float)))
             for engine, n, energies in jobs]
+    bottoms = {}
+    for engine, _, energies in jobs:
+        m = engine.model
+        if engine.e0 >= 0:
+            raise S4Violated(f"periodic ground energy {engine.e0:.6g} is not negative")
+        key = (m.bulk_periodic, m.d1, m.d2, m.a, engine.M)
+        if key not in bottoms:
+            bottoms[key] = 0.0 if isinstance(m.bulk_periodic, ZeroBulk) else (
+                estimate_bulk_bottom(m.bulk_periodic, m.d1, m.d2, m.a, M_probe=2 * engine.M)[0])
+        if not np.all(energies < bottoms[key]):  # a NaN energy fails too
+            raise InvalidParam(
+                f"energies must stay below the bulk bottom estimate {bottoms[key]:.6g}")
     tasks = []
     for j, (engine, n, _) in enumerate(jobs):
         split = max(1, -(-workers // len(jobs)), -(-n // block_lanes(engine.base_band)))
@@ -215,26 +237,6 @@ def _density_curve(jobs, deltas, counts) -> DensityCurve:
     )
 
 
-def _surface_e0(model: SurfaceModel, M: int, M_ref: Optional[int], top) -> float:
-    """The periodic ground energy e0, once the IDSS energy rule holds.
-
-    e0 must be negative (surface regime), and the highest energy counted,
-    ``top(e0)``, must lie below the bulk bottom estimate.
-    """
-    e0 = cached_reference(model, M, M_ref).e0
-    if e0 >= 0:
-        raise S4Violated(f"periodic ground energy {e0:.6g} is not negative")
-    if isinstance(model.bulk_periodic, ZeroBulk):
-        bottom = 0.0
-    else:
-        bottom, _ = estimate_bulk_bottom(
-            model.bulk_periodic, model.d1, model.d2, model.a, M_probe=2 * M
-        )
-    if top(e0) >= bottom:
-        raise InvalidParam(f"energies must stay below the bulk bottom estimate {bottom:.6g}")
-    return e0
-
-
 def _offsets(deltas) -> np.ndarray:
     deltas = np.sort(np.atleast_1d(np.asarray(deltas, dtype=float)))
     if np.any(deltas <= 0):
@@ -253,47 +255,25 @@ def idss_estimate(
     M_ref: Optional[int] = None,
     workers: int = 1,
 ) -> DensityCurve:
-    """Monte Carlo reduced-volume IDSS over an energy grid.
+    """Monte Carlo reduced-volume IDSS over a strictly ascending energy grid.
 
-    Requires the periodic background to be in the surface regime (ground
-    energy below zero) and all grid energies below the recentered bulk
-    bottom.  Counts ``idss_job``'s ensemble and reduces it with
-    ``idss_from_counts``; ``striplab idss`` sends that job together with the
-    sandwich check's ensembles.
-    """
-    job = idss_job(model, L, M, energies, n_samples, master_seed, bc, M_ref)
-    (counts,) = ensemble_counts([job], workers=workers)
-    return idss_from_counts(job, counts)
-
-
-def idss_job(
-    model: SurfaceModel,
-    L: int,
-    M: int,
-    energies,
-    n_samples: int,
-    master_seed: int,
-    bc: str,
-    M_ref: Optional[int],
-) -> tuple:
-    """The ``(engine, n_samples, energies)`` job of ``idss_estimate``.
-
-    Raises before building the engine if the grid is not strictly ascending,
-    the periodic ground energy is not negative or the grid reaches the bulk
-    bottom.
+    Counts one ensemble through ``ensemble_counts``, which holds the grid
+    to the IDSS energy rule, and reduces it with ``idss_from_counts``;
+    ``striplab idss`` counts that ensemble together with the sandwich
+    check's.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     if np.any(np.diff(energies) <= 0):
         raise InvalidParam("energy grid must be strictly ascending")
-    _surface_e0(model, M, M_ref, lambda e0: energies.max())
     engine = StripEnsemble(model, L, M, bc=bc, M_ref=M_ref, master_seed=master_seed)
-    return engine, n_samples, energies
+    (counts,) = ensemble_counts([(engine, n_samples, energies)], workers=workers)
+    return idss_from_counts(engine, energies, counts)
 
 
-def idss_from_counts(job, counts: np.ndarray) -> DensityCurve:
-    """N(E) of ``idss_job``'s job from its counts, after the monotonicity and floor checks."""
-    engine, _, energies = job
-    curve = _density_curve([job], energies - engine.e0, [counts])
+def idss_from_counts(engine: StripEnsemble, energies: np.ndarray,
+                     counts: np.ndarray) -> DensityCurve:
+    """N(E) of ``engine``'s counts at ``energies``, after the monotonicity and floor checks."""
+    curve = _density_curve([(engine, len(counts), energies)], energies - engine.e0, [counts])
     if np.any(np.diff(curve.means) < 0):
         raise InequalityViolated("IDSS means decreased along the energy grid")
     guard = energies < engine.e0 - 1e-9
@@ -323,27 +303,27 @@ def bracketing_check(
 ) -> BracketingReport:
     """Dirichlet/Neumann count ordering and transverse stabilization.
 
-    One disorder realization is shared across all depths: couplings are
-    depth-independent and any random bulk is drawn on the deepest grid and
-    restricted to the central layers of the shallower ones.  So the field
-    is drawn here with ``model.draw(seed, ...)`` and not from a
+    One disorder realization is shared across all depths: its diagonal
+    ``(U_b + V_b) + V_s`` is built once on the deepest grid, and each
+    depth's is the central layers of it.  Couplings are depth-independent
+    and a site's window weights do not depend on the depth, so this is bit
+    for bit the diagonal built on the shallower grid itself.  So the
+    field is drawn here with ``model.draw(seed, ...)`` and not from a
     ``StripEnsemble``, which draws each sample on its own grid: every depth
     must share one realization.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     M_values = tuple(sorted(int(m) for m in M_values))
-    M_max = M_values[-1]
-    grid_max = model.strip_grid(L, M_max)
-    q, v_b_max = model.draw(seed, f_weight_matrix(grid_max, model.profile).shape[0],
-                            grid_max.n_sites)
+    grid_max = model.strip_grid(L, M_values[-1])
+    F = f_weight_matrix(grid_max, model.profile)
+    q, v_b = model.draw(seed, F.shape[0], grid_max.n_sites)
+    values_max = ((periodic_bulk(grid_max, model.bulk_periodic) + v_b)
+                  + contract_couplings(q, F)).reshape(grid_max.shape)
 
     counts_dd, counts_nd = {}, {}
     for M in M_values:
         grid = model.strip_grid(L, M)
-        v_s = contract_couplings(q, f_weight_matrix(grid, model.profile))
-        v_b = central_layers(v_b_max.reshape(grid_max.shape), grid.d2, M).ravel()
-        u_b = periodic_bulk(grid, model.bulk_periodic)
-        values = (u_b + v_b) + v_s
+        values = central_layers(values_max, grid.d2, M).ravel()
         for tag, store in (("D", counts_dd), ("N", counts_nd)):
             H = assemble(grid, values, bc_for_tag(tag, None))
             store[M] = count_below(H, energies)
@@ -660,10 +640,11 @@ def quantum_campaign(
 
     L = round(c_factor / sqrt(delta)) clipped to ``L_bounds``; each point
     is an independent chi-boundary ensemble at the single energy E0 + delta.
-    Both campaigns keep every energy below the bulk bottom, as ``idss_job`` does.
+    Both campaigns count through ``ensemble_counts``, so every energy obeys
+    the IDSS energy rule.
     """
     deltas = _offsets(deltas)
-    e0 = _surface_e0(model, M, M_ref, lambda e0: e0 + deltas[-1])
+    e0 = cached_reference(model, M, M_ref).e0
     L_values = np.clip(np.round(c_factor / np.sqrt(deltas)).astype(int), *L_bounds)
     jobs = [
         (StripEnsemble(model, int(L), M, M_ref=M_ref, master_seed=mix64(master_seed, 7000 + i)),
@@ -685,7 +666,7 @@ def classical_campaign(
 ) -> DensityCurve:
     """Chi-boundary tail campaign at fixed strip length for slowly decaying profiles."""
     deltas = _offsets(deltas)
-    e0 = _surface_e0(model, M, M_ref, lambda e0: e0 + deltas[-1])
+    e0 = cached_reference(model, M, M_ref).e0
     jobs = [(StripEnsemble(model, L, M, M_ref=M_ref, master_seed=master_seed),
              n_samples, e0 + deltas)]
     return _density_curve(jobs, deltas, ensemble_counts(jobs, workers=workers))

@@ -375,14 +375,16 @@ def block_lanes(base_band: np.ndarray) -> int:
     (INERTIA_ROWS + bw)(bw + 1) row buffer, the bw x bw trailing product,
     the (nb + bw) x nb panel copy, the bw x nb block under the panel and its
     scaled copy, a column update and the panel's pivots.  So a block's
-    memory does not grow with n or bw.  A pass holds little besides its
-    lanes: index arrays, and numpy's ufunc buffers of at most
-    ``np.getbufsize()`` entries an operand.
+    memory does not grow with n or bw.  Besides its lanes a pass holds
+    index arrays and numpy's ufunc buffers, at most ``np.getbufsize()``
+    entries for each of a ufunc's three operands; those buffers are
+    reserved once, out of the budget, not per lane.
     """
     bw1, n = base_band.shape
     bw, nb = bw1 - 1, _panel_width(bw1 - 1)
     lane = n + (INERTIA_ROWS + bw) * bw1 + bw * bw + (nb + 3 * bw) * nb + bw1 + 2 * nb
-    return max(1, min(BLOCK_LANES, BLOCK_BYTES // (lane * base_band.itemsize)))
+    reserve = 3 * np.getbufsize() * base_band.itemsize
+    return max(1, min(BLOCK_LANES, (BLOCK_BYTES - reserve) // (lane * base_band.itemsize)))
 
 
 def count_below_ensemble(base_band: np.ndarray, diag_samples: np.ndarray, energies) -> np.ndarray:

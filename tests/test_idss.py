@@ -11,7 +11,7 @@ import striplab.idss as idss
 import striplab.spectral as spectral
 from striplab.errors import GapTooSmall, InvalidParam, S4Violated
 from striplab.floquet import gap_certificate, ground_state_cell
-from striplab.grid import bc_all_dirichlet
+from striplab.grid import bc_all_dirichlet, central_layers
 from striplab.idss import (
     StripEnsemble,
     bc_for_tag,
@@ -25,9 +25,19 @@ from striplab.idss import (
     sandwich_check,
     temple_tail_bound,
 )
-from striplab.instances import classical_model, default_model, pinned_model
+from striplab.instances import SurfaceModel, classical_model, default_model, pinned_model
 from striplab.operator import assemble
-from striplab.potential import CosineBulk, IidUniformBulk, TwoPointCouplings, periodic_bulk
+from striplab.potential import (
+    CompactProfile,
+    CosineBulk,
+    IidUniformBulk,
+    TwoPointCouplings,
+    UniformCouplings,
+    contract_couplings,
+    estimate_bulk_bottom,
+    f_weight_matrix,
+    periodic_bulk,
+)
 from striplab.rng import mix64
 from striplab.spectral import count_below, count_below_ensemble
 
@@ -133,14 +143,17 @@ def test_engine_counts_batch_size_invariant(model, energies, monkeypatch):
     monkeypatch.setattr(idss, "ProcessPoolExecutor", inline_pool())
     eng = StripEnsemble(model, L=6, M=8, bc="D", master_seed=3)
     # one lane's bytes, read back from block_lanes under a budget so far above
-    # a lane's that the floor division loses nothing
+    # a lane's that the floor division loses nothing; block_lanes first sets
+    # aside the ufunc buffers' reserve, three operands of np.getbufsize() entries
     max_lanes, max_bytes = spectral.BLOCK_LANES, spectral.BLOCK_BYTES
     monkeypatch.setattr(spectral, "BLOCK_LANES", 1 << 40)
     monkeypatch.setattr(spectral, "BLOCK_BYTES", 1 << 40)
     per_lane = (1 << 40) // spectral.block_lanes(eng.base_band)
+    reserve = 3 * np.getbufsize() * eng.base_band.itemsize
     # (lane cap, byte budget, blocks at one worker, blocks at two)
     caps = ((max_lanes, max_bytes, [12], [6, 6]), (5, max_bytes, [4] * 3, [4] * 3),
-            (max_lanes, 3 * per_lane, [3] * 4, [3] * 4), (5, 4 * per_lane - 1, [3] * 4, [3] * 4))
+            (max_lanes, reserve + 3 * per_lane, [3] * 4, [3] * 4),
+            (5, reserve + 4 * per_lane - 1, [3] * 4, [3] * 4))
     for m in (model, replace(model, bulk_random=IidUniformBulk(0.4))):
         eng = StripEnsemble(m, L=6, M=8, bc="D", master_seed=3)
         for E in (energies, energies[:1]):  # a bisected grid and one round
@@ -255,6 +268,16 @@ def test_idss_validates_energy_grid(model, e0_default):
         idss_estimate(model, 4, 8, [0.5], 2, 0)  # above the bulk bottom
     with pytest.raises(InvalidParam):
         idss_estimate(model, 4, 8, [-0.5, -0.7], 2, 0)  # not ascending
+    with pytest.raises(InvalidParam, match="bulk bottom"):
+        idss_estimate(model, 4, 8, [np.nan], 2, 0)  # a NaN lies below no bottom
+    # the sandwich check and the quantum campaign count through
+    # ensemble_counts too, so each refuses an energy past the bulk bottom
+    e0 = floquet.cached_reference(model, 8).e0
+    with pytest.raises(InvalidParam, match="bulk bottom estimate 0"):
+        sandwich_check(model, L=4, M=8, energies=[e0 + 0.2, 0.05], n_samples=2, master_seed=1)
+    with pytest.raises(InvalidParam, match="bulk bottom estimate 0"):
+        quantum_campaign(model, [0.2, abs(e0) + 0.05], c_factor=4.0, M=8, n_samples=2,
+                         master_seed=1, L_bounds=(4, 8))
 
 
 def test_idss_s4_guard():
@@ -265,12 +288,79 @@ def test_idss_s4_guard():
         idss_estimate(weak, 4, 8, [-0.5], 2, 0)
 
 
+def test_energy_rule_raises_before_any_pool(model, energies, monkeypatch):
+    # ensemble_counts checks every job before it builds a task or a pool:
+    # one job past the bulk bottom, or one model out of the surface regime,
+    # and nothing is counted at one worker and no pool is made at two
+    pool = inline_pool()
+    monkeypatch.setattr(idss, "ProcessPoolExecutor", pool)
+    kernel_calls = []
+    monkeypatch.setattr(idss, "count_below_ensemble", lambda *a: kernel_calls.append(a))
+    good = StripEnsemble(model, L=6, M=8, bc="chi", master_seed=9)
+    weak = replace(model, dist=TwoPointCouplings(-1e-6, -5e-7, p=0.5))
+    bad = ((InvalidParam, "bulk bottom", [(good, 4, energies), (good, 4, [good.e0, 0.0])]),
+           (S4Violated, "not negative",
+            [(good, 4, energies), (StripEnsemble(weak, L=6, M=8, master_seed=9), 4, [-0.5])]))
+    for exc, words, jobs in bad:
+        for workers in (1, 2):
+            with pytest.raises(exc, match=words):
+                ensemble_counts(jobs, workers=workers)
+    assert pool.sizes == [] and kernel_calls == []
+
+
+def test_bulk_bottom_estimated_once_per_call(model, monkeypatch):
+    # a 12-job quantum campaign on a cosine periodic bulk estimates the bulk
+    # bottom once; two depths in one call estimate it once each
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["M_probe"])
+        return estimate_bulk_bottom(*args, **kwargs)
+
+    monkeypatch.setattr(idss, "estimate_bulk_bottom", counting)
+    m = replace(model, bulk_periodic=CosineBulk(0.3))
+    curve = quantum_campaign(m, np.geomspace(0.05, 0.3, 12), c_factor=1.0, M=8, n_samples=1,
+                             master_seed=3, L_bounds=(4, 8))
+    assert len(curve.energies) == 12 and calls == [16]
+    calls.clear()
+    jobs = [(StripEnsemble(m, L=4, M=M, master_seed=3), 1, [curve.e0]) for M in (8, 10, 8, 10)]
+    ensemble_counts(jobs)
+    assert calls == [16, 20]
+
+
 def test_bracketing_report(model, energies):
     rep = bracketing_check(model, L=8, M_values=[8, 16, 32], energies=energies, seed=7)
     assert rep.M_stab in (8, 16)
     for M in (8, 16, 32):
         assert np.all(rep.counts_dd[M] <= rep.counts_nd[M])
     assert np.array_equal(rep.counts_dd[16], rep.counts_dd[32])
+
+
+def test_bracketing_restricts_one_deep_realization(monkeypatch):
+    # each depth counts the central layers of one diagonal built on the
+    # deepest grid, bit for bit the diagonal built on its own grid from the
+    # same couplings and the restricted random bulk (d1 = d2 = 2, iid and
+    # cosine bulks)
+    m = SurfaceModel(d1=2, d2=2, a=1,
+                     profile=CompactProfile(x1_halfwidth=0.25, x2_box=(-1.0, 1.0), amplitude=1.0),
+                     dist=UniformCouplings(-2.0, -1.0), bulk_random=IidUniformBulk(0.4),
+                     bulk_periodic=CosineBulk(0.3))
+    seen = {}
+
+    def recording(grid, values, bcs):
+        seen[grid.M] = values.copy()
+        return assemble(grid, values, bcs)
+
+    monkeypatch.setattr(idss, "assemble", recording)
+    bracketing_check(m, L=3, M_values=[8, 4], energies=[-1.0, -0.5], seed=5)
+    grid_max = m.strip_grid(3, 8)
+    q, v_b_max = m.draw(5, f_weight_matrix(grid_max, m.profile).shape[0], grid_max.n_sites)
+    for M in (4, 8):
+        grid = m.strip_grid(3, M)
+        v_s = contract_couplings(q, f_weight_matrix(grid, m.profile))
+        v_b = central_layers(v_b_max.reshape(grid_max.shape), grid.d2, M).ravel()
+        want = (periodic_bulk(grid, m.bulk_periodic) + v_b) + v_s
+        assert seen[M].tobytes() == want.tobytes()
 
 
 def test_sandwich_check_passes(model, e0_default):

@@ -68,21 +68,34 @@ def test_decay_refuses_bulk_energies(model):
 
 
 def test_wegner_saturated_and_empty_windows(model, e0_default):
-    # 0-width windows never capture spectrum; windows wider than the
-    # spectral diameter always do; informative widths sit in between
+    # 0-width windows never capture spectrum; a window from below the ground
+    # energy up to just under the bulk bottom always does; informative
+    # widths sit in between
     E = e0_default + 0.4 * abs(e0_default)
-    eps = [0.0, 1e-3, 3e-3, 1e-2, 50.0]
+    eps = [0.0, 1e-3, 3e-3, 1e-2, 0.99 * abs(E)]
     rep = wegner_probe(model, E, eps, L=8, M=8, n_samples=60, master_seed=1)
     assert rep.probs[0] == 0.0
     assert rep.probs[-1] == 1.0
 
 
 def test_wegner_uninformative_range_has_no_slope(model, e0_default):
-    # saturated windows still report their probabilities, with a nan slope
+    # saturated windows, still below the bulk bottom, report their
+    # probabilities, with a nan slope
     E = e0_default + 0.4 * abs(e0_default)
-    rep = wegner_probe(model, E, [50.0, 60.0], L=4, M=8, n_samples=10, master_seed=1)
+    rep = wegner_probe(model, E, [0.98 * abs(E), 0.99 * abs(E)], L=4, M=8, n_samples=10,
+                       master_seed=1)
     assert np.array_equal(rep.probs, [1.0, 1.0]) and np.array_equal(rep.ses, [0.0, 0.0])
     assert rep.n_usable == 0 and np.isnan(rep.slope)
+
+
+def test_probes_refuse_energies_past_bulk_bottom(model, e0_default):
+    # wegner windows and initial-scale energies are counted through
+    # ensemble_counts, which holds them below the bulk bottom (0 here)
+    E = e0_default + 0.4 * abs(e0_default)
+    with pytest.raises(InvalidParam, match="bulk bottom estimate 0"):
+        wegner_probe(model, E, [1e-3, 1.01 * abs(E)], L=4, M=8, n_samples=2, master_seed=1)
+    with pytest.raises(InvalidParam, match="bulk bottom estimate 0"):
+        initial_scale_probe(model, [4, 6], [E, 0.0], M=8, n_samples=2, master_seed=1)
 
 
 def test_wegner_monotone_and_slope(model, e0_default):

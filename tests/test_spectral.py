@@ -314,13 +314,16 @@ def test_banded_inertia_memory_flat_in_n():
 
 def test_block_lanes_bounds_a_wide_band_pass(monkeypatch):
     # one pass of block_lanes lanes at a wide band, its shifts included,
-    # peaks inside BLOCK_BYTES: every per-lane array of the kernel is counted
+    # peaks inside BLOCK_BYTES: every per-lane array of the kernel is counted,
+    # and numpy's ufunc buffers are reserved (long narrow bands overshot the
+    # budget by 0.3-1.3% without that reserve)
     import tracemalloc
 
     import striplab.spectral
 
     rng = np.random.default_rng(47)
-    for n, bw, budget in ((512, 128, 3 << 20), (1024, 256, 5 << 20)):
+    for n, bw, budget in ((512, 128, 3 << 20), (1024, 256, 5 << 20), (2048, 48, 2 << 20),
+                          (2048, 64, 4 << 20), (4096, 32, 4 << 20)):
         monkeypatch.setattr(striplab.spectral, "BLOCK_BYTES", budget)
         base = _random_lower_band(rng, n, bw, False)
         diags = rng.uniform(-3.0, 3.0, (striplab.spectral.block_lanes(base), n))
