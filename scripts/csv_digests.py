@@ -14,7 +14,10 @@ outcome of checks that write no CSV (the idss sandwich).  ``results_sha256``
 digests the sidecar's ``results`` block as canonical JSON (sorted keys, no
 whitespace), which holds the fit values no CSV carries; the sidecar's
 timestamp sits outside that block.  A subcommand that writes no CSV or no
-sidecar prints ``missing`` in place of that digest.  Exits 1 if any line
+sidecar prints ``missing`` in place of that digest.  After the loop
+``striplab selftest`` runs once per worker count on the small config: it
+ignores config, seed and workers, writes no CSV, and its PASS/FAIL lines and
+sidecar results are digested like the others'.  Exits 1 if any line
 but the worker count differs between one and two workers.  Run it in two
 trees and diff the outputs to show that a change keeps every byte:
 
@@ -101,19 +104,19 @@ def digest(cfg: dict, sub: str, csv: str, workers: int, tmp: str) -> str:
 
 
 def main() -> int:
+    runs = [(name, seed, run) for name in CONFIGS for seed in SEEDS for run in RUNS]
+    runs.append(("small", SMALL["run"]["master_seed"], ("selftest", {}, "selftest.csv")))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, base in CONFIGS.items():
-            for seed in SEEDS:
-                for sub, fields, csv in RUNS:
-                    cfg = copy.deepcopy(base)
-                    cfg["run"]["master_seed"] = seed
-                    cfg["run"].update(fields)
-                    label = " ".join([csv] + [f"{k}={v}" for k, v in fields.items()])
-                    shas = [digest(cfg, sub, csv, w, tmp) for w in WORKERS]
-                    for w, sha in zip(WORKERS, shas):
-                        print(f"{sha} {name} {seed} {w} {label}", flush=True)
-                    differ += len(set(shas)) > 1
+        for name, seed, (sub, fields, csv) in runs:
+            cfg = copy.deepcopy(CONFIGS[name])
+            cfg["run"]["master_seed"] = seed
+            cfg["run"].update(fields)
+            label = " ".join([csv] + [f"{k}={v}" for k, v in fields.items()])
+            shas = [digest(cfg, sub, csv, w, tmp) for w in WORKERS]
+            for w, sha in zip(WORKERS, shas):
+                print(f"{sha} {name} {seed} {w} {label}", flush=True)
+            differ += len(set(shas)) > 1
     if differ:
         print(f"{differ} runs differ between workers {WORKERS}", file=sys.stderr)
     return 1 if differ else 0

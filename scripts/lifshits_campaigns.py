@@ -3,8 +3,9 @@
 
 Reproduces the acceptance-scale tail study: the compact-impurity model with
 strip length tied to the energy offset against the power-law model at fixed
-length, both with couplings carrying an atom at the floor.  Writes per-point
-CSV curves plus fitted double-log slopes.
+length, both with couplings carrying an atom at the floor.  Each study runs
+through ``striplab lifshits``'s runner; writes its per-point CSV curve plus
+the fitted double-log slopes.
 
     python scripts/lifshits_campaigns.py --out out/lifshits --samples 2000
 """
@@ -13,12 +14,20 @@ import argparse
 import os
 from dataclasses import replace
 
-import numpy as np
-
-from striplab.idss import classical_campaign, lifshits_fit, quantum_campaign
+from striplab.cli import run_lifshits
 from striplab.instances import classical_model, default_model
 from striplab.potential import TwoPointCouplings
 from striplab.reports import ensure_dir, write_csv, write_sidecar
+
+DIST = TwoPointCouplings(-2.0, -1.0, p=0.5)
+# name: (model, geometry, run block, master seed offset); a new study is a new row
+STUDIES = {
+    "quantum": (replace(default_model(), dist=DIST), {"M": 24, "M_ref": 28},
+                {"mode": "quantum", "deltas": {"lo": 0.05, "hi": 0.7, "points": 12},
+                 "L_bounds": [8, 48]}, 0),
+    "classical": (replace(classical_model(), dist=DIST), {"L": 16, "M": 24, "M_ref": 28},
+                  {"mode": "classical", "deltas": {"lo": 0.9, "hi": 3.0, "points": 10}}, 1),
+}
 
 
 def main():
@@ -30,50 +39,17 @@ def main():
     args = ap.parse_args()
     ensure_dir(args.out)
 
-    dist = TwoPointCouplings(-2.0, -1.0, p=0.5)
-    quantum = quantum_campaign(
-        replace(default_model(), dist=dist),
-        np.geomspace(0.05, 0.7, 12),
-        c_factor=8 * np.sqrt(0.7),
-        M=24,
-        n_samples=args.samples,
-        master_seed=args.seed,
-        L_bounds=(8, 48),
-        M_ref=28,
-        workers=args.workers,
-    )
-    classical = classical_campaign(
-        replace(classical_model(), dist=dist),
-        np.geomspace(0.9, 3.0, 10),
-        L=16,
-        M=24,
-        n_samples=args.samples,
-        master_seed=args.seed + 1,
-        M_ref=28,
-        workers=args.workers,
-    )
-
     fits = {}
-    for name, camp in (("quantum", quantum), ("classical", classical)):
-        write_csv(
-            os.path.join(args.out, f"{name}.csv"),
-            ["delta", "E", "L", "M", "mean", "se", "n_samples"],
-            [
-                [d, E, L, camp.M, m, s, camp.n_samples]
-                for d, E, L, m, s in zip(
-                    camp.deltas, camp.energies, camp.L_values, camp.means, camp.ses
-                )
-            ],
-        )
-        fit = lifshits_fit(camp, camp.e0, (camp.e0, float(camp.energies[-1]) + 1e-9))
+    for name, (model, geo, run, offset) in STUDIES.items():
+        _, _, header, rows, fit = run_lifshits(model, geo, dict(run, n_samples=args.samples),
+                                               args.seed + offset, args.workers)
+        write_csv(os.path.join(args.out, f"{name}.csv"), header, rows)
         fits[name] = fit
-        print(f"{name:9s}: E0 = {camp.e0:+.6f}, slope = {fit.slope:+.4f}, "
-              f"R^2 = {fit.r_squared:.4f} over {fit.n_points} points")
-    print(f"separation: {fits['quantum'].slope - fits['classical'].slope:+.4f}")
+        print(f"{name:9s}: E0 = {fit['e0']:+.6f}, slope = {fit['slope']:+.4f}, "
+              f"R^2 = {fit['r_squared']:.4f} over {fit['n_points']} points")
+    print(f"separation: {fits['quantum']['slope'] - fits['classical']['slope']:+.4f}")
     write_sidecar(
-        os.path.join(args.out, "fits.json"),
-        {"samples": args.samples, "seed": args.seed},
-        {name: fit.__dict__ for name, fit in fits.items()},
+        os.path.join(args.out, "fits.json"), {"samples": args.samples, "seed": args.seed}, fits
     )
 
 

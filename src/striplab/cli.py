@@ -2,9 +2,9 @@
 
 ``main`` validates the config's geometry, builds the model and reads the
 ``run`` block and its master seed for every subcommand.  The subcommand's
-runner computes, prints one line per asserted invariant and returns its
-rows and summary; ``main`` then writes the CSV data plus a JSON sidecar
-into the output directory and exits 0 only if every assertion passed.
+runner computes and returns its checks with its rows and summary; ``main``
+prints one line per check, writes the CSV data plus a JSON sidecar into
+the output directory and exits 0 only if every check passed.
 Re-running a subcommand with the same config and seed produces
 byte-identical CSV files; worker count never changes results.
 """
@@ -23,6 +23,7 @@ from .config import (_int_at_least, _is_number, _opt, _real, build_model, energy
 from .errors import ConfigInvalid, StripLabError
 from .floquet import band_curve, cached_reference, default_theta_grid, gap_certificate
 from .grid import BC_TAGS
+from .instances import default_model
 from .idss import (
     StripEnsemble,
     bracketing_check,
@@ -51,16 +52,12 @@ def _bc(run: dict) -> str:
                 f"must be one of {', '.join(BC_TAGS)}")
 
 
-def _check(ok: bool, name: str, detail: str = "") -> bool:
-    print(f"{'PASS' if ok else 'FAIL'} {name}" + (f"  [{detail}]" if detail else ""))
-    return ok
-
-
 # -- subcommand implementations --------------------------------------------------
 #
-# Each runner takes (model, geo, run, seed, workers) and returns
-# (ok, stem, csv_header, csv_rows, sidecar_results); ``main`` writes
-# <stem>.csv (none when the header is None) and <stem>.json.
+# Each runner takes (model, geo, run, seed, workers), prints nothing and
+# returns (checks, stem, csv_header, csv_rows, sidecar_results), where
+# checks is a list of (name, passed, detail); ``main`` prints the checks and
+# writes <stem>.csv (none when the header is None) and <stem>.json.
 
 
 def run_band(model, geo, run, seed, workers):
@@ -77,15 +74,17 @@ def run_band(model, geo, run, seed, workers):
         "E0_h_theta", "k_disc", "upper_margin_kdisc", "upper_margin_theta_sq", "lower_margin",
     ]
     tol = 1e-9 * (1 + abs(curve.e0))
-    ok = _check(bool(np.all(curve.upper_margin_kdisc >= -tol)), "band upper parabolic bound")
-    ok &= _check(bool(np.all(curve.lower_margin >= -tol)), "band lower parabolic bound")
     i0 = int(np.argmin(curve.values))
-    ok &= _check(bool(np.all(np.abs(curve.thetas[i0]) < 1e-12)) or
-                 abs(curve.values[i0] - curve.e0) <= tol, "band minimum at theta = 0")
+    checks = [
+        ("band upper parabolic bound", bool(np.all(curve.upper_margin_kdisc >= -tol)), ""),
+        ("band lower parabolic bound", bool(np.all(curve.lower_margin >= -tol)), ""),
+        ("band minimum at theta = 0", bool(np.all(np.abs(curve.thetas[i0]) < 1e-12)
+                                           or abs(curve.values[i0] - curve.e0) <= tol), ""),
+    ]
     summary = {"e0": curve.e0, "c1": curve.c1, "c2": curve.c2,
                "min_lower_margin": float(curve.lower_margin.min()),
                "min_upper_margin": float(curve.upper_margin_kdisc.min())}
-    return ok, "band", header, rows, summary
+    return checks, "band", header, rows, summary
 
 
 def run_gap(model, geo, run, seed, workers):
@@ -94,12 +93,12 @@ def run_gap(model, geo, run, seed, workers):
         raise ConfigInvalid("geometry.L_values: gap certificates need L >= 2")
     ref = cached_reference(model, geo["M"], geo["M_ref"])
     reports = gap_certificate(model.u_per(), L_values, ref, M=geo["M"])
-    ok = True
+    checks = []
     for r in reports:
-        ok &= _check(r.margin >= -1e-9, f"gap comparison L={r.L}", f"margin={r.margin:.3e}")
-        ok &= _check(r.e0_error <= 10 * ref.residual, f"ground-energy invariance L={r.L}",
-                     f"err={r.e0_error:.3e}")
-    return (ok, "gap",
+        checks += [(f"gap comparison L={r.L}", bool(r.margin >= -1e-9), f"margin={r.margin:.3e}"),
+                   (f"ground-energy invariance L={r.L}", bool(r.e0_error <= 10 * ref.residual),
+                    f"err={r.e0_error:.3e}")]
+    return (checks, "gap",
             ["L", "e0", "e1", "gap", "gbar", "harnack_ratio_sq", "margin", "e0_error"],
             [[r.L, r.e0, r.e1, r.gap, r.gbar, r.harnack_ratio_sq, r.margin, r.e0_error]
              for r in reports],
@@ -113,14 +112,14 @@ def run_idss(model, geo, run, seed, workers):
     energies = energy_grid(run, ref.e0)
     n_samples = _int_at_least(run, "n_samples", 200, "run", 1)
     bc = _bc(run)
-    checks = _opt(run, "checks", True, "run", bool)
+    judge = _opt(run, "checks", True, "run", bool)
     engine = StripEnsemble(model, geo["L"], geo["M"], bc=bc, M_ref=geo["M_ref"], master_seed=seed)
     # one count per boundary tag: the sandwich check reads the first n_check
     # samples of its chi and Dirichlet ensembles, and a sample's seed depends
     # on its index only, so the curve's ensemble lends them when its tag matches
     n_check = min(n_samples, 200)
     ensembles = {bc: (engine, n_samples)}
-    if checks:
+    if judge:
         for tag in ("D", "chi"):
             ensembles.setdefault(tag, (StripEnsemble(model, geo["L"], geo["M"], bc=tag,
                                                      M_ref=geo["M_ref"], master_seed=seed),
@@ -128,21 +127,21 @@ def run_idss(model, geo, run, seed, workers):
     counts = dict(zip(ensembles, ensemble_counts(
         [(eng, n, energies) for eng, n in ensembles.values()], workers=workers)))
     curve = idss_from_counts(engine, energies, counts[bc])
-    ok = _check(bool(np.all(np.diff(curve.means) >= 0)), "IDSS means nondecreasing")
-    if checks:
+    checks = [("IDSS means nondecreasing", bool(np.all(np.diff(curve.means) >= 0)), "")]
+    if judge:
         try:
             br = bracketing_check(model, geo["L"], [geo["M"], 2 * geo["M"]],
                                   energies, seed=seed)
-            ok &= _check(True, "bracketing count ordering", f"M_stab={br.M_stab}")
+            checks.append(("bracketing count ordering", True, f"M_stab={br.M_stab}"))
         except StripLabError as exc:
-            ok &= _check(False, "bracketing count ordering", str(exc))
+            checks.append(("bracketing count ordering", False, str(exc)))
         try:
             sandwich_from_counts(ensembles["chi"][0], energies, counts["chi"][:n_check],
                                  counts["D"][:n_check])
-            ok &= _check(True, "IDSS sandwich within 3 SE")
+            checks.append(("IDSS sandwich within 3 SE", True, ""))
         except StripLabError as exc:
-            ok &= _check(False, "IDSS sandwich within 3 SE", str(exc))
-    return (ok, "idss",
+            checks.append(("IDSS sandwich within 3 SE", False, str(exc)))
+    return (checks, "idss",
             ["E", "mean", "se", "p0_upper", "n_samples", "L", "M"],
             [[E, m, s, p0, curve.n_samples, L, curve.M]
              for E, m, s, p0, L in zip(curve.energies, curve.means, curve.ses, curve.p0_upper,
@@ -167,9 +166,9 @@ def run_lifshits(model, geo, run, seed, workers):
         camp = classical_campaign(model, deltas, geo["L"] or 16, geo["M"], n_samples, seed,
                                   M_ref=geo["M_ref"], workers=workers)
     fit = lifshits_fit(camp, camp.e0, (camp.e0, camp.e0 + hi * 1.01))
-    ok = _check(fit.n_points >= 5, f"{mode} tail fit has >= 5 points",
-                f"slope={fit.slope:.4f} R2={fit.r_squared:.4f}")
-    return (ok, f"lifshits_{mode}",
+    checks = [(f"{mode} tail fit has >= 5 points", fit.n_points >= 5,
+               f"slope={fit.slope:.4f} R2={fit.r_squared:.4f}")]
+    return (checks, f"lifshits_{mode}",
             ["delta", "E", "L", "M", "mean", "se", "p0_upper", "n_samples"],
             [[d, E, L, camp.M, m, s, p0, camp.n_samples]
              for d, E, L, m, s, p0 in zip(camp.deltas, camp.energies, camp.L_values,
@@ -183,9 +182,9 @@ def run_decay(model, geo, run, seed, workers):
                         M_ref=geo["M_ref"], master_seed=seed)
     res = lowest_k(eng.hamiltonian(0), 1, tol=1e-9)
     fit = decay_profile(eng.grid, float(res.eigenvalues[0]), res.eigenvectors[:, 0])
-    ok = _check(fit.gamma > 0, "transverse decay rate positive", f"gamma={fit.gamma:.4f}")
-    ok &= _check(fit.r_squared >= 0.95, "decay fit quality", f"R2={fit.r_squared:.4f}")
-    return (ok, "decay", ["abs_x2", "sup_profile"], list(zip(fit.shells, fit.profile)),
+    checks = [("transverse decay rate positive", bool(fit.gamma > 0), f"gamma={fit.gamma:.4f}"),
+              ("decay fit quality", bool(fit.r_squared >= 0.95), f"R2={fit.r_squared:.4f}")]
+    return (checks, "decay", ["abs_x2", "sup_profile"], list(zip(fit.shells, fit.profile)),
             {"eigenvalue": fit.eigenvalue, "gamma": fit.gamma, "r_squared": fit.r_squared,
              "oracle_rate": transverse_bound_rate(fit.eigenvalue, model.a)})
 
@@ -197,9 +196,9 @@ def run_wegner(model, geo, run, seed, workers):
     eps, _ = ladder(run, "eps", 3e-4, 1e-2, 8)
     rep = wegner_probe(model, energy, eps, geo["L"] or 16, geo["M"], n_samples, seed,
                        M_ref=geo["M_ref"], workers=workers)
-    ok = _check(bool(np.all(np.diff(rep.probs) >= 0)), "window probability monotone in eps")
-    ok &= _check(rep.n_usable >= 2, "informative eps range", f"slope={rep.slope:.3f}")
-    return (ok, "wegner", ["eps", "prob", "se"], list(zip(rep.eps, rep.probs, rep.ses)),
+    checks = [("window probability monotone in eps", bool(np.all(np.diff(rep.probs) >= 0)), ""),
+              ("informative eps range", rep.n_usable >= 2, f"slope={rep.slope:.3f}")]
+    return (checks, "wegner", ["eps", "prob", "se"], list(zip(rep.eps, rep.probs, rep.ses)),
             {"energy": rep.energy, "slope": rep.slope, "n_usable": rep.n_usable})
 
 
@@ -215,8 +214,8 @@ def run_initial_scale(model, geo, run, seed, workers):
                               M_ref=geo["M_ref"], workers=workers)
     rows = [[L, E, rep.probs[i, j], rep.ses[i, j]]
             for i, L in enumerate(rep.L_values) for j, E in enumerate(rep.energies)]
-    ok = _check(rep.nondecreasing_in_L, "tail probability nondecreasing in L")
-    return (ok, "initial_scale", ["L", "E", "prob", "se"], rows,
+    checks = [("tail probability nondecreasing in L", bool(rep.nondecreasing_in_L), "")]
+    return (checks, "initial_scale", ["L", "E", "prob", "se"], rows,
             {"e0": ref.e0, "probs": rep.probs, "L_values": rep.L_values})
 
 
@@ -229,9 +228,9 @@ def run_dynamics(model, geo, run, seed, workers):
                         master_seed=seed)
     interval = (eng.e0, eng.e0 + window_frac * abs(eng.e0))
     rep = dynamics_moment(eng.hamiltonian(0), interval, p, times, eng.grid.center_sites())
-    ok = _check(rep.norm_drift <= 1e-9, "filtered evolution unitary",
-                f"drift={rep.norm_drift:.2e}")
-    return (ok, "dynamics", ["t", "moment"], list(zip(rep.times, rep.moments)),
+    checks = [("filtered evolution unitary", bool(rep.norm_drift <= 1e-9),
+               f"drift={rep.norm_drift:.2e}")]
+    return (checks, "dynamics", ["t", "moment"], list(zip(rep.times, rep.moments)),
             {"sup_moment": rep.sup_moment, "projected_norm_sq": rep.projected_norm_sq})
 
 
@@ -246,26 +245,34 @@ def run_bounds(model, geo, run, seed, workers):
     w[tuple(grid.coords_of(grid.center_sites()[0])[: model.d1])] = gap / 4
     tb = temple_tail_bound(model, ref, L, w, M=geo["M"], gap=gap)
     rb = rayleigh_tail_bound(model, L, geo["M"], seed, M_ref=geo["M_ref"])
-    ok = _check(tb.margin >= -1e-10, "Temple tail bound below direct energy",
-                f"margin={tb.margin:.3e}")
-    ok &= _check(rb.margin >= -1e-10, "Rayleigh tail bound above direct energy",
-                 f"margin={rb.margin:.3e}")
-    return (ok, "bounds", ["kind", "bound", "direct_e0", "margin"],
+    checks = [("Temple tail bound below direct energy", bool(tb.margin >= -1e-10),
+               f"margin={tb.margin:.3e}"),
+              ("Rayleigh tail bound above direct energy", bool(rb.margin >= -1e-10),
+               f"margin={rb.margin:.3e}")]
+    return (checks, "bounds", ["kind", "bound", "direct_e0", "margin"],
             [["temple_lower", tb.bound, tb.direct_e0, tb.margin],
              ["rayleigh_upper", rb.bound, rb.direct_e0, rb.margin]],
             {"temple": tb.__dict__, "rayleigh": rb.__dict__})
 
 
 def run_selftest(model, geo, run, seed, workers):
-    """Exact-identity and oracle battery on ``default_model``, whatever the config."""
+    """The band, gap and bounds runners, then the oracle battery, on ``default_model``.
+
+    The runners take fixed inputs, whatever the config; one that raises is
+    one failed check.
+    """
     from . import selftest as st
 
-    results = st.run_all()
-    ok = True
-    for name, passed, detail in results:
-        ok &= _check(passed, name, detail)
-    return (ok, "selftest", None, None,
-            {"results": [{"name": n, "passed": p, "detail": d} for n, p, d in results]})
+    checks = []
+    for name, runner in (("band", run_band), ("gap", run_gap), ("bounds", run_bounds)):
+        try:
+            checks += runner(default_model(), {"L": 8, "L_values": [4, 8], "M": 14, "M_ref": 18},
+                             {"theta_points": 33}, 3, 1)[0]
+        except Exception as exc:  # a runner that raises fails the selftest, it does not crash it
+            checks.append((f"{name} runner", False, f"{type(exc).__name__}: {exc}"))
+    checks += st.run_all()
+    return (checks, "selftest", None, None,
+            {"results": [{"name": n, "passed": p, "detail": d} for n, p, d in checks]})
 
 
 _RUNNERS = {
@@ -309,8 +316,10 @@ def main(argv=None) -> int:
         geo = validate_geometry(cfg)
         model = build_model(cfg)
         seed = int(_opt(run, "master_seed", 0, "run", int))
-        ok, stem, header, rows, results = _RUNNERS[args.subcommand](
+        checks, stem, header, rows, results = _RUNNERS[args.subcommand](
             model, geo, run, seed, max(1, args.workers))
+        for name, passed, detail in checks:
+            print(f"{'PASS' if passed else 'FAIL'} {name}" + (f"  [{detail}]" if detail else ""))
         if header is not None:
             write_csv(os.path.join(out, f"{stem}.csv"), header, rows)
         write_sidecar(os.path.join(out, f"{stem}.json"), cfg, results)
@@ -323,7 +332,7 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 1
-    return 0 if ok else 1
+    return 0 if all(passed for _, passed, _ in checks) else 1
 
 
 def _default_config() -> dict:

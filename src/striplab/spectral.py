@@ -331,7 +331,8 @@ def count_below(H, E):
     energy is searched in the operator's banded eigenvalues, found once,
     under the ensemble's tie rule: eigenvalues within
     1e-12 * (||H||_inf + |E| + 1) of E count as below.  So no size of
-    operator raises and no caller retries with a perturbed energy.
+    operator raises and no caller retries with a perturbed energy.  A
+    non-finite energy raises ``InvalidParam``.
     """
     band = lower_band(_as_matrix(H))
     energies = np.ravel(np.asarray(E, dtype=float))
@@ -342,7 +343,12 @@ def count_below(H, E):
 
 
 def _lane_scales(base_band, diag_samples, energies: np.ndarray):
-    """(||H_s||_inf, tie) per lane, tie[s, k] = 1e-12 * (||H_s||_inf + |E_k| + 1)."""
+    """(||H_s||_inf, tie) per lane, tie[s, k] = 1e-12 * (||H_s||_inf + |E_k| + 1).
+
+    Raises ``InvalidParam`` on a non-finite energy, which no count is defined at.
+    """
+    if not np.all(np.isfinite(energies)):
+        raise InvalidParam(f"energies must be finite, got {energies[~np.isfinite(energies)][0]}")
     # ||H_s||_inf from the shared off-diagonal row sums and each lane's diagonal
     off = _offdiag_row_sums(base_band)
     lane_norm = (np.abs(base_band[0] + diag_samples) + off).max(axis=1, initial=0.0)
@@ -396,7 +402,8 @@ def count_below_ensemble(base_band: np.ndarray, diag_samples: np.ndarray, energi
     integer array of shape (S, n_energies): the eigenvalues of each lane
     <= E + tie, with tie = 1e-12 * (||H_s||_inf + |E| + 1) taken from that
     lane's own operator, so a count never depends on which samples share
-    the batch.  The energies may come in any order and may repeat.
+    the batch.  The energies may come in any order and may repeat; a
+    non-finite one raises ``InvalidParam``, even for an empty ensemble.
 
     Every count is an LDL^T inertia, and counts are nondecreasing in E, so
     each lane bisects its thresholds E + tie in ascending order: it counts
@@ -410,9 +417,9 @@ def count_below_ensemble(base_band: np.ndarray, diag_samples: np.ndarray, energi
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     S, K = diag_samples.shape[0], len(energies)
+    lane_norm, tie = _lane_scales(base_band, diag_samples, energies)
     if S == 0 or K == 0:
         return np.zeros((S, K), dtype=np.int64)
-    lane_norm, tie = _lane_scales(base_band, diag_samples, energies)
     order = np.argsort(energies + tie, axis=1, kind="stable")
     thresholds = np.take_along_axis(energies + tie, order, axis=1)
     regs = np.take_along_axis(tie, order, axis=1)

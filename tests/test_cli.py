@@ -481,14 +481,52 @@ def test_sidecars_are_strict_json(tmp_path):
     assert wegner["results"]["slope"] is None
 
 
+def test_runners_return_checks_and_print_nothing(capsys):
+    # a runner computes and judges; main alone prints the checks
+    import striplab.cli as cli
+
+    cfg = json.loads(SMALL_CONFIG.read_text())
+    geo, model = validate_geometry(cfg), build_model(cfg)
+    for sub, runner in cli._RUNNERS.items():
+        checks = runner(model, geo, dict(cfg["run"]), cfg["run"]["master_seed"], 1)[0]
+        assert checks and all(type(name) is str and type(passed) is bool and type(detail) is str
+                              for name, passed, detail in checks), sub
+        assert capsys.readouterr() == ("", ""), sub
+
+
 def test_selftest_subcommand(tmp_path, monkeypatch):
-    # the battery's checks share the memoized references: one solve per
-    # (M, M_ref) key, (14, 18) and (10, 14)
+    # the runners and the battery share the memoized references: one solve
+    # per (M, M_ref) key, (14, 18) and (10, 14)
     calls = count_reference_solves(monkeypatch)
     assert main(["selftest", "--out", str(tmp_path)]) == 0
     assert len(calls) == 2
     doc = json.loads((tmp_path / "selftest.json").read_text())
     assert all(r["passed"] for r in doc["results"]["results"])
+    # the band, gap and bounds checks come from their runners, by their names
+    names = {r["name"] for r in doc["results"]["results"]}
+    assert names >= {"band upper parabolic bound", "band lower parabolic bound",
+                     "band minimum at theta = 0", "gap comparison L=4", "gap comparison L=8",
+                     "ground-energy invariance L=4", "ground-energy invariance L=8",
+                     "Temple tail bound below direct energy",
+                     "Rayleigh tail bound above direct energy"}
+
+
+def test_selftest_fails_with_its_runners(tmp_path, monkeypatch):
+    # a failing runner check fails the selftest; a runner that raises is one FAIL entry
+    import striplab.cli as cli
+
+    monkeypatch.setattr(cli, "run_bounds", lambda *args: (
+        [("Temple tail bound below direct energy", False, "margin=-1")], "bounds", None, None, {}))
+    assert main(["selftest", "--out", str(tmp_path)]) == 1
+
+    def raising(*args):
+        raise RuntimeError("no bound")
+
+    monkeypatch.setattr(cli, "run_bounds", raising)
+    assert main(["selftest", "--out", str(tmp_path)]) == 1
+    results = json.loads((tmp_path / "selftest.json").read_text())["results"]["results"]
+    assert [r for r in results if not r["passed"]] == [
+        {"name": "bounds runner", "passed": False, "detail": "RuntimeError: no bound"}]
 
 
 def test_sidecar_reproduces_config(tmp_path):

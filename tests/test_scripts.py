@@ -19,7 +19,7 @@ import pytest
 ROOT = Path(__file__).parents[1]
 
 IDSS_HEADER = ["E", "mean", "se", "n_samples", "L", "M"]
-TAIL_HEADER = ["delta", "E", "L", "M", "mean", "se", "n_samples"]
+TAIL_HEADER = ["delta", "E", "L", "M", "mean", "se", "p0_upper", "n_samples"]
 BAND_HEADER = ["theta", "E0_h_theta", "k_disc", "upper_margin", "lower_margin"]
 
 # script, arguments, {csv name: (header, rows)}, sidecar name

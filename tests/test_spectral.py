@@ -23,6 +23,7 @@ from striplab.spectral import (
     banded_inertia,
     count_below,
     count_below_ensemble,
+    lower_band,
     lowest_k,
     rayleigh_ritz_upper,
     temple_lower_bound,
@@ -144,6 +145,23 @@ def test_count_below_energy_array():
     # the lowest eigenvalue sits at -||A||_inf + 1, inside the searched range
     A = sp.csr_matrix(np.diag([-1.0, 0.0, 2.0]))
     assert count_below(A, [-1.0, 0.0, 2.0]).tolist() == [1, 2, 3]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_counting_refuses_non_finite_energy(bad):
+    # no count is defined there: unguarded, a NaN sorts last and ends every
+    # lane at zero, -inf plus its tie is a NaN threshold, and the banded
+    # eigensolver does not converge on either
+    Hs, _ = random_banded_symmetric(np.random.default_rng(12), n=30, bw=3)
+    band = lower_band(Hs)
+    with pytest.raises(InvalidParam, match="finite"):
+        count_below(Hs, bad)
+    with pytest.raises(InvalidParam, match="finite"):
+        count_below(Hs, [bad, -0.5])
+    with pytest.raises(InvalidParam, match="finite"):
+        count_below_ensemble(band, np.zeros((3, 30)), [-0.5, bad, 0.2])
+    with pytest.raises(InvalidParam, match="finite"):  # even with no lane to count
+        count_below_ensemble(band, np.zeros((0, 30)), [bad])
 
 
 def _random_lower_band(rng, n, bw, is_complex):
