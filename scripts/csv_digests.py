@@ -5,7 +5,9 @@ Runs each CSV-writing subcommand through ``striplab.cli.main`` on the test
 suite's small config (``tests/small_config.json``), on a variant with a
 cosine periodic bulk, on one with an i.i.d. uniform random bulk and on one
 with a power-law impurity profile, for seeds 0-3, at ``--workers 1`` and
-``2``, and prints one line per CSV:
+``2``.  Two geometry variants, one with a = 2 and one with d2 = 2 (M = 8,
+M_ref = 12), run band, gap, bounds, decay (chi and D), dynamics and one
+idss curve at the same seeds and worker counts.  It prints one line per CSV:
 
     sha256 exit_code checks_sha256 results_sha256 config seed workers csv [run overrides]
 
@@ -47,7 +49,16 @@ IID["potential"]["bulk_random"] = {"kind": "iid_uniform", "v_max": 0.4}
 POWER = copy.deepcopy(SMALL)
 POWER["potential"]["profile"] = {"kind": "power_law", "alpha": 1.5, "truncation_radius": 16}
 POWER["potential"]["tail_tol"] = 0.6
-CONFIGS = {"small": SMALL, "cosine": COSINE, "iid": IID, "power": POWER}
+# two geometry variants, for the cell and transverse operators past a = d2 = 1;
+# the small config's offset_hi of 1.1 passes the bulk bottom there
+A2 = copy.deepcopy(SMALL)
+A2["geometry"]["a"] = 2
+D2 = copy.deepcopy(SMALL)
+D2["geometry"].update(d2=2, M=8, M_ref=12)
+for cfg in (A2, D2):
+    cfg["run"]["energies"] = {"kind": "geometric", "points_per_decade": 8, "decades": 0.8}
+CONFIGS = {"small": SMALL, "cosine": COSINE, "iid": IID, "power": POWER, "a2": A2, "d2": D2}
+VARIANTS = ("a2", "d2")
 
 # (subcommand, run fields set over the config's, CSV it writes); the "D" and
 # 240-sample idss variants count the sandwich's chi ensemble apart from a
@@ -73,6 +84,10 @@ RUNS = [
     ("dynamics", {}, "dynamics.csv"),
     ("bounds", {}, "bounds.csv"),
 ]
+# the variants run one idss curve and the subcommands without counting: all
+# of RUNS would take them about 9 minutes
+VARIANT_RUNS = [run for run in RUNS if run[0] in ("band", "gap", "bounds", "decay", "dynamics")
+                or run == ("idss", {}, "idss.csv")]
 SEEDS = range(4)
 WORKERS = (1, 2)
 
@@ -104,7 +119,8 @@ def digest(cfg: dict, sub: str, csv: str, workers: int, tmp: str) -> str:
 
 
 def main() -> int:
-    runs = [(name, seed, run) for name in CONFIGS for seed in SEEDS for run in RUNS]
+    runs = [(name, seed, run) for name in CONFIGS for seed in SEEDS
+            for run in (VARIANT_RUNS if name in VARIANTS else RUNS)]
     runs.append(("small", SMALL["run"]["master_seed"], ("selftest", {}, "selftest.csv")))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DivisionUnderflow, InvalidParam, NearDegenerate, ShapeMismatch
+from .errors import DivisionUnderflow, InvalidParam, NearDegenerate
 from .grid import (Bloch, BoundarySpec, Dirichlet, GridSpec, bc_for_tag, build_grid,
                    central_layers)
 from .instances import SurfaceModel
@@ -144,48 +144,46 @@ class AveragedModel:
     identity_residual: float
 
 
-def transverse_operator(ubar: np.ndarray, d2: int, a: int, M: int, edge="dirichlet", psibar=None):
-    """Dense transverse operator -Delta_{x2} + ubar on (M,)^d2 sites.
+def transverse_operator(ubar: np.ndarray, psibar: np.ndarray, d2: int, a: int, M: int):
+    """Dense transverse operator -Delta_{x2} + ubar on the centred (M,)^d2 block.
 
-    ``edge`` is "dirichlet" or "chi"; the chi variant takes ghost values
-    from ``psibar`` (a deeper reference profile, centered), making that
-    profile an exact eigenvector of the restriction.
+    ``ubar`` and ``psibar`` are the averaged model's arrays at the reference
+    depth M_ref >= M.  Every face arm takes its ghost value from ``psibar``,
+    zero beyond the reference: so the faces are Dirichlet at M = M_ref, and
+    inside the reference the centred block of ``psibar`` is an exact
+    eigenvector of the restriction.
     """
+    M_ref = round(len(psibar) ** (1.0 / d2))
     shape = (M,) * d2
     n = M**d2
     h2i = float(a * a)
     A = np.zeros((n, n))
     idx = np.arange(n).reshape(shape)
-    diag = np.asarray(ubar, dtype=float).copy()
-    if diag.shape != (n,):
-        raise ShapeMismatch(f"ubar shape {diag.shape} != ({n},)")
-    diag += 2.0 * d2 * h2i
+    diag = central_layers(np.reshape(ubar, (M_ref,) * d2), d2, M).ravel() + 2.0 * d2 * h2i
+    # psibar with its zero ghost layer, cropped so site x sits at x + 1
+    pb = central_layers(np.pad(np.reshape(psibar, (M_ref,) * d2), 1), d2, M + 2)
     for axis in range(d2):
-        src = np.moveaxis(idx, axis, 0)[:-1].ravel()
-        dst = np.moveaxis(idx, axis, 0)[1:].ravel()
+        view = np.moveaxis(idx, axis, 0)
+        src, dst = view[:-1].ravel(), view[1:].ravel()
         A[src, dst] -= h2i
         A[dst, src] -= h2i
-        if edge == "chi":
-            if psibar is None:
-                raise InvalidParam("chi edges need the deeper reference profile")
-            M_ref = round(len(psibar) ** (1.0 / d2))
-            off = (M_ref - M) // 2
-            pb = np.asarray(psibar).reshape((M_ref,) * d2)
-            for direction, face_pos in ((-1, 0), (+1, M - 1)):
-                face = np.moveaxis(idx, axis, 0)[face_pos].ravel()
-                coords = np.stack(np.unravel_index(face, shape), axis=-1)
-                ghost = coords.copy()
-                ghost[:, axis] += direction
-                ref_site = coords + off
-                ref_ghost = ghost + off
-                ratio = pb[tuple(ref_ghost.T)] / pb[tuple(ref_site.T)]
-                A[face, face] += h2i * (1.0 - ratio) - h2i  # replace Dirichlet arm below
+        for direction, face_pos in ((-1, 0), (+1, M - 1)):
+            face = view[face_pos].ravel()
+            site = np.stack(np.unravel_index(face, shape), axis=-1) + 1
+            ghost = site.copy()
+            ghost[:, axis] += direction
+            ratio = pb[tuple(ghost.T)] / pb[tuple(site.T)]
+            A[face, face] += h2i * (1.0 - ratio) - h2i  # replace the Dirichlet arm in diag
     A[np.arange(n), np.arange(n)] += diag
     return A
 
 
 def averaged_reduction(ref: GroundStateRef, u_per) -> AveragedModel:
-    """Collapse the cell problem (cell potential ``u_per``) to its x1-averaged transverse model."""
+    """Collapse the cell problem (cell potential ``u_per``) to its x1-averaged transverse model.
+
+    The identity residual is read at the reference depth, where the model's
+    faces are Dirichlet like the reference cell's own.
+    """
     grid = ref.grid
     shape = grid.shape
     psi = ref.psi0.reshape(shape)
@@ -197,7 +195,7 @@ def averaged_reduction(ref: GroundStateRef, u_per) -> AveragedModel:
     ubar = (u * psi).sum(axis=x1_axes) / psibar
     psibar_f = psibar.ravel()
     ubar_f = ubar.ravel()
-    A = transverse_operator(ubar_f, grid.d2, grid.a, grid.M, edge="dirichlet")
+    A = transverse_operator(ubar_f, psibar_f, grid.d2, grid.a, grid.M)
     residual = float(np.abs(A @ psibar_f - ref.e0 * psibar_f).max())
     return AveragedModel(psibar=psibar_f, ubar=ubar_f, identity_residual=residual)
 
@@ -320,10 +318,8 @@ def gap_certificate(u_per, L_values: Sequence[int], ref: GroundStateRef, M: int)
     avg = averaged_reduction(ref, u_per)
     c1, c2 = harnack_constants(ref.grid, ref.psi0)
     ratio_sq = (c1 / c2) ** 2
-    # transverse comparison operator at the working depth with chi ends
-    d2 = ref.grid.d2
-    ubar_M = central_layers(avg.ubar.reshape((ref.grid.M,) * d2), d2, M).ravel()
-    T = transverse_operator(ubar_M, d2, ref.grid.a, M, edge="chi", psibar=avg.psibar)
+    # transverse comparison operator at the working depth, ghosts from the reference
+    T = transverse_operator(avg.ubar, avg.psibar, ref.grid.d2, ref.grid.a, M)
     t_eigs = np.linalg.eigvalsh(T)
     x2_gap = float(t_eigs[1] - t_eigs[0]) if len(t_eigs) > 1 else np.inf
 

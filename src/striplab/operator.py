@@ -90,14 +90,10 @@ class Hamiltonian:
         return self.matrix.toarray()
 
 
-def _check_ref(ref: GroundStateRef, grid: GridSpec, on_x2: bool):
+def _check_ref(ref: GroundStateRef, grid: GridSpec):
+    """Spacing and dimensions; ``ref.values_at`` checks that the reference reaches every ghost."""
     if ref.grid.a != grid.a or ref.grid.d1 != grid.d1 or ref.grid.d2 != grid.d2:
         raise IncompatibleRef("reference grid spacing or dimensions differ from the domain")
-    need = grid.M + 2 if on_x2 else grid.M
-    if ref.grid.M < need:
-        raise IncompatibleRef(
-            f"reference depth M_ref={ref.grid.M} too shallow (need >= {need})"
-        )
 
 
 def _phase(theta: float, direction: int, is_real: bool):
@@ -156,7 +152,7 @@ def assemble(grid: GridSpec, values: np.ndarray, bcs: BoundarySpec) -> Hamiltoni
                 data.append(np.full(len(face), -h2i * _phase(theta, direction, not use_complex), dtype=dtype))
             elif isinstance(bc, Mezincescu):
                 ref = bc.ref
-                _check_ref(ref, grid, on_x2=not grid.is_x1_axis(axis))
+                _check_ref(ref, grid)
                 coords = grid.coords_of(face)
                 ghost = coords.copy()
                 ghost[:, axis] += direction

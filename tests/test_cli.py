@@ -424,6 +424,31 @@ def test_bounds_bump_at_x1_center(tmp_path, monkeypatch):
     assert np.count_nonzero(w) == 1 and w[2, 2] > 0
 
 
+def test_bounds_writes_both_files_when_rayleigh_fails(tmp_path, monkeypatch, capsys):
+    # direct energies lifted by 1 put the Rayleigh quotient below them: the
+    # run prints its FAIL line, exits 1 and still writes its rows and sidecar
+    from dataclasses import replace
+
+    import striplab.idss as idss
+
+    lowest_k = idss.lowest_k
+
+    def lifted(H, k, tol):
+        res = lowest_k(H, k, tol=tol)
+        return replace(res, eigenvalues=res.eigenvalues + 1.0)
+
+    monkeypatch.setattr(idss, "lowest_k", lifted)
+    path = write_cfg(tmp_path, base_config(tmp_path))
+    assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "PASS Temple tail bound below direct energy" in out
+    assert "FAIL Rayleigh tail bound above direct energy  [margin=" in out
+    rows = (tmp_path / "bounds.csv").read_text().strip().splitlines()
+    assert rows[0] == "kind,bound,direct_e0,margin" and rows[2].startswith("rayleigh_upper,")
+    results = json.loads((tmp_path / "bounds.json").read_text())["results"]
+    assert results["rayleigh"]["margin"] < -1e-10
+
+
 def test_wegner_writes_csv_when_uninformative(tmp_path, capsys):
     # 40 samples at seed 1 saturate every window: the probabilities are still
     # written, and the informative-range check fails the run

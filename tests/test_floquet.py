@@ -12,8 +12,9 @@ from striplab.floquet import (
     k_disc,
     neumann_x1_gap,
     reduced_operator,
+    transverse_operator,
 )
-from striplab.grid import build_grid
+from striplab.grid import build_grid, central_layers
 from striplab.instances import random_periodic_cell
 from striplab.spectral import lowest_k
 
@@ -133,6 +134,36 @@ def test_averaged_reduction_random_cell():
     pb = avg.psibar
     assert np.all(c1 * pb <= psi + 1e-15)
     assert np.all(psi <= c2 * pb + 1e-15)
+
+
+def dirichlet_transverse(ubar, d2, a, M):
+    """-Delta_{x2} + ubar on (M,)^d2 sites with Dirichlet faces, written out."""
+    h2i = float(a * a)
+    n = M**d2
+    idx = np.arange(n).reshape((M,) * d2)
+    A = np.zeros((n, n))
+    for axis in range(d2):
+        view = np.moveaxis(idx, axis, 0)
+        A[view[:-1].ravel(), view[1:].ravel()] = -h2i
+        A[view[1:].ravel(), view[:-1].ravel()] = -h2i
+    A[np.arange(n), np.arange(n)] = ubar + 2 * d2 * h2i
+    return A
+
+
+@pytest.mark.parametrize("d2, a", [(1, 1), (1, 3), (2, 1), (2, 2)])
+def test_transverse_operator_ghosts(d2, a):
+    # at the reference depth every ghost lies beyond the reference, so the
+    # faces are Dirichlet; inside it the centred psibar is an eigenvector
+    fn = random_periodic_cell(4)
+    M_ref = 10
+    ref = ground_state_cell(build_grid(1, d2, L=1, a=a, M=M_ref - 4), fn, M_ref)
+    avg = averaged_reduction(ref, fn)
+    assert np.array_equal(transverse_operator(avg.ubar, avg.psibar, d2, a, M_ref),
+                          dirichlet_transverse(avg.ubar, d2, a, M_ref))
+    for M in (M_ref - 4, M_ref - 2):
+        T = transverse_operator(avg.ubar, avg.psibar, d2, a, M)
+        pb = central_layers(avg.psibar.reshape((M_ref,) * d2), d2, M).ravel()
+        assert np.abs(T @ pb - ref.e0 * pb).max() <= 10 * ref.residual
 
 
 def test_harnack_stabilizes_under_deepening():

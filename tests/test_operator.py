@@ -118,6 +118,10 @@ def test_mezincescu_incompatible_ref(model, ref14):
     fld = periodic_bulk(grid, model.u_per())
     with pytest.raises(IncompatibleRef):
         assemble(grid, fld, BoundarySpec(x1=Dirichlet(), x2=Mezincescu(ref14)))
+    grid = model.strip_grid(4, 20)  # needs M_ref >= 20 on x1 faces
+    fld = periodic_bulk(grid, model.u_per())
+    with pytest.raises(IncompatibleRef):
+        assemble(grid, fld, BoundarySpec(x1=Mezincescu(ref14), x2=Dirichlet()))
 
 
 def test_shape_mismatch():

@@ -18,7 +18,7 @@ import pytest
 
 ROOT = Path(__file__).parents[1]
 
-IDSS_HEADER = ["E", "mean", "se", "n_samples", "L", "M"]
+IDSS_HEADER = ["E", "mean", "se", "p0_upper", "n_samples", "L", "M"]
 TAIL_HEADER = ["delta", "E", "L", "M", "mean", "se", "p0_upper", "n_samples"]
 BAND_HEADER = ["theta", "E0_h_theta", "k_disc", "upper_margin", "lower_margin"]
 
