@@ -7,7 +7,11 @@ cosine periodic bulk, on one with an i.i.d. uniform random bulk and on one
 with a power-law impurity profile, for seeds 0-3, at ``--workers 1`` and
 ``2``.  Two geometry variants, one with a = 2 and one with d2 = 2 (M = 8,
 M_ref = 12), run band, gap, bounds, decay (chi and D), dynamics and one
-idss curve at the same seeds and worker counts.  It prints one line per CSV:
+idss curve at the same seeds and worker counts.  A certificates-scale
+variant (a = 4, L = 8, M = 24, M_ref = 28, L_values [4, 8], 17 theta
+points: strips of up to 768 sites, where the dense eigensolves take
+LAPACK's divide-and-conquer merges) runs band, gap, bounds, decay (chi and
+D) and dynamics at seeds 0-1.  It prints one line per CSV:
 
     sha256 exit_code checks_sha256 results_sha256 config seed workers csv [run overrides]
 
@@ -57,8 +61,11 @@ D2 = copy.deepcopy(SMALL)
 D2["geometry"].update(d2=2, M=8, M_ref=12)
 for cfg in (A2, D2):
     cfg["run"]["energies"] = {"kind": "geometric", "points_per_decade": 8, "decades": 0.8}
-CONFIGS = {"small": SMALL, "cosine": COSINE, "iid": IID, "power": POWER, "a2": A2, "d2": D2}
-VARIANTS = ("a2", "d2")
+# certificates scale: an a = 4 cell of 96 sites and strips of 384 and 768,
+# where the dense eigensolves take LAPACK's divide-and-conquer merges
+CERT = copy.deepcopy(SMALL)
+CERT["geometry"].update(a=4, L=8, M=24, M_ref=28, L_values=[4, 8])
+CERT["run"]["theta_points"] = 17
 
 # (subcommand, run fields set over the config's, CSV it writes); the "D" and
 # 240-sample idss variants count the sandwich's chi ensemble apart from a
@@ -88,7 +95,13 @@ RUNS = [
 # of RUNS would take them about 9 minutes
 VARIANT_RUNS = [run for run in RUNS if run[0] in ("band", "gap", "bounds", "decay", "dynamics")
                 or run == ("idss", {}, "idss.csv")]
+CERT_RUNS = [run for run in VARIANT_RUNS if run[0] != "idss"]
 SEEDS = range(4)
+# name: (config, its runs, its seeds)
+PLAN = {"small": (SMALL, RUNS, SEEDS), "cosine": (COSINE, RUNS, SEEDS),
+        "iid": (IID, RUNS, SEEDS), "power": (POWER, RUNS, SEEDS),
+        "a2": (A2, VARIANT_RUNS, SEEDS), "d2": (D2, VARIANT_RUNS, SEEDS),
+        "cert": (CERT, CERT_RUNS, range(2))}
 WORKERS = (1, 2)
 
 
@@ -119,13 +132,13 @@ def digest(cfg: dict, sub: str, csv: str, workers: int, tmp: str) -> str:
 
 
 def main() -> int:
-    runs = [(name, seed, run) for name in CONFIGS for seed in SEEDS
-            for run in (VARIANT_RUNS if name in VARIANTS else RUNS)]
-    runs.append(("small", SMALL["run"]["master_seed"], ("selftest", {}, "selftest.csv")))
+    runs = [(name, base, seed, run) for name, (base, name_runs, seeds) in PLAN.items()
+            for seed in seeds for run in name_runs]
+    runs.append(("small", SMALL, SMALL["run"]["master_seed"], ("selftest", {}, "selftest.csv")))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, seed, (sub, fields, csv) in runs:
-            cfg = copy.deepcopy(CONFIGS[name])
+        for name, base, seed, (sub, fields, csv) in runs:
+            cfg = copy.deepcopy(base)
             cfg["run"]["master_seed"] = seed
             cfg["run"].update(fields)
             label = " ".join([csv] + [f"{k}={v}" for k, v in fields.items()])

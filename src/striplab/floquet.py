@@ -315,6 +315,12 @@ def gap_certificate(u_per, L_values: Sequence[int], ref: GroundStateRef, M: int)
     """
     if min(L_values) < 2:
         raise InvalidParam("gap certificates need L >= 2")
+    # the strips first: their chi faces raise IncompatibleRef from a reference
+    # too shallow for depth M, before the transverse operator indexes it
+    ops = []
+    for L in L_values:
+        strip = build_grid(ref.grid.d1, ref.grid.d2, L=int(L), a=ref.grid.a, M=M)
+        ops.append(assemble(strip, periodic_bulk(strip, u_per), bc_for_tag("chi", ref)))
     avg = averaged_reduction(ref, u_per)
     c1, c2 = harnack_constants(ref.grid, ref.psi0)
     ratio_sq = (c1 / c2) ** 2
@@ -324,9 +330,7 @@ def gap_certificate(u_per, L_values: Sequence[int], ref: GroundStateRef, M: int)
     x2_gap = float(t_eigs[1] - t_eigs[0]) if len(t_eigs) > 1 else np.inf
 
     reports = []
-    for L in L_values:
-        strip = build_grid(ref.grid.d1, ref.grid.d2, L=int(L), a=ref.grid.a, M=M)
-        H = assemble(strip, periodic_bulk(strip, u_per), bc_for_tag("chi", ref))
+    for L, H in zip(L_values, ops):
         res = lowest_k(H, 2, tol=1e-8)
         e0L, e1L = float(res.eigenvalues[0]), float(res.eigenvalues[1])
         gap = e1L - e0L

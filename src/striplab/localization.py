@@ -22,7 +22,7 @@ from .errors import (
 from .grid import GridSpec
 from .idss import StripEnsemble, ensemble_counts, hit_rate, line_fit
 from .instances import SurfaceModel
-from .spectral import DENSE_CAP
+from .spectral import DENSE_CAP, eigh_dense
 
 PROFILE_GUARD = 1e-300
 
@@ -233,7 +233,10 @@ def dynamics_moment(
     The initial state is uniform on ``sites``.  M_p(t) sums |x1 -
     x1_center(K)|^p against the evolved probability density; the spectral
     filter projects onto eigenvalues inside ``interval``.  Unitarity of the
-    filtered evolution is certified via the norm drift.
+    filtered evolution is certified via the norm drift.  The eigenpairs come
+    from ``eigh_dense``: ``?syevd``/``?heevd`` in place on one dense copy of
+    ``H`` (a peak of about 3.3 n^2 doubles for a real operator), bit-equal to
+    ``np.linalg.eigh``.
     """
     grid: GridSpec = H.grid
     mat = H.matrix
@@ -245,7 +248,7 @@ def dynamics_moment(
     u = np.zeros(n)
     u[sites] = 1.0 / math.sqrt(len(sites))
 
-    evals, evecs = np.linalg.eigh(mat.toarray())
+    evals, evecs = eigh_dense(mat)
     lo, hi = interval
     keep = (evals >= lo) & (evals <= hi)
     coef = evecs[:, keep].conj().T @ u

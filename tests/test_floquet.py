@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from striplab.errors import InvalidParam
+from striplab.errors import IncompatibleRef, InvalidParam
 from striplab.floquet import (
     averaged_reduction,
     band_curve,
@@ -190,6 +190,14 @@ def test_gap_certificate_separable(model, ref14):
     assert abs(r.gap - 2 * (1 - np.cos(np.pi / 8))) <= 1e-12
     assert r.margin >= -1e-12
     assert r.e0_error <= 10 * ref14.residual
+
+
+@pytest.mark.parametrize("M", [18, 20])
+def test_gap_certificate_shallow_reference(model, ref14, M):
+    # M_ref = 18 lacks the chi ghosts of depth 18 and the whole depth-20 block;
+    # both name the reference, not a numpy index
+    with pytest.raises(IncompatibleRef, match="M_ref=18"):
+        gap_certificate(model.u_per(), [4], ref14, M=M)
 
 
 def test_gap_certificate_continuum_limit(model):

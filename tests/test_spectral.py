@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,15 +18,17 @@ from striplab.errors import (
     InvalidParam,
     ZeroVector,
 )
-from striplab.grid import Bloch, BoundarySpec, Dirichlet, bc_all_neumann, build_grid
+from striplab.floquet import ground_state_cell, reduced_operator
+from striplab.grid import Bloch, BoundarySpec, Dirichlet, bc_all_neumann, bc_for_tag, build_grid
 from striplab.idss import StripEnsemble
 from striplab.instances import default_model
 from striplab.operator import assemble
-from striplab.potential import TwoPointCouplings
+from striplab.potential import TwoPointCouplings, periodic_bulk
 from striplab.spectral import (
     banded_inertia,
     count_below,
     count_below_ensemble,
+    eigh_dense,
     lower_band,
     lowest_k,
     rayleigh_ritz_upper,
@@ -76,6 +82,59 @@ def test_lowest_k_iterative_matches_dense():
         res = lowest_k(H, 3, tol=1e-8, dense_cap=1)  # force the Lanczos path
         assert res.method == "iterative"
         assert np.max(np.abs(res.eigenvalues - dense)) <= 1e-9
+
+
+def chi_strip(a, L, M, M_ref):
+    """The certificates' operator: periodic potential, chi faces from a depth-M_ref reference."""
+    model = replace(default_model(), a=a)
+    ref = ground_state_cell(model.cell_grid(M), model.u_per(), M_ref)
+    strip = model.strip_grid(L, M)
+    return assemble(strip, periodic_bulk(strip, model.u_per()), bc_for_tag("chi", ref))
+
+
+def test_dense_path_bit_equal_to_numpy_and_leaves_input_alone():
+    # the CSV digests rest on this equality: numpy's eigh runs the same
+    # ?syevd/?heevd; n = 768 takes the divide-and-conquer merges (QR below 26)
+    model = replace(default_model(), a=4)
+    strip = chi_strip(4, 8, 24, 28)
+    cell = reduced_operator(model.cell_grid(24), model.u_per(), [1.1])
+    _, A = random_banded_symmetric(np.random.default_rng(8), n=60, bw=5)
+    assert strip.n == 768 and cell.is_complex
+    for H, stored in ((strip, strip.matrix.data), (cell, cell.matrix.data), (A, A)):
+        before = stored.copy()
+        w, v = np.linalg.eigh(stored if H is A else H.dense())
+        got_w, got_v = eigh_dense(H)
+        assert np.array_equal(got_w, w) and np.array_equal(got_v, v)
+        res = lowest_k(H, 3)
+        assert np.array_equal(res.eigenvalues, w[:3])
+        assert np.array_equal(res.eigenvectors, v[:, :3])
+        assert np.array_equal(stored, before)
+
+
+def test_dense_path_memory():
+    # ?syevd in place holds the dense copy and its 2 n^2 workspace, about
+    # 3.3 n^2 doubles; a copy for numpy's eigh and a fresh eigenvector
+    # array took 5.4 n^2.  ru_maxrss needs a fresh process.
+    code = (
+        "import resource\n"
+        "from test_spectral import chi_strip\n"
+        "from striplab.spectral import lowest_k\n"
+        "H = chi_strip(3, 16, 24, 28)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "lowest_k(H, 2)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(H.n, (after - before) * 1024 / (8 * H.n**2))\n"
+    )
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(
+        p for p in (str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    n, growth = proc.stdout.split()
+    assert int(n) == 1152
+    assert float(growth) <= 4.0, f"lowest_k grew RSS by {float(growth):.2f} n^2 doubles"
 
 
 def test_count_below_examples():
