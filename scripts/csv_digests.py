@@ -11,7 +11,14 @@ idss curve at the same seeds and worker counts.  A certificates-scale
 variant (a = 4, L = 8, M = 24, M_ref = 28, L_values [4, 8], 17 theta
 points: strips of up to 768 sites, where the dense eigensolves take
 LAPACK's divide-and-conquer merges) runs band, gap, bounds, decay (chi and
-D) and dynamics at seeds 0-1.  It prints one line per CSV:
+D) and dynamics at seeds 0-1.  Its first line names what the bytes may
+depend on besides the code: the Python, numpy and scipy versions, the CPU
+count and the BLAS thread variables as the BLAS libraries read them (after
+``import striplab``, which sets ``OPENBLAS_THREAD_TIMEOUT``):
+
+    # platform {"python": ..., "numpy": ..., "scipy": ..., "nproc": ..., "blas_env": {...}}
+
+Then it prints one line per CSV:
 
     sha256 exit_code checks_sha256 results_sha256 config seed workers csv [run overrides]
 
@@ -23,9 +30,10 @@ timestamp sits outside that block.  A subcommand that writes no CSV or no
 sidecar prints ``missing`` in place of that digest.  After the loop
 ``striplab selftest`` runs once per worker count on the small config: it
 ignores config, seed and workers, writes no CSV, and its PASS/FAIL lines and
-sidecar results are digested like the others'.  Exits 1 if any line
-but the worker count differs between one and two workers.  Run it in two
-trees and diff the outputs to show that a change keeps every byte:
+sidecar results are digested like the others'.  Exits 1 if any digest
+line but the worker count differs between one and two workers (the platform
+line is not compared).  Run it in two trees and diff the outputs to show that
+a change keeps every byte, on the same platform:
 
     PYTHONPATH=src python scripts/csv_digests.py > digests.txt
 """
@@ -36,8 +44,10 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
+from importlib import metadata
 
 from striplab.cli import main as striplab_main
 
@@ -103,6 +113,9 @@ PLAN = {"small": (SMALL, RUNS, SEEDS), "cosine": (COSINE, RUNS, SEEDS),
         "a2": (A2, VARIANT_RUNS, SEEDS), "d2": (D2, VARIANT_RUNS, SEEDS),
         "cert": (CERT, CERT_RUNS, range(2))}
 WORKERS = (1, 2)
+# the thread variables perfbench/run.py records, and the idle-thread timeout
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT")
 
 
 def sha256(data: bytes) -> str:
@@ -131,7 +144,16 @@ def digest(cfg: dict, sub: str, csv: str, workers: int, tmp: str) -> str:
     return f"{csv_sha} {rc} {sha256(checks.getvalue().encode())} {results_sha}"
 
 
+def platform_line() -> str:
+    """The versions, CPU count and BLAS thread variables the digests may depend on."""
+    key = {"python": platform.python_version(), "numpy": metadata.version("numpy"),
+           "scipy": metadata.version("scipy"), "nproc": os.cpu_count(),
+           "blas_env": {k: os.environ.get(k) for k in BLAS_VARS}}
+    return "# platform " + json.dumps(key)
+
+
 def main() -> int:
+    print(platform_line(), flush=True)
     runs = [(name, base, seed, run) for name, (base, name_runs, seeds) in PLAN.items()
             for seed in seeds for run in name_runs]
     runs.append(("small", SMALL, SMALL["run"]["master_seed"], ("selftest", {}, "selftest.csv")))

@@ -9,7 +9,12 @@ Lifshits-tail exponents, Wegner-type window probabilities, localization
 diagnostics).
 """
 
+import os
+
 __version__ = "0.1.0"
+
+# read as OpenBLAS loads: idle BLAS threads sleep after 2^20 cycles, not 2^28 (~0.1 s of a core)
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 from .grid import (
     Bloch,

@@ -229,9 +229,10 @@ def run_dynamics(model, geo, run, seed, workers):
     interval = (eng.e0, eng.e0 + window_frac * abs(eng.e0))
     rep = dynamics_moment(eng.hamiltonian(0), interval, p, times, eng.grid.center_sites())
     checks = [("filtered evolution unitary", bool(rep.norm_drift <= 1e-9),
-               f"drift={rep.norm_drift:.2e}")]
+               f"drift={rep.norm_drift:.2e} n_window={rep.n_window}")]
     return (checks, "dynamics", ["t", "moment"], list(zip(rep.times, rep.moments)),
-            {"sup_moment": rep.sup_moment, "projected_norm_sq": rep.projected_norm_sq})
+            {"sup_moment": rep.sup_moment, "projected_norm_sq": rep.projected_norm_sq,
+             "n_window": rep.n_window})
 
 
 def run_bounds(model, geo, run, seed, workers):

@@ -219,6 +219,7 @@ class DynamicsReport:
     p: float
     projected_norm_sq: float
     norm_drift: float  # max |  ||psi_t||^2 - ||psi_0||^2 |
+    n_window: int  # eigenvalues inside the interval; at 0 every moment and the drift are 0
 
 
 def dynamics_moment(
@@ -275,4 +276,5 @@ def dynamics_moment(
         p=float(p),
         projected_norm_sq=filtered_norm_sq,
         norm_drift=drift,
+        n_window=int(keep.sum()),
     )

@@ -7,7 +7,15 @@ bit-equal to numpy's, but on its own Fortran copy of the operator, which it
 overwrites with the eigenvectors.  A real operator then peaks at about
 3.3 n^2 doubles where ``np.linalg.eigh(mat.toarray())`` took 5.3 n^2 (59
 against 95 MiB at n = 1536).  The subset drivers (``?syevr``, ``?syevx``)
-and ``eig_banded`` are faster there but not bit-equal.
+and ``eig_banded`` are faster there but not bit-equal.  The bytes of these
+solves also depend on the BLAS thread count: on the benchmark's
+certificates config (seed 0) ``OPENBLAS_NUM_THREADS=1`` changes the
+n = 1536 solves (the L=16 row of ``gap.csv``, both ``direct_e0`` values in
+``bounds.csv``, ``decay.csv``) and leaves ``band.csv`` (n = 96) and the
+ARPACK rows of ``gap.csv`` as they are (``dynamics.csv`` too, but its
+window holds no eigenvalue there).
+``OPENBLAS_THREAD_TIMEOUT``, which ``import striplab`` sets, changes no
+byte: it decides only when an idle BLAS thread sleeps.
 
 Counting below energies has two entry points: ``count_below_ensemble`` for
 lanes that share off-diagonal structure (the disorder ensembles), and

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -393,17 +396,46 @@ def test_dynamics_starts_from_center_sites(tmp_path, monkeypatch, d1, d2):
     seen, dynamics_moment = [], cli.dynamics_moment
 
     def recording(H, interval, p, times, sites):
-        seen.append((H.grid, np.asarray(sites)))
-        return dynamics_moment(H, interval, p, times, sites)
+        rep = dynamics_moment(H, interval, p, times, sites)
+        seen.append((H.grid, np.asarray(sites), rep.n_window))
+        return rep
 
     monkeypatch.setattr(cli, "dynamics_moment", recording)
     path = write_cfg(tmp_path, small_strip_config(tmp_path, d1, d2))
     main(["dynamics", "--config", path, "--out", str(tmp_path)])
-    ((grid, sites),) = seen
+    ((grid, sites, n_window),) = seen
+    # the sidecar says how many eigenvalues the window held
+    assert json.loads((tmp_path / "dynamics.json").read_text())["results"]["n_window"] == n_window
     assert len(sites) == 2**d2
     coords = grid.coords_of(sites)
     assert np.all(coords[:, :d1] == 2)
     assert {tuple(c - 1) for c in coords[:, d1:]} == set(np.ndindex((2,) * d2))
+
+
+def test_import_sets_openblas_thread_timeout():
+    # `import striplab` gives OpenBLAS a short idle-spin timeout before numpy
+    # loads it; a value the caller set stays
+    spy = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import striplab\n"
+        "print(seen[0], os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for given, expected in ((None, "20"), ("7", "7")):
+        if given is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = given
+        proc = subprocess.run([sys.executable, "-c", spy], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [expected, expected]
 
 
 def test_bounds_bump_at_x1_center(tmp_path, monkeypatch):

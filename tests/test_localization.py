@@ -137,7 +137,13 @@ def test_dynamics_single_eigenvector_is_stationary(model):
     sites = list(range(grid.n_sites))
     # interval isolating the ground level: the filtered state is stationary
     rep = dynamics_moment(H, (lo - 1e-9, lo + 1e-9), 2.0, np.linspace(0, 50, 11), sites)
+    assert rep.n_window == 1
     assert np.max(np.abs(rep.moments - rep.moments[0])) <= 1e-9
+    # a window below the spectrum holds no eigenvalue: the run says so, and its
+    # moments and drift are all 0
+    rep = dynamics_moment(H, (lo - 2.0, lo - 1.0), 2.0, np.linspace(0, 50, 11), sites)
+    assert rep.n_window == 0 and rep.projected_norm_sq == 0
+    assert not rep.moments.any() and rep.norm_drift == 0
 
 
 def test_dynamics_free_ballistic_growth(model):
@@ -147,6 +153,7 @@ def test_dynamics_free_ballistic_growth(model):
     center = 20
     sites = [int(i) for i in np.nonzero(coords[:, 0] == center)[0]]
     rep = dynamics_moment(H, (-10, 10), 2.0, np.linspace(0, 6, 13), sites)
+    assert rep.n_window == grid.n_sites
     assert np.all(np.diff(rep.moments) > 0)
     assert rep.norm_drift <= 1e-9
 
