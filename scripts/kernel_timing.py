@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Cost of the counting kernels on real strip ensembles.
+"""Cost of the counting kernels on real strip ensembles, and of ``lowest_k``'s dense path.
 
-Four tables, each time the median of three runs:
+Five tables, each time the median of three runs:
 
 * the single-energy LDL^T pass (e0 + 0.1) of ``count_below_ensemble`` on
   the two-point compact-impurity model, per lane, over 1, 48, 96, 128, 192,
@@ -28,7 +28,13 @@ Four tables, each time the median of three runs:
   (12 energies, n = 256, bw = 16, 128 lanes) and the classical tail (10
   energies, n = 384, bw = 24, 192 lanes): the bisection of
   ``count_below_ensemble``, with its (lane, energy) passes per lane, and one
-  banded eigensolve per lane.  Both give the same counts.
+  banded eigensolve per lane.  Both give the same counts;
+* ``lowest_k(H, 2)``'s dense path on the certificates' operators (a = 4,
+  M = 24, reference depth 28): a complex band cell h_theta (n = 96, a run
+  being the 129 cells of one band curve) and the real chi strips at L = 8
+  and 16 (n = 768 and 1536), with the full ``?syevd``/``?heevd`` against
+  ``values_only=True``, which back-transforms the 2 returned vectors only.
+  Both give the same eigenvalues.
 
     PYTHONPATH=src python scripts/kernel_timing.py
 """
@@ -43,9 +49,12 @@ import scipy
 
 from striplab import spectral
 from striplab.config import build_model, energy_grid
+from striplab.floquet import cached_reference, reduced_operator
+from striplab.grid import bc_for_tag
 from striplab.idss import StripEnsemble
 from striplab.instances import default_model
-from striplab.potential import TwoPointCouplings
+from striplab.operator import assemble
+from striplab.potential import TwoPointCouplings, periodic_bulk
 
 # (L, M): n = L * M sites at bandwidth M; L 8..48 at M=24 spans the quantum
 # tail's strips, 8 x 16 is the shortest of a quantum tail at M=16, 16 x 16 the
@@ -154,6 +163,28 @@ def grid_table():
         probes.clear()
 
 
+def lowest_k_table():
+    model = replace(default_model(), a=4)
+    ref = cached_reference(model, 24, 28)
+    ops = [("band cell", reduced_operator(model.cell_grid(24), model.u_per(), [1.1]), 129)]
+    for L in (8, 16):
+        strip = model.strip_grid(L, 24)
+        chi = assemble(strip, periodic_bulk(strip, model.u_per()), bc_for_tag("chi", ref))
+        ops.append(("chi strip", chi, 1))
+    print(f"{'operator':>10} {'n':>5} {'calls':>5} {'full ms/call':>12} "
+          f"{'values-only ms/call':>19} {'full/values-only':>16}")
+    for name, H, calls in ops:
+        def run(values_only):
+            for _ in range(calls):
+                spectral.lowest_k(H, 2, values_only=values_only)
+
+        full, fast = median_seconds(lambda: run(False)), median_seconds(lambda: run(True))
+        assert np.array_equal(spectral.lowest_k(H, 2).eigenvalues,
+                              spectral.lowest_k(H, 2, values_only=True).eigenvalues)
+        print(f"{name:>10} {H.n:>5} {calls:>5} {full / calls * 1e3:>12.2f} "
+              f"{fast / calls * 1e3:>19.2f} {full / fast:>16.2f}")
+
+
 def main():
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
           f"scipy {scipy.__version__}, {os.cpu_count()} cores, {platform.machine()}")
@@ -166,6 +197,8 @@ def main():
     sweep_table(model, "INERTIA_PANEL", "nb", quantum + [(16, 16)], lambda n: PANELS)
     print()
     grid_table()
+    print()
+    lowest_k_table()
 
 
 if __name__ == "__main__":

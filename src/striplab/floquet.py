@@ -261,7 +261,7 @@ def band_curve(cell_grid: GridSpec, u_per, thetas=None) -> BandCurve:
     residuals = np.empty(len(thetas))
     for i, th in enumerate(thetas):
         h = reduced_operator(cell_grid, u_per, th)
-        res = lowest_k(h, 1, tol=1e-8)
+        res = lowest_k(h, 1, tol=1e-8, values_only=True)
         values[i] = res.eigenvalues[0]
         residuals[i] = res.residuals[0]
 
@@ -331,7 +331,7 @@ def gap_certificate(u_per, L_values: Sequence[int], ref: GroundStateRef, M: int)
 
     reports = []
     for L, H in zip(L_values, ops):
-        res = lowest_k(H, 2, tol=1e-8)
+        res = lowest_k(H, 2, tol=1e-8, values_only=True)
         e0L, e1L = float(res.eigenvalues[0]), float(res.eigenvalues[1])
         gap = e1L - e0L
         gbar = min(neumann_x1_gap(ref.grid.a, int(L)), x2_gap)

@@ -492,7 +492,7 @@ def temple_tail_bound(
 
     u_vals = periodic_bulk(grid, model.u_per())
     H = assemble(grid, u_vals + w_site, bc_for_tag("chi", ref))
-    direct = float(lowest_k(H, 1, tol=1e-9).eigenvalues[0])
+    direct = float(lowest_k(H, 1, tol=1e-9, values_only=True).eigenvalues[0])
     return TempleTailReport(
         bound=bound,
         shift=0.5 * wbar,
@@ -567,7 +567,7 @@ def rayleigh_tail_bound(
         raise InequalityViolated(
             f"decomposition mismatch: quotient {quotient!r} vs terms {bound!r}"
         )
-    direct = float(lowest_k(H_full, 1, tol=1e-9).eigenvalues[0])
+    direct = float(lowest_k(H_full, 1, tol=1e-9, values_only=True).eigenvalues[0])
     return RayleighTailReport(
         bound=bound,
         e0=ref.e0,

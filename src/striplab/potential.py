@@ -325,6 +325,6 @@ def estimate_bulk_bottom(
     L_probe = M_probe if d1 == 1 else max(4, int(round(math.sqrt(M_probe))))
     probe = build_grid(d1, d2, L=L_probe, a=a, M=M_probe)
     u_b = periodic_bulk(probe, cell_function)
-    lo = lowest_k(assemble(probe, u_b, bc_all_neumann()), 1, tol=1e-9).eigenvalues[0]
-    hi = lowest_k(assemble(probe, u_b, bc_all_dirichlet()), 1, tol=1e-9).eigenvalues[0]
-    return float(lo), float(hi)
+    lo = lowest_k(assemble(probe, u_b, bc_all_neumann()), 1, tol=1e-9, values_only=True)
+    hi = lowest_k(assemble(probe, u_b, bc_all_dirichlet()), 1, tol=1e-9, values_only=True)
+    return float(lo.eigenvalues[0]), float(hi.eigenvalues[0])

@@ -1,19 +1,34 @@
 """Eigenvalue machinery: lowest eigenpairs, counting, certified bounds.
 
-Up to ``DENSE_CAP`` sites, ``lowest_k`` and ``localization.dynamics_moment``
-take every eigenpair from ``eigh_dense``: LAPACK's divide-and-conquer
-``?syevd``/``?heevd``, the driver numpy's ``eigh`` runs, so the pairs are
-bit-equal to numpy's, but on its own Fortran copy of the operator, which it
-overwrites with the eigenvectors.  A real operator then peaks at about
-3.3 n^2 doubles where ``np.linalg.eigh(mat.toarray())`` took 5.3 n^2 (59
-against 95 MiB at n = 1536).  The subset drivers (``?syevr``, ``?syevx``)
-and ``eig_banded`` are faster there but not bit-equal.  The bytes of these
-solves also depend on the BLAS thread count: on the benchmark's
-certificates config (seed 0) ``OPENBLAS_NUM_THREADS=1`` changes the
-n = 1536 solves (the L=16 row of ``gap.csv``, both ``direct_e0`` values in
-``bounds.csv``, ``decay.csv``) and leaves ``band.csv`` (n = 96) and the
-ARPACK rows of ``gap.csv`` as they are (``dynamics.csv`` too, but its
-window holds no eigenvalue there).
+Up to ``DENSE_CAP`` sites an eigensolve takes one of two LAPACK paths, each
+on its own Fortran copy of the operator, which it overwrites:
+
+* ``eigh_dense`` runs the divide-and-conquer driver ``?syevd``/``?heevd``,
+  the one numpy's ``eigh`` runs, so every eigenpair is bit-equal to numpy's.
+  A real operator peaks at about 3.3 n^2 doubles where
+  ``np.linalg.eigh(mat.toarray())`` took 5.3 n^2 (59 against 95 MiB at
+  n = 1536).  ``localization.dynamics_moment`` and ``lowest_k`` by default
+  take it: the reference ground state, ``striplab decay``'s profile and the
+  filtered evolution read the vectors' bits.
+* ``lowest_k(..., values_only=True)`` runs the driver's own two steps,
+  ``?sytrd``/``?hetrd`` and then ``?stevd``, which calls ``?stedc('I')`` as
+  the driver does, so its eigenvalues are bit-equal to ``eigh_dense``'s by
+  construction.  It then back-transforms only the k vectors it returns,
+  where the driver's ``?ormtr`` transforms all n, about 30% of a solve at
+  n = 1536.  Those k vectors are orthonormal with certified residuals but
+  in general not bit-equal to the driver's: at n = 1536, of k = 1 to 256,
+  only some multiples of 12 matched (five multiples of 48 at two BLAS
+  threads), none below 36.
+  The band cells, the gap strips, Temple's and Rayleigh's direct energies
+  and the bulk-bottom bracket read eigenvalues alone and take it.
+
+The subset drivers (``?syevr``, ``?syevx``) and ``eig_banded`` are faster
+still but not bit-equal.  The bytes of both paths also depend on the BLAS
+thread count: on the benchmark's certificates config (seed 0)
+``OPENBLAS_NUM_THREADS=1`` changes the n = 1536 solves (the L=16 row of
+``gap.csv``, both ``direct_e0`` values in ``bounds.csv``, ``decay.csv``) and
+leaves ``band.csv`` (n = 96) and the ARPACK rows of ``gap.csv`` as they are
+(``dynamics.csv`` too, but its window holds no eigenvalue there).
 ``OPENBLAS_THREAD_TIMEOUT``, which ``import striplab`` sets, changes no
 byte: it decides only when an idle BLAS thread sleeps.
 
@@ -147,6 +162,11 @@ assert INERTIA_ROWS % INERTIA_PANEL == 0, "a buffer load must factor whole panel
 BLOCK_LANES = 256
 BLOCK_BYTES = 64 << 20
 _EIGSH_SEED = 0x5EED_C0DE
+# ?syevd and ?stevd each rescale a matrix whose largest entry lies outside
+# [_RMIN, 1/_RMIN].  The reduction keeps the Frobenius norm, so the
+# tridiagonal's largest entry lies between 1/sqrt(3n) and n times the
+# operator's, and a margin of 2n keeps both drivers unscaled.
+_RMIN = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -173,18 +193,62 @@ def eigh_dense(H):
     driver's 2 n^2 workspace); ``H`` itself is never written.  numpy's
     ``eigh`` runs the same driver on the same (lower) triangle, so the pairs
     are bit-equal to ``np.linalg.eigh`` of the dense matrix.
+    ``localization.dynamics_moment`` and ``lowest_k`` without
+    ``values_only`` take it: their callers read the vectors' bits.
     """
     a = _as_matrix(H).toarray(order="F")
     return sla.eigh(a, driver="evd", overwrite_a=True, check_finite=False)
 
 
-def lowest_k(H, k: int, tol: float = 1e-9, dense_cap: int = DENSE_CAP) -> SpectralResult:
+def _lowest_dense(mat, k: int):
+    """The k lowest eigenpairs by ``?syevd``'s own steps, back-transforming k vectors only.
+
+    ``?sytrd``/``?hetrd`` reduces a Fortran copy to tridiagonal form in place
+    with the driver's (lower) triangle and blocking, and ``?stevd`` runs
+    ``?stedc('I')`` on it as the driver does, so the eigenvalues are
+    bit-equal to ``eigh_dense``'s while neither rescales (see ``lowest_k``).
+    ``?ormqr``/``?unmqr`` then applies the reflectors, stored below the
+    subdiagonal, to rows 2..n of the first k tridiagonal eigenvectors.  The
+    copy goes once its reflectors are taken, so a real operator peaks at about
+    3 n^2 doubles: the reflectors, and ``?stevd``'s eigenvectors and workspace.
+    """
+    a = mat.toarray(order="F")
+    n = a.shape[0]
+    if n == 1:  # the driver's own shortcut; ?stevd and ?ormqr would get an empty e and K = 0
+        return a[0].real.copy(), np.ones((1, 1), dtype=a.dtype)
+    trd, mqr = ("hetrd", "unmqr") if np.iscomplexobj(a) else ("sytrd", "ormqr")
+    trd, trd_lwork, mqr = sla.get_lapack_funcs((trd, trd + "_lwork", mqr), (a,))
+    lwork, _ = trd_lwork(n, lower=1)
+    c, d, e, tau, _ = trd(a, lower=1, lwork=int(lwork.real), overwrite_a=True)
+    reflectors = np.asfortranarray(c[1:, : n - 1])
+    del a, c
+    stevd = sla.get_lapack_funcs("stevd", (d,))
+    evals, z, info = stevd(d, e, overwrite_d=True, overwrite_e=True)
+    if info:
+        raise NoConvergence(f"?stevd failed to converge (info={info})")
+    vecs = z[:, :k].astype(reflectors.dtype)
+    del z
+    _, work, _ = mqr("L", "N", reflectors, tau, vecs[1:], -1)
+    vecs[1:] = mqr("L", "N", reflectors, tau, vecs[1:], int(work[0].real))[0]
+    return evals[:k].copy(), vecs
+
+
+def lowest_k(
+    H, k: int, tol: float = 1e-9, dense_cap: int = DENSE_CAP, *, values_only: bool = False
+) -> SpectralResult:
     """k lowest eigenpairs with certified residuals.
 
     Dense path below ``dense_cap``: ``eigh_dense``, ``?syevd``/``?heevd`` in
     place on one dense copy (a peak of about 3.3 n^2 doubles for a real
-    operator), bit-equal to ``np.linalg.eigh``.  Seeded Lanczos (full
-    reorthogonalization via ARPACK) above it.  Deterministic for a given
+    operator), bit-equal to ``np.linalg.eigh``.  ``values_only`` is for a
+    caller that reads the eigenvalues and residuals alone: ``_lowest_dense``
+    gives the same eigenvalue bits and back-transforms only the k returned
+    vectors (a peak of about 3 n^2 doubles).  Those vectors are orthonormal
+    and certified like the others, but their bits differ from the driver's.
+    An operator whose largest entry lies outside [2n 1e-146, 1e146 / 2n],
+    where LAPACK would rescale it, takes the driver anyway.
+    Seeded Lanczos (full reorthogonalization via ARPACK) above ``dense_cap``,
+    where ``values_only`` changes nothing.  Deterministic for a given
     operator.
     """
     mat = _as_matrix(H)
@@ -193,8 +257,11 @@ def lowest_k(H, k: int, tol: float = 1e-9, dense_cap: int = DENSE_CAP) -> Spectr
         raise InvalidParam(f"need 1 <= k <= {n}, got k={k}")
 
     if n <= dense_cap:
-        evals, evecs = eigh_dense(mat)
-        evals, evecs = evals[:k].copy(), evecs[:, :k].copy()
+        if values_only and 2 * n * _RMIN <= abs(mat).max() <= 1 / (2 * n * _RMIN):
+            evals, evecs = _lowest_dense(mat, k)
+        else:
+            evals, evecs = eigh_dense(mat)
+            evals, evecs = evals[:k].copy(), evecs[:, :k].copy()
         method = "dense"
     else:
         rng = np.random.Generator(np.random.PCG64(_EIGSH_SEED ^ (n * 1000003 + k)))

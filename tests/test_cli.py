@@ -465,8 +465,8 @@ def test_bounds_writes_both_files_when_rayleigh_fails(tmp_path, monkeypatch, cap
 
     lowest_k = idss.lowest_k
 
-    def lifted(H, k, tol):
-        res = lowest_k(H, k, tol=tol)
+    def lifted(H, k, tol, **kwargs):
+        res = lowest_k(H, k, tol=tol, **kwargs)
         return replace(res, eigenvalues=res.eigenvalues + 1.0)
 
     monkeypatch.setattr(idss, "lowest_k", lifted)
@@ -549,6 +549,50 @@ def test_runners_return_checks_and_print_nothing(capsys):
         assert checks and all(type(name) is str and type(passed) is bool and type(detail) is str
                               for name, passed, detail in checks), sub
         assert capsys.readouterr() == ("", ""), sub
+
+
+def test_value_only_solves_keep_every_byte(monkeypatch):
+    # band, gap, bounds and the bulk-bottom bracket read eigenvalues alone and
+    # pass values_only=True to lowest_k; with the flag dropped every solve takes
+    # the full ?syevd/?heevd, whose eigenvalue bits the flag keeps.  The a = 4
+    # variant's strips (384 and 768 sites) take the divide-and-conquer merges.
+    import striplab.cli as cli
+    import striplab.floquet as floquet
+    import striplab.idss as idss
+    import striplab.spectral as spectral
+    from striplab.potential import estimate_bulk_bottom
+
+    small, large, cosine = (json.loads(SMALL_CONFIG.read_text()) for _ in range(3))
+    large["geometry"].update(a=4, L=8, M=24, M_ref=28, L_values=[4, 8])
+    large["run"]["theta_points"] = 17
+    cosine["potential"]["bulk_periodic"] = {"kind": "cosine", "amplitude": 0.3}
+
+    def outputs():
+        out = []
+        for cfg in (small, large):
+            geo, model = validate_geometry(cfg), build_model(cfg)
+            for runner in (cli.run_band, cli.run_gap, cli.run_bounds):
+                out.append(runner(model, geo, dict(cfg["run"]), cfg["run"]["master_seed"], 1))
+        m = build_model(cosine)
+        out.append(estimate_bulk_bottom(m.bulk_periodic, m.d1, m.d2, m.a, M_probe=24))
+        return out
+
+    lowest_k, flags = spectral.lowest_k, []
+
+    def solving(drop):
+        def solve(H, k, tol=1e-9, dense_cap=spectral.DENSE_CAP, *, values_only=False):
+            flags.append(values_only)
+            return lowest_k(H, k, tol, dense_cap, values_only=values_only and not drop)
+
+        for module in (floquet, idss, spectral):  # potential imports lowest_k at each call
+            monkeypatch.setattr(module, "lowest_k", solve)
+
+    solving(drop=False)
+    fast = outputs()
+    # 9 + 17 band cells, 3 + 2 gap strips, 3 + 3 bounds solves, 2 bulk probes
+    assert flags.count(True) == 39
+    solving(drop=True)
+    assert outputs() == fast
 
 
 def test_selftest_subcommand(tmp_path, monkeypatch):

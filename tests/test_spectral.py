@@ -94,47 +94,70 @@ def chi_strip(a, L, M, M_ref):
 
 def test_dense_path_bit_equal_to_numpy_and_leaves_input_alone():
     # the CSV digests rest on this equality: numpy's eigh runs the same
-    # ?syevd/?heevd; n = 768 takes the divide-and-conquer merges (QR below 26)
+    # ?syevd/?heevd; n = 768 takes the divide-and-conquer merges (QR below 26).
+    # values_only runs the driver's reduction and ?stedc('I') itself and
+    # back-transforms k vectors only: the eigenvalue bits stay, the vectors'
+    # may change.  At n = 1 the driver skips both steps.
     model = replace(default_model(), a=4)
     strip = chi_strip(4, 8, 24, 28)
     cell = reduced_operator(model.cell_grid(24), model.u_per(), [1.1])
     _, A = random_banded_symmetric(np.random.default_rng(8), n=60, bw=5)
+    one, two = np.array([[-0.5]]), np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -1.0]])
     assert strip.n == 768 and cell.is_complex
-    for H, stored in ((strip, strip.matrix.data), (cell, cell.matrix.data), (A, A)):
+    for H, stored in ((strip, strip.matrix.data), (cell, cell.matrix.data), (A, A), (one, one),
+                      (two, two)):
         before = stored.copy()
-        w, v = np.linalg.eigh(stored if H is A else H.dense())
+        w, v = np.linalg.eigh(stored if H is stored else H.dense())
+        k = min(3, len(w))
         got_w, got_v = eigh_dense(H)
         assert np.array_equal(got_w, w) and np.array_equal(got_v, v)
-        res = lowest_k(H, 3)
-        assert np.array_equal(res.eigenvalues, w[:3])
-        assert np.array_equal(res.eigenvectors, v[:, :3])
+        res = lowest_k(H, k)
+        assert np.array_equal(res.eigenvalues, w[:k])
+        assert np.array_equal(res.eigenvectors, v[:, :k])
+        fast = lowest_k(H, k, values_only=True)
+        assert fast.method == "dense" and np.array_equal(fast.eigenvalues, w[:k])
+        assert np.all(fast.residuals <= 1e-9)
+        gram = fast.eigenvectors.conj().T @ fast.eigenvectors
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-12
         assert np.array_equal(stored, before)
+
+
+def test_values_only_takes_the_driver_where_lapack_rescales():
+    # ?syevd and ?stevd rescale a matrix far from unit norm, each by its own
+    # factor, so the reduction alone would change the eigenvalue bits there
+    _, A = random_banded_symmetric(np.random.default_rng(8), n=60, bw=5)
+    for scale in (1e150, 1e-150):
+        res = lowest_k(A * scale, 3, tol=1e-9 * scale, values_only=True)
+        assert np.array_equal(res.eigenvalues, np.linalg.eigh(A * scale)[0][:3])
 
 
 def test_dense_path_memory():
     # ?syevd in place holds the dense copy and its 2 n^2 workspace, about
     # 3.3 n^2 doubles; a copy for numpy's eigh and a fresh eigenvector
-    # array took 5.4 n^2.  ru_maxrss needs a fresh process.
-    code = (
-        "import resource\n"
-        "from test_spectral import chi_strip\n"
-        "from striplab.spectral import lowest_k\n"
-        "H = chi_strip(3, 16, 24, 28)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "lowest_k(H, 2)\n"
-        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(H.n, (after - before) * 1024 / (8 * H.n**2))\n"
-    )
+    # array took 5.4 n^2.  values_only holds the reflectors, and ?stevd's
+    # eigenvectors and workspace, about 3 n^2.  ru_maxrss needs a fresh process.
     root = Path(__file__).parents[1]
     path = os.pathsep.join(
         p for p in (str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    n, growth = proc.stdout.split()
-    assert int(n) == 1152
-    assert float(growth) <= 4.0, f"lowest_k grew RSS by {float(growth):.2f} n^2 doubles"
+    for values_only in (False, True):
+        code = (
+            "import resource\n"
+            "from test_spectral import chi_strip\n"
+            "from striplab.spectral import lowest_k\n"
+            "H = chi_strip(3, 16, 24, 28)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            f"lowest_k(H, 2, values_only={values_only})\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(H.n, (after - before) * 1024 / (8 * H.n**2))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        n, growth = proc.stdout.split()
+        assert int(n) == 1152
+        assert float(growth) <= 4.0, (
+            f"lowest_k(values_only={values_only}) grew RSS by {float(growth):.2f} n^2 doubles")
 
 
 def test_count_below_examples():
