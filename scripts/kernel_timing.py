@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """Cost of the counting kernels on real strip ensembles, and of ``lowest_k``'s dense path.
 
-Five tables, each time the median of three runs:
+Five tables, each time the median of three runs.  Every pass runs on the
+band ``StripEnsemble`` counts, its sites in ``grid.band_order()`` (the
+longest axis outermost), with the sampled diagonals in that order; the
+tables print that band's width ``bw`` beside the width ``grid bw`` of the
+grid's own order (x1 outermost):
 
 * the single-energy LDL^T pass (e0 + 0.1) of ``count_below_ensemble`` on
   the two-point compact-impurity model, per lane, over 1, 48, 96, 128, 192,
@@ -11,14 +15,16 @@ Five tables, each time the median of three runs:
   ensembles share one pool), the ensembles of the IDSS curve and of the
   classical tail, a block of ``spectral.BLOCK_LANES`` (the cap of
   ``spectral.block_lanes``), and the larger blocks a 2000-sample ensemble
-  would take without that cap.  Beside it, one lane's
-  banded eigensolve over a 12-point tail grid (e0 + 0.02 ... e0 + 0.7,
+  would take without that cap, on the strips of ``SHAPES`` (one at
+  d1 = 2).  Beside it, one lane's banded eigensolve over a 12-point tail
+  grid (e0 + 0.02 ... e0 + 0.7,
   median over 32 lanes), and the crossover: how many passes that
   eigensolve costs.  ``count_below`` counts one operator by the eigensolve,
   at one energy or many;
 * the same pass on 96 lanes at the quantum tail's strips (M = 24, n = 192
-  to 1152) for several row counts of the LDL^T buffer, the last being n
-  (the whole band at once); ``spectral.INERTIA_ROWS`` is chosen from it;
+  to 1152, bw 8, 16, 24 and 24) for several row counts of the LDL^T
+  buffer, the last being n (the whole band at once);
+  ``spectral.INERTIA_ROWS`` is chosen from it;
 * the same pass on 96 lanes at those strips and at the IDSS curve's
   (n = 256, bw = 16) for several panel widths, the pivots whose trailing
   updates one matmul applies; ``spectral.INERTIA_PANEL`` is chosen from
@@ -26,9 +32,10 @@ Five tables, each time the median of three runs:
   ends in a shorter panel;
 * the two grid kernels on the benchmark's grid ensembles, the IDSS curve
   (12 energies, n = 256, bw = 16, 128 lanes) and the classical tail (10
-  energies, n = 384, bw = 24, 192 lanes): the bisection of
-  ``count_below_ensemble``, with its (lane, energy) passes per lane, and one
-  banded eigensolve per lane.  Both give the same counts;
+  energies, n = 384, bw = 16 where the grid's order has 24, 192 lanes):
+  the bisection of ``count_below_ensemble``, with its (lane, energy)
+  passes per lane, and one banded eigensolve per lane.  Both give the same
+  counts;
 * ``lowest_k(H, 2)``'s dense path on the certificates' operators (a = 4,
   M = 24, reference depth 28): a complex band cell h_theta (n = 96, a run
   being the 129 cells of one band curve) and the real chi strips at L = 8
@@ -56,10 +63,13 @@ from striplab.instances import default_model
 from striplab.operator import assemble
 from striplab.potential import TwoPointCouplings, periodic_bulk
 
-# (L, M): n = L * M sites at bandwidth M; L 8..48 at M=24 spans the quantum
-# tail's strips, 8 x 16 is the shortest of a quantum tail at M=16, 16 x 16 the
-# IDSS curve's and 16 x 24 the classical tail's
-SHAPES = [(8, 24), (16, 24), (30, 24), (48, 24), (8, 16), (16, 16), (16, 32)]
+# (d1, L, M) at a = 1 and d2 = 1: n = L^d1 * M sites at band width n / max(L, M)
+# (the grid's own order has n / L); L 8..48 at M=24 spans the quantum tail's
+# strips, 8 x 16 is the shortest of a quantum tail at M=16, 16 x 16 the IDSS
+# curve's, 16 x 24 the classical tail's, and 6 x 6 x 16 a d1 = 2 strip (bw 36
+# where the grid's order has 96)
+SHAPES = [(1, 8, 24), (1, 16, 24), (1, 30, 24), (1, 48, 24), (1, 8, 16), (1, 16, 16),
+          (1, 16, 32), (2, 6, 16)]
 LANES = (1, 48, 96, 128, 192, 256, 512, 1024, 1536)
 EIG_LANES = 32
 ROWS = (16, 32, 64, 128)
@@ -98,13 +108,23 @@ def eigenvalue_counts(band, diags, energies):
                      for d, t, nrm in zip(diags, tie, lane_norm)])
 
 
+def widths(eng) -> str:
+    """n, the band width of the grid's own order and that of the band order ``eng`` counts in."""
+    n = eng.grid.n_sites
+    return f"{n:>5} {n // eng.grid.shape[0]:>7} {eng.base_band.shape[0] - 1:>3}"
+
+
+def band_diags(eng, lanes):
+    """The sampled diagonals of samples 0..lanes-1, in the band order ``eng.counts`` takes."""
+    return eng.sample_diags(range(lanes))[:, eng.order]
+
+
 def pass_table(model):
-    print(f"{'n':>5} {'bw':>3} {'lanes':>5} {'pass ms':>9} {'pass ms/lane':>12} "
+    print(f"{'n':>5} {'grid bw':>7} {'bw':>3} {'lanes':>5} {'pass ms':>9} {'pass ms/lane':>12} "
           f"{'eig ms/lane':>11} {'crossover':>9}")
-    for L, M in SHAPES:
-        eng = StripEnsemble(model, L=L, M=M, master_seed=0)
-        n, bw = eng.base_band.shape[1], eng.base_band.shape[0] - 1
-        diags = eng.sample_diags(range(max(LANES)))
+    for d1, L, M in SHAPES:
+        eng = StripEnsemble(replace(model, d1=d1), L=L, M=M, master_seed=0)
+        diags = band_diags(eng, max(LANES))
         grid = eng.e0 + np.geomspace(0.02, 0.7, 12)
         eig = median_seconds(
             lambda: eigenvalue_counts(eng.base_band, diags[:EIG_LANES], grid)
@@ -113,30 +133,31 @@ def pass_table(model):
             ldl = median_seconds(
                 lambda: spectral.count_below_ensemble(eng.base_band, diags[:lanes], [eng.e0 + 0.1])
             ) / lanes
-            print(f"{n:>5} {bw:>3} {lanes:>5} {ldl * lanes * 1e3:>9.2f} {ldl * 1e3:>12.3f} "
+            print(f"{widths(eng)} {lanes:>5} {ldl * lanes * 1e3:>9.2f} {ldl * 1e3:>12.3f} "
                   f"{eig * 1e3:>11.3f} {eig / ldl:>9.2f}")
 
 
 def sweep_table(model, constant, label, shapes, values):
     """Pass ms per lane on 96 lanes with ``spectral.<constant>`` set to each of ``values(n)``."""
-    print(f"{'n':>5} {'bw':>3} " + " ".join(f"{f'{label}={b}':>8}" for b in values("n"))
+    print(f"{'n':>5} {'grid bw':>7} {'bw':>3} "
+          + " ".join(f"{f'{label}={b}':>8}" for b in values("n"))
           + "   (pass ms/lane, 96 lanes)")
     kept = getattr(spectral, constant)
     for L, M in shapes:
         eng = StripEnsemble(model, L=L, M=M, master_seed=0)
-        diags = eng.sample_diags(range(96))
+        diags = band_diags(eng, 96)
         row = []
         for value in values(eng.grid.n_sites):
             setattr(spectral, constant, value)
             row.append(median_seconds(
                 lambda: spectral.count_below_ensemble(eng.base_band, diags, [eng.e0 + 0.1])) / 96)
         setattr(spectral, constant, kept)
-        print(f"{eng.grid.n_sites:>5} {M:>3} " + " ".join(f"{t * 1e3:>8.3f}" for t in row))
+        print(f"{widths(eng)} " + " ".join(f"{t * 1e3:>8.3f}" for t in row))
 
 
 def grid_table():
-    print(f"{'ensemble':>14} {'n':>5} {'bw':>3} {'lanes':>5} {'energies':>8} {'bisect ms':>10} "
-          f"{'passes/lane':>11} {'eig ms':>8} {'eig/bisect':>10}")
+    print(f"{'ensemble':>14} {'n':>5} {'grid bw':>7} {'bw':>3} {'lanes':>5} {'energies':>8} "
+          f"{'bisect ms':>10} {'passes/lane':>11} {'eig ms':>8} {'eig/bisect':>10}")
     probes = []
     inertia = spectral.banded_inertia
 
@@ -148,7 +169,7 @@ def grid_table():
         model = build_model({"geometry": geometry, "potential": potential})
         eng = StripEnsemble(model, L=geometry["L"], M=geometry["M"], M_ref=geometry["M_ref"],
                             master_seed=0)
-        diags = eng.sample_diags(range(lanes))
+        diags = band_diags(eng, lanes)
         energies = energies_of(eng.e0)
         spectral.banded_inertia = counting
         counts = spectral.count_below_ensemble(eng.base_band, diags, energies)
@@ -157,8 +178,7 @@ def grid_table():
         bisect = median_seconds(
             lambda: spectral.count_below_ensemble(eng.base_band, diags, energies))
         eig = median_seconds(lambda: eigenvalue_counts(eng.base_band, diags, energies))
-        n, bw = eng.base_band.shape[1], eng.base_band.shape[0] - 1
-        print(f"{name:>14} {n:>5} {bw:>3} {lanes:>5} {len(energies):>8} {bisect * 1e3:>10.1f} "
+        print(f"{name:>14} {widths(eng)} {lanes:>5} {len(energies):>8} {bisect * 1e3:>10.1f} "
               f"{sum(probes) / lanes:>11.2f} {eig * 1e3:>8.1f} {eig / bisect:>10.2f}")
         probes.clear()
 

@@ -9,7 +9,9 @@ axis.  Transverse coordinates are centered so the surface hyperplane
     x2[k] = (k - M/2 + 1/2) * h,   k in [0, M)
 
 Sites are addressed by a flat, site-major index with transverse axes
-fastest; the index <-> coordinate maps are exact bijections.  GridSpec is
+fastest; the index <-> coordinate maps are exact bijections.  Counting
+takes the sites in another order, ``GridSpec.band_order``, which puts the
+longest axis outermost so the operator's band is narrowest.  GridSpec is
 immutable and safe to share across workers.
 """
 
@@ -95,6 +97,22 @@ class GridSpec:
     def x2_layer_coordinate(self, k) -> np.ndarray:
         """Physical x2 coordinate of transverse layer index k."""
         return (np.asarray(k) - self.M / 2 + 0.5) * self.h
+
+    def band_order(self) -> np.ndarray:
+        """The site order that counting factors in: ``order[p]`` is the flat index of site p.
+
+        A nearest-neighbour operator on the grid, its sites taken in flat
+        index order, has band width n / (first axis): a bond along an axis
+        joins sites as far apart as the product of the axes after it.  So
+        the order moves the longest axis to the front (a stable sort by
+        length, the others keeping theirs) and its band width is
+        n / (longest axis): 16 where the grid's own order has 24 on an
+        L = 16, M = 24 strip at a = 1, (aL)^2 where it has aL M at d1 = 2,
+        d2 = 1 when M > aL.  When the first x1 axis is longest, or tied
+        for it, the order is the identity.
+        """
+        axes = sorted(range(self.n_axes), key=lambda j: -self.shape[j])
+        return np.arange(self.n_sites).reshape(self.shape).transpose(axes).ravel()
 
     # -- bond and face enumeration (used by operator assembly) ------------
 

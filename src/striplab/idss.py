@@ -54,6 +54,14 @@ class StripEnsemble:
     ``U_b`` and the boundary terms live in ``base_band``; the per-sample
     diagonal additions come from ``sample_diags``.
 
+    ``base_band`` holds the assembled operator with its sites in
+    ``order`` = ``grid.band_order()``, the longest axis outermost, so its
+    band is n / (longest axis) wide; ``counts`` takes the sampled diagonals
+    in that order too.  A permutation changes no eigenvalue and moves
+    values without arithmetic, so the ensemble counts the operators
+    ``hamiltonian`` assembles, which, like ``sample_diag(s)``, keeps the
+    grid's own order.
+
     ``ref`` and ``e0`` come from ``cached_reference(model, M, M_ref)``
     (``M_ref`` defaults to M + 4).  The reference does not depend on L, so
     ensembles of one (model, M, M_ref) share one solve per process.
@@ -77,7 +85,8 @@ class StripEnsemble:
         self.e0 = self.ref.e0
         self.bcs = bc_for_tag(bc, self.ref)
         self.u_b = periodic_bulk(self.grid, model.bulk_periodic)
-        self.base_band = lower_band(assemble(self.grid, self.u_b, self.bcs).matrix)
+        self.order = self.grid.band_order()
+        self.base_band = lower_band(assemble(self.grid, self.u_b, self.bcs))
         self.F = f_weight_matrix(self.grid, model.profile)
         self.n_window_cells = self.F.shape[0]
 
@@ -105,7 +114,8 @@ class StripEnsemble:
 
     def counts(self, indices: Sequence[int], energies) -> np.ndarray:
         """Counts of one sample block, shape (len(indices), len(energies)), in one kernel call."""
-        return count_below_ensemble(self.base_band, self.sample_diags(indices), energies)
+        diags = self.sample_diags(indices)[:, self.order]
+        return count_below_ensemble(self.base_band, diags, energies)
 
 
 def _counts_block(args):

@@ -34,7 +34,18 @@ byte: it decides only when an idle BLAS thread sleeps.
 
 Counting below energies has two entry points: ``count_below_ensemble`` for
 lanes that share off-diagonal structure (the disorder ensembles), and
-``count_below`` for one operator.  Two kernels answer the same question:
+``count_below`` for one operator.  The kernels see a strip's operator with
+its sites in ``grid.band_order()``, the longest axis outermost:
+``lower_band`` so orders a ``Hamiltonian``, which ``count_below`` and
+``idss.StripEnsemble``'s base band take, and the ensemble orders its
+sampled diagonals so.  The band is then n / (longest axis) wide where the
+grid's own order (x1 outermost) gives n / (aL): 16 against 24 on the
+classical tail's L = 16, M = 24 strip, L against 24 on the quantum tail's
+strips with L < 24, and (aL)^2 against aL M at d1 = 2 when M > aL.  A
+permutation changes no eigenvalue and moves values without arithmetic, so
+a count could differ from the grid order's only for an eigenvalue within
+rounding of E + tie; no CSV byte of ``scripts/csv_digests.py`` moved.  Two kernels answer the
+same question:
 
 * the inertia of the shifted operator: an unpivoted, blocked, batched
   LDL^T pass over the band counts negative pivots at one energy a lane
@@ -48,17 +59,20 @@ panel's columns in all lanes at once, and each panel one batched matmul (a
 BLAS product a lane) for its rank-nb update of the bw x bw trailing block.
 Its buffer holds ``INERTIA_ROWS`` + bw rows a lane, so its memory does not
 grow with n.  A banded eigensolve costs about n^2 bw per lane, inside
-LAPACK.  ``scripts/kernel_timing.py`` times both on real strip ensembles.
-One lane's eigensolve, counted in passes per lane, over three runs on a
-2-core x86 VM (numpy 2.4, scipy 1.17):
+LAPACK.  ``scripts/kernel_timing.py`` times both on real strip ensembles,
+in band order (bw below; 576 / 36 is a d1 = 2 strip, L = 6, M = 16, whose
+grid order has bw 96).  One lane's eigensolve, counted in passes per lane,
+over three runs on a 2-core x86 VM (numpy 2.4, scipy 1.17):
 
     n / bw      1 lane      48 lanes   96 lanes   128 lanes   192 lanes   256 lanes
-    192 / 24    0.37-0.45   9-11       10-13      11-13       10-12       7-11
-    256 / 16    0.47-0.49   12-13      17-18      18-19       20-21       20-22
-    384 / 24    0.62-1.06   12-21      13-23      13-23       14-23       18-25
-    512 / 32    1.17-1.57   21-25      24-26      25-26       25-31       12-33
-    720 / 24    1.18-1.81   26-39      33-43      32-46       34-45       31-38
-    1152 / 24   1.83-2.75   50-80      72-94      67-95       59-70       60-70
+    128 / 8     0.19-0.27   7-9        11-13      12-16       14-19       15-21
+    192 / 8     0.29-0.33   9-11       14-17      16-20       18-23       20-24
+    256 / 16    0.44-0.51   11-13      15-17      16-19       17-19       19-20
+    384 / 16    0.34-0.70   9-18       13-25      14-25       16-27       19-26
+    512 / 16    0.95-1.04   22-25      31-35      28-36       34-40       37-41
+    576 / 36    1.32-1.65   22-23      23-25      21-23       21-23       20-22
+    720 / 24    1.23-1.76   33-35      39-42      30-37       35-39       35-39
+    1152 / 24   2.91-3.33   59-71      73-85      60-74       67-74       72-77
 
 The kernel follows the entry point, never the lane count, so a counting or
 worker block never changes the kernel a sample is counted with: ensembles
@@ -72,25 +86,27 @@ are counted by passes, one operator by its eigenvalues.
   per-lane eigensolves over the bisection's, three runs):
 
       ensemble         n / bw     lanes   energies   passes a lane   eig / bisection
-      IDSS curve       256 / 16   128     12         7.08            2.6-3.7
-      classical tail   384 / 24   192     10         5.42            3.7-4.5
+      IDSS curve       256 / 16   128     12         7.08            2.7-3.0
+      classical tail   384 / 16   192     10         5.42            4.8-5.0
 
-  A single energy is one round, the quantum tail's traffic: 96-sample
-  ensembles at n=192 to 1152 (one pool task each), where a pass is 10 to
-  94 times cheaper than an eigensolve.
+  The classical tail's bisection took 126-128 ms, against 187-276 ms in
+  the grid's order at bw 24 (three alternating runs).  A single energy is
+  one round, the quantum tail's traffic: 96-sample ensembles at n=192 to
+  1152, bw 8 to 24 (one pool task each), where a pass is 13 to 85 times
+  cheaper than an eigensolve.
 * ``count_below`` counts one operator from its banded eigenvalues, found
   once, at one energy or many: its callers, bracketing and the sandwich
-  check's periodic ``H_per``, count grids, where an eigensolve costs 0.4
-  to 2.8 passes of one lane, fewer than a bisection takes.
+  check's periodic ``H_per``, count grids, where an eigensolve costs 0.2
+  to 3.3 passes of one lane, fewer than a bisection takes.
 
 Past a few hundred lanes a pass gets no cheaper per lane.  Milliseconds
 per lane of one pass, three runs of the script on the same VM:
 
     n / bw      256 lanes     512 lanes     1024 lanes    1536 lanes
-    128 / 16    0.034-0.048   0.033-0.048   0.037-0.055   0.045-0.063
-    192 / 24    0.13-0.18     0.11-0.14     0.11-0.13     0.11-0.13
-    256 / 16    0.068-0.107   0.073-0.096   0.085-0.107   0.107-0.125
-    384 / 24    0.18-0.20     0.20-0.21     0.19-0.23     0.20-0.24
+    128 / 8     0.019-0.022   0.018-0.022   0.018-0.018   0.018-0.019
+    192 / 8     0.029-0.034   0.030-0.030   0.029-0.032   0.029-0.034
+    256 / 16    0.073-0.075   0.071-0.074   0.082-0.114   0.124-0.151
+    384 / 16    0.122-0.161   0.105-0.136   0.149-0.178   0.189-0.269
 
 So ``block_lanes`` caps a block at ``BLOCK_LANES`` = 256 lanes, and a grid
 round takes at most as many probes as the block has lanes.  With the
@@ -104,24 +120,25 @@ rows, and keep a lane's share at (32 + bw)(bw + 1) entries where the
 whole band took (n + bw)(bw + 1).  Milliseconds per lane of one pass on 96
 lanes, three runs:
 
-    n / bw      16 rows     32 rows     64 rows     128 rows    n rows
-    192 / 24    0.10-0.14   0.09-0.15   0.09-0.15   0.10-0.15   0.11-0.14
-    384 / 24    0.23-0.30   0.20-0.28   0.25-0.28   0.22-0.28   0.24-0.30
-    720 / 24    0.42-0.54   0.33-0.52   0.40-0.51   0.47-0.55   0.39-0.54
-    1152 / 24   0.72-0.87   0.66-0.83   0.65-0.81   0.54-0.85   0.74-0.92
+    n / bw      16 rows       32 rows       64 rows       128 rows      n rows
+    192 / 8     0.041-0.050   0.041-0.046   0.041-0.055   0.040-0.053   0.039-0.053
+    384 / 16    0.116-0.161   0.113-0.133   0.115-0.140   0.117-0.137   0.123-0.158
+    720 / 24    0.313-0.365   0.330-0.351   0.322-0.359   0.329-0.372   0.354-0.404
+    1152 / 24   0.545-0.574   0.522-0.562   0.523-0.545   0.539-0.568   0.575-0.613
 
-The panel width ``INERTIA_PANEL`` = 8 (at most bw) ties with 16 within
-the spread of these runs and keeps the panel arrays half as large:
-narrower panels take more matmuls, wider ones more work in the per-pivot
-calls.  Milliseconds per lane, 96 lanes, three runs (6 and 12 do not
-divide ``INERTIA_ROWS``, so each buffer load ends in a shorter panel):
+The panel width ``INERTIA_PANEL`` = 8 (at most bw) is the fastest or tied
+in every row, and keeps the panel arrays small: narrower panels take more
+matmuls, wider ones more work in the per-pivot calls.  Milliseconds per
+lane, 96 lanes, three runs (6 and 12 do not divide ``INERTIA_ROWS``, so
+each buffer load ends in a shorter panel; at bw 8 a panel holds at most 8
+pivots, so 12 and 16 run as 8):
 
-    n / bw      4 pivots    6 pivots    8 pivots    12 pivots   16 pivots
-    192 / 24    0.16-0.18   0.15-0.17   0.13-0.14   0.12-0.15   0.11-0.14
-    384 / 24    0.23-0.34   0.20-0.32   0.18-0.28   0.18-0.33   0.18-0.26
-    720 / 24    0.43-0.64   0.36-0.60   0.31-0.53   0.37-0.54   0.33-0.50
-    1152 / 24   0.64-0.99   0.56-0.85   0.53-0.90   0.58-0.90   0.55-0.86
-    256 / 16    0.10-0.19   0.10-0.17   0.08-0.16   0.09-0.16   0.09-0.15
+    n / bw      4 pivots      6 pivots      8 pivots      12 pivots     16 pivots
+    192 / 8     0.045-0.050   0.043-0.048   0.042-0.045   0.043-0.046   0.044-0.045
+    384 / 16    0.145-0.162   0.133-0.150   0.120-0.137   0.132-0.141   0.137-0.143
+    720 / 24    0.367-0.405   0.341-0.380   0.324-0.343   0.349-0.365   0.341-0.355
+    1152 / 24   0.614-0.657   0.577-0.638   0.541-0.589   0.578-0.871   0.556-0.600
+    256 / 16    0.102-0.112   0.096-0.102   0.087-0.092   0.089-0.097   0.091-0.098
 
 At wide bands the blocked pass is several times cheaper than the rank-1
 one: 8 lanes took 0.18 s against 1.36 s at n=1728, bw=144, and 4 lanes
@@ -291,8 +308,17 @@ def lowest_k(
 # -- banded inertia counting --------------------------------------------------
 
 
-def lower_band(mat) -> np.ndarray:
-    """Lower band storage band[r, j] = A[j+r, j] of a sparse Hermitian matrix."""
+def lower_band(H) -> np.ndarray:
+    """Lower band storage band[r, j] = A[j+r, j] of a sparse Hermitian operator.
+
+    ``H`` is what ``lowest_k`` takes.  A ``Hamiltonian`` is banded with its
+    sites in ``H.grid.band_order()``, the order counting takes; a bare
+    matrix keeps its own order.
+    """
+    mat = _as_matrix(H)
+    if hasattr(H, "grid"):
+        order = H.grid.band_order()
+        mat = mat[order][:, order]
     coo = mat.tocoo()
     mask = coo.row >= coo.col
     r, c, v = coo.row[mask], coo.col[mask], coo.data[mask]
@@ -432,9 +458,11 @@ def count_below(H, E):
     under the ensemble's tie rule: eigenvalues within
     1e-12 * (||H||_inf + |E| + 1) of E count as below.  So no size of
     operator raises and no caller retries with a perturbed energy.  A
-    non-finite energy raises ``InvalidParam``.
+    non-finite energy raises ``InvalidParam``.  A ``Hamiltonian`` is
+    banded with its sites in ``H.grid.band_order()`` (``lower_band``), as
+    an ensemble is.
     """
-    band = lower_band(_as_matrix(H))
+    band = lower_band(H)
     energies = np.ravel(np.asarray(E, dtype=float))
     diag = np.zeros((1, band.shape[1]))
     lane_norm, tie = _lane_scales(band, diag, energies)

@@ -4,7 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from striplab.errors import CapExceeded, InvalidParam
-from striplab.grid import Bloch, BoundarySpec, Dirichlet, build_grid, central_layers
+from striplab.grid import (
+    Bloch,
+    BoundarySpec,
+    Dirichlet,
+    bc_all_dirichlet,
+    build_grid,
+    central_layers,
+)
+from striplab.operator import assemble
+from striplab.spectral import lower_band
 
 grids = st.builds(
     lambda d1, d2, L, a, M: (d1, d2, L, a, 2 * M),
@@ -136,3 +145,20 @@ def test_center_sites(d1, d2):
     assert np.all(coords[:, :d1] == 3)
     assert {tuple(c - 2) for c in coords[:, d1:]} == set(np.ndindex((2,) * d2))
     assert np.allclose(np.abs(g.x2_positions()[sites]), g.h / 2)
+
+
+@pytest.mark.parametrize("d1", [1, 2])
+@pytest.mark.parametrize("d2", [1, 2])
+def test_band_order(d1, d2):
+    # (L, a, M): x1 shorter, tied (aL = M, also at a = 2) and longer than the depth
+    for L, a, M in ((2, 1, 4), (4, 1, 4), (2, 2, 4), (5, 1, 2), (3, 2, 4)):
+        g = build_grid(d1, d2, L=L, a=a, M=M)
+        order = g.band_order()
+        assert np.array_equal(np.sort(order), np.arange(g.n_sites))
+        assert np.array_equal(order, np.arange(g.n_sites)) == (a * L >= M)
+        # the assembled strip, its sites in band order, is n / (longest axis) wide
+        mat = assemble(g, np.zeros(g.n_sites), bc_all_dirichlet()).matrix
+        assert lower_band(mat[order][:, order]).shape == (g.n_sites // max(g.shape) + 1, g.n_sites)
+        # the longest axis is outermost: the slowest index of the band order
+        first = g.coords_of(order)[:, int(np.argmax(g.shape))]
+        assert np.array_equal(first, np.arange(g.n_sites) // (g.n_sites // max(g.shape)))

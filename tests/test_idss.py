@@ -39,7 +39,7 @@ from striplab.potential import (
     periodic_bulk,
 )
 from striplab.rng import mix64
-from striplab.spectral import count_below, count_below_ensemble
+from striplab.spectral import count_below, count_below_ensemble, lower_band
 
 
 @pytest.fixture(scope="module")
@@ -49,17 +49,22 @@ def energies(e0_default):
 
 def test_engine_matches_direct_counts(model, energies, e0_default):
     # the counted operator is the assembled one, periodic bulk U_b and random
-    # bulk V_b included
+    # bulk V_b included, with its sites in the grid's band order: on this
+    # L = 7 < M = 10 strip that is the depth axis outermost, at band width 7
     for m in (model, replace(model, bulk_periodic=CosineBulk(0.3)),
               replace(model, bulk_random=IidUniformBulk(0.4))):
         eng = StripEnsemble(m, L=7, M=10, bc="chi", master_seed=42)
+        order = eng.grid.band_order()
+        assert np.array_equal(eng.order, order) and eng.base_band.shape == (8, 70)
+        base = assemble(eng.grid, eng.u_b, eng.bcs).matrix
+        assert np.array_equal(eng.base_band, lower_band(base[order][:, order]))
         grid_energies = energies - e0_default + eng.e0
         for i in (0, 5):
             H = eng.hamiltonian(i)
             direct = [count_below(H, E) for E in grid_energies]
             assert list(eng.counts([i], grid_energies)[0]) == direct
-            diag = H.matrix.diagonal()
-            assert np.max(np.abs(diag - (eng.base_band[0] + eng.sample_diag(i)))) <= 1e-12
+            diag = H.matrix.diagonal()[order]
+            assert np.max(np.abs(diag - (eng.base_band[0] + eng.sample_diag(i)[order]))) <= 1e-12
 
 
 def test_memoized_reference_matches_direct_solve(model, monkeypatch):

@@ -19,11 +19,19 @@ from striplab.errors import (
     ZeroVector,
 )
 from striplab.floquet import ground_state_cell, reduced_operator
-from striplab.grid import Bloch, BoundarySpec, Dirichlet, bc_all_neumann, bc_for_tag, build_grid
+from striplab.grid import (
+    BC_TAGS,
+    Bloch,
+    BoundarySpec,
+    Dirichlet,
+    bc_all_neumann,
+    bc_for_tag,
+    build_grid,
+)
 from striplab.idss import StripEnsemble
 from striplab.instances import default_model
 from striplab.operator import assemble
-from striplab.potential import TwoPointCouplings, periodic_bulk
+from striplab.potential import CosineBulk, IidUniformBulk, TwoPointCouplings, periodic_bulk
 from striplab.spectral import (
     banded_inertia,
     count_below,
@@ -505,8 +513,9 @@ def test_banded_inertia_matches_column_loop(is_complex):
 
 
 def test_banded_inertia_matches_column_loop_on_strip_ensemble(monkeypatch):
-    # a two-point ensemble at n=192, bw=24, counted near the bottom of the
-    # spectrum as the quantum tail counts it
+    # a two-point ensemble on an L = 8, M = 24 strip, counted near the bottom
+    # of the spectrum as the quantum tail counts it: in band order, with the
+    # depth axis outermost, its band is n=192, bw=8
     import striplab.spectral
 
     calls = []
@@ -518,10 +527,69 @@ def test_banded_inertia_matches_column_loop_on_strip_ensemble(monkeypatch):
     monkeypatch.setattr(striplab.spectral, "banded_inertia", checked)
     model = replace(default_model(), dist=TwoPointCouplings(-2.0, -1.0, p=0.5))
     eng = StripEnsemble(model, L=8, M=24, master_seed=5)
-    diags = eng.sample_diags(range(12))
+    assert eng.base_band.shape == (9, 192)
+    diags = eng.sample_diags(range(12))[:, eng.order]
     for E in (eng.e0 + 0.05, eng.e0 + 0.7):
         count_below_ensemble(eng.base_band, diags, [E])
     assert calls == [(12, 192), (12, 192)]
+
+
+def test_band_order_counts_match_dense_eigenvalues(monkeypatch):
+    # strips shorter than their depth, as long and longer, at d1 = 2 and at
+    # d2 = 2, under every boundary tag and a cosine or a random bulk:
+    # both entry points count in the grid's band order and agree with the
+    # dense eigenvalues of the grid-order operator under the tie rule
+    import striplab.spectral
+
+    hits, inertia = [], striplab.spectral.banded_inertia
+    recounted, lane_counts = [], striplab.spectral._lane_counts
+
+    def counting(base_band, shifts, reg):
+        neg, hit = inertia(base_band, shifts, reg)
+        hits.append(hit)
+        return neg, hit
+
+    def solving(base_band, diag, thresholds, lane_norm):
+        recounted.append(base_band)
+        return lane_counts(base_band, diag, thresholds, lane_norm)
+
+    monkeypatch.setattr(striplab.spectral, "banded_inertia", counting)
+    monkeypatch.setattr(striplab.spectral, "_lane_counts", solving)
+    counted = 0
+    for d1, d2 in ((2, 1), (1, 2)):
+        for bulk in ({"bulk_periodic": CosineBulk(0.3)}, {"bulk_random": IidUniformBulk(0.4)}):
+            model = replace(default_model(), d1=d1, d2=d2, **bulk)
+            for L, M in ((3, 4), (4, 4), (6, 4)):
+                for tag in BC_TAGS:
+                    eng = StripEnsemble(model, L=L, M=M, bc=tag, master_seed=11)
+                    assert eng.base_band.shape[0] - 1 == eng.grid.n_sites // max(L, M)
+                    energies = eng.e0 + np.array([1.6, -0.05, 0.4, 0.1, 0.9])
+                    counts = eng.counts(range(3), energies)
+                    for i in range(3):
+                        H = eng.hamiltonian(i)
+                        want = [dense_count(H.dense(), E) for E in energies]
+                        assert counts[i].tolist() == want == count_below(H, energies).tolist()
+                        assert recounted[-1].shape == eng.base_band.shape  # count_below's band
+                    counted += counts.sum()
+    assert counted > 0 and not any(h.any() for h in hits)
+    hits.clear()
+    recounted.clear()
+    # a lane whose top probe meets a zero pivot at the first site of the band
+    # order is recounted, at every energy, from the eigenvalues of the permuted band
+    model = replace(default_model(), d1=2, bulk_random=IidUniformBulk(0.4))
+    eng = StripEnsemble(model, L=3, M=4, bc="chi", master_seed=11)
+    energies = eng.e0 + np.array([-0.05, 0.1, 0.4, 0.9, 1.6])
+    v = eng.sample_diag(0)
+    _, tie = striplab.spectral._lane_scales(eng.base_band, v[eng.order][None], energies)
+    v[eng.order[0]] = energies[-1] + tie[0, -1] - eng.base_band[0, 0]
+    _, moved = striplab.spectral._lane_scales(eng.base_band, v[eng.order][None], energies)
+    assert np.array_equal(moved, tie)  # that site's row does not set the lane's norm
+    counts = count_below_ensemble(eng.base_band, v[eng.order][None], energies)
+    assert len(hits) == 1 and hits[0][0]
+    assert len(recounted) == 1 and recounted[0] is eng.base_band
+    H = assemble(eng.grid, eng.u_b + v, eng.bcs)
+    want = [dense_count(H.dense(), E) for E in energies]
+    assert counts[0].tolist() == want == count_below(H, energies).tolist()
 
 
 def test_count_below_grid_under_spectrum():
