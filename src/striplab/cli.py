@@ -135,12 +135,9 @@ def run_idss(model, geo, run, seed, workers):
             checks.append(("bracketing count ordering", True, f"M_stab={br.M_stab}"))
         except StripLabError as exc:
             checks.append(("bracketing count ordering", False, str(exc)))
-        try:
-            sandwich_from_counts(ensembles["chi"][0], energies, counts["chi"][:n_check],
-                                 counts["D"][:n_check])
-            checks.append(("IDSS sandwich within 3 SE", True, ""))
-        except StripLabError as exc:
-            checks.append(("IDSS sandwich within 3 SE", False, str(exc)))
+        rep = sandwich_from_counts(ensembles["chi"][0], energies, counts["chi"][:n_check],
+                                   counts["D"][:n_check])
+        checks.append(("IDSS sandwich within 3 SE", rep.ok, rep.detail))
     return (checks, "idss",
             ["E", "mean", "se", "p0_upper", "n_samples", "L", "M"],
             [[E, m, s, p0, curve.n_samples, L, curve.M]

@@ -106,7 +106,6 @@ class WegnerReport:
     ses: np.ndarray
     slope: float  # d ln P / d ln eps over the usable range; nan with fewer than 2 usable
     n_usable: int
-    n_samples: int
 
 
 def wegner_probe(
@@ -153,7 +152,6 @@ def wegner_probe(
         ses=ses,
         slope=slope,
         n_usable=int(usable.sum()),
-        n_samples=n_samples,
     )
 
 
@@ -163,7 +161,6 @@ class InitialScaleReport:
     energies: np.ndarray
     probs: np.ndarray  # (n_L, n_E): P{E0(H^D(V)) < E}
     ses: np.ndarray
-    n_samples: int
     nondecreasing_in_L: bool
 
 
@@ -203,7 +200,6 @@ def initial_scale_probe(
         energies=energies,
         probs=probs,
         ses=ses,
-        n_samples=n_samples,
         nondecreasing_in_L=ok,
     )
 
@@ -216,7 +212,6 @@ class DynamicsReport:
     times: np.ndarray
     moments: np.ndarray  # M_p(t) along the grid
     sup_moment: float
-    p: float
     projected_norm_sq: float
     norm_drift: float  # max |  ||psi_t||^2 - ||psi_0||^2 |
     n_window: int  # eigenvalues inside the interval; at 0 every moment and the drift are 0
@@ -273,7 +268,6 @@ def dynamics_moment(
         times=times,
         moments=moments,
         sup_moment=float(moments.max()),
-        p=float(p),
         projected_norm_sq=filtered_norm_sq,
         norm_drift=drift,
         n_window=int(keep.sum()),

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParam, ShapeMismatch
-from .grid import GridSpec, build_grid, bc_all_dirichlet, bc_all_neumann
+from .grid import GridSpec, build_grid, bc_all_neumann
 
 
 # -- single-site profiles ----------------------------------------------------
@@ -310,14 +310,13 @@ def estimate_bulk_bottom(
     d2: int,
     a: int,
     M_probe: int,
-):
-    """Bracket inf spec of the bulk operator with the periodic potential U_b.
+) -> float:
+    """Lower bound on inf spec of the bulk operator with the periodic potential U_b.
 
-    Returns (lower, upper): the ground energies of the probe-domain operator
-    (M_probe transverse sites, M_probe cells at d1 = 1 and about
-    sqrt(M_probe) per axis at d1 = 2) with all-Neumann and all-Dirichlet
-    boundary conditions.  The bracket tightens as the probe domain grows;
-    use it to re-center U_b so the bulk bottom sits at zero.
+    The ground energy of the probe-domain operator (M_probe transverse
+    sites, M_probe cells at d1 = 1 and about sqrt(M_probe) per axis at
+    d1 = 2) with all-Neumann boundary conditions; it tends to the bulk
+    bottom as the probe domain grows.
     """
     from .operator import assemble
     from .spectral import lowest_k
@@ -325,6 +324,5 @@ def estimate_bulk_bottom(
     L_probe = M_probe if d1 == 1 else max(4, int(round(math.sqrt(M_probe))))
     probe = build_grid(d1, d2, L=L_probe, a=a, M=M_probe)
     u_b = periodic_bulk(probe, cell_function)
-    lo = lowest_k(assemble(probe, u_b, bc_all_neumann()), 1, tol=1e-9, values_only=True)
-    hi = lowest_k(assemble(probe, u_b, bc_all_dirichlet()), 1, tol=1e-9, values_only=True)
-    return float(lo.eigenvalues[0]), float(hi.eigenvalues[0])
+    res = lowest_k(assemble(probe, u_b, bc_all_neumann()), 1, tol=1e-9, values_only=True)
+    return float(res.eigenvalues[0])

@@ -1,10 +1,10 @@
 """Deterministic seed derivation for parallel ensembles.
 
-Every ensemble member gets its own 64-bit seed derived from the master seed
-and the member index via ``mix64``, so results never depend on how samples
-are partitioned across workers.  ``mix64`` is a splitmix64-style finalizer:
-the index is folded in with the golden-ratio increment and the state is run
-through two avalanche rounds.
+Every ensemble member gets its own 64-bit seed, ``mix64(master_seed,
+index)``, so results never depend on how samples are partitioned across
+workers.  ``mix64`` is a splitmix64-style finalizer: the index is folded in
+with the golden-ratio increment and the state is run through two avalanche
+rounds.
 
 Reference test vectors (frozen, also asserted in tests/test_rng.py)::
 
@@ -39,11 +39,6 @@ def mix64(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def sample_seed(master_seed: int, sample_index: int) -> int:
-    """Seed for ensemble member ``sample_index``."""
-    return mix64(master_seed, sample_index)
 
 
 def stream(seed: int, role: int) -> np.random.Generator:

@@ -20,7 +20,7 @@ on its own Fortran copy of the operator, which it overwrites:
   only some multiples of 12 matched (five multiples of 48 at two BLAS
   threads), none below 36.
   The band cells, the gap strips, Temple's and Rayleigh's direct energies
-  and the bulk-bottom bracket read eigenvalues alone and take it.
+  and the bulk bottom's Neumann probe read eigenvalues alone and take it.
 
 The subset drivers (``?syevr``, ``?syevx``) and ``eig_banded`` are faster
 still but not bit-equal.  The bytes of both paths also depend on the BLAS

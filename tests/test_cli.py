@@ -9,7 +9,7 @@ import pytest
 
 from striplab.cli import main
 from striplab.config import build_model, energy_grid, validate_geometry
-from striplab.errors import ConfigInvalid, InequalityViolated
+from striplab.errors import ConfigInvalid
 
 SMALL_CONFIG = Path(__file__).with_name("small_config.json")
 
@@ -173,8 +173,8 @@ def test_idss_sandwich_violation_fails_the_run(tmp_path, monkeypatch, capsys):
     eng = idss.StripEnsemble(model, geo["L"], geo["M"], M_ref=geo["M_ref"])
     energies = energy_grid(cfg["run"], eng.e0)
     shape = (cfg["run"]["n_samples"], len(energies))
-    with pytest.raises(InequalityViolated, match="sandwich violated"):
-        idss.sandwich_from_counts(eng, energies, np.zeros(shape, int), np.ones(shape, int))
+    rep = idss.sandwich_from_counts(eng, energies, np.zeros(shape, int), np.ones(shape, int))
+    assert not rep.ok and rep.detail.startswith("sandwich violated at E=")
 
     sandwich = cli.sandwich_from_counts
     monkeypatch.setattr(cli, "sandwich_from_counts", lambda eng, energies, chi, d: sandwich(
@@ -552,10 +552,11 @@ def test_runners_return_checks_and_print_nothing(capsys):
 
 
 def test_value_only_solves_keep_every_byte(monkeypatch):
-    # band, gap, bounds and the bulk-bottom bracket read eigenvalues alone and
-    # pass values_only=True to lowest_k; with the flag dropped every solve takes
-    # the full ?syevd/?heevd, whose eigenvalue bits the flag keeps.  The a = 4
-    # variant's strips (384 and 768 sites) take the divide-and-conquer merges.
+    # band, gap, bounds and the bulk bottom's Neumann probe read eigenvalues
+    # alone and pass values_only=True to lowest_k; with the flag dropped every
+    # solve takes the full ?syevd/?heevd, whose eigenvalue bits the flag keeps.
+    # The a = 4 variant's strips (384 and 768 sites) take the divide-and-conquer
+    # merges.
     import striplab.cli as cli
     import striplab.floquet as floquet
     import striplab.idss as idss
@@ -589,8 +590,8 @@ def test_value_only_solves_keep_every_byte(monkeypatch):
 
     solving(drop=False)
     fast = outputs()
-    # 9 + 17 band cells, 3 + 2 gap strips, 3 + 3 bounds solves, 2 bulk probes
-    assert flags.count(True) == 39
+    # 9 + 17 band cells, 3 + 2 gap strips, 3 + 3 bounds solves, 1 bulk probe
+    assert flags.count(True) == 38
     solving(drop=True)
     assert outputs() == fast
 

@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import surface_field
+from striplab.config import build_model
 from striplab.errors import InvalidParam, ShapeMismatch, TailTooLarge
-from striplab.grid import build_grid
+from striplab.grid import bc_all_dirichlet, build_grid
+from striplab.idss import StripEnsemble, ensemble_counts
 from striplab.instances import SurfaceModel, default_model
+from striplab.operator import assemble
 from striplab.potential import (
     CompactProfile,
+    ConstantBulk,
     IidUniformBulk,
     PowerLawProfile,
     TwoPointCouplings,
@@ -21,6 +27,9 @@ from striplab.potential import (
     periodic_bulk,
     surface_cell_potential,
 )
+from striplab.spectral import lowest_k
+
+SMALL_CONFIG = Path(__file__).with_name("small_config.json")
 
 
 def pinned_floor(grid, profile, q_min):
@@ -201,16 +210,45 @@ def test_window_radius_shapes():
     assert np.all(F >= 0)
 
 
+def dirichlet_probe(fn, M_probe):
+    """Ground energy of ``estimate_bulk_bottom``'s d1 = 1 probe under all-Dirichlet faces."""
+    probe = build_grid(1, 1, L=M_probe, a=1, M=M_probe)
+    H = assemble(probe, periodic_bulk(probe, fn), bc_all_dirichlet())
+    return float(lowest_k(H, 1, tol=1e-9).eigenvalues[0])
+
+
 def test_estimate_bulk_bottom_free_and_shift():
-    lo, hi = estimate_bulk_bottom(lambda x1, x2: np.zeros(len(x1)), 1, 1, 1, M_probe=16)
+    free = lambda x1, x2: np.zeros(len(x1))
+    lo = estimate_bulk_bottom(free, 1, 1, 1, M_probe=16)
     assert abs(lo) <= 1e-12
-    assert lo <= 0 <= hi
-    lo_c, hi_c = estimate_bulk_bottom(lambda x1, x2: np.full(len(x1), 1.7), 1, 1, 1, M_probe=16)
-    assert lo_c <= 1.7 <= hi_c
+    assert lo <= 0 <= dirichlet_probe(free, 16)
+    shifted = lambda x1, x2: np.full(len(x1), 1.7)
+    lo_c = estimate_bulk_bottom(shifted, 1, 1, 1, M_probe=16)
+    assert lo_c <= 1.7 <= dirichlet_probe(shifted, 16)
 
 
 def test_estimate_bulk_bottom_refines():
+    # the Neumann bound stays below the Dirichlet ground energy, and the gap
+    # between them closes as the probe grows
     fn = lambda x1, x2: 0.4 * (1.0 + np.cos(2 * np.pi * x2[:, 0] / 4.0))
-    lo1, hi1 = estimate_bulk_bottom(fn, 1, 1, 1, M_probe=12)
-    lo2, hi2 = estimate_bulk_bottom(fn, 1, 1, 1, M_probe=24)
-    assert (hi2 - lo2) < (hi1 - lo1)
+    gaps = []
+    for M_probe in (12, 16, 24):
+        lo, hi = estimate_bulk_bottom(fn, 1, 1, 1, M_probe=M_probe), dirichlet_probe(fn, M_probe)
+        assert lo <= hi
+        gaps.append(hi - lo)
+    assert gaps[2] < gaps[1] < gaps[0]
+
+
+def test_constant_bulk_bottom_bounds_the_energies():
+    # a constant periodic bulk, as a config names it, lifts the bulk bottom to
+    # its value: 0.2, past a zero bulk's bottom, is counted and 0.35 is refused
+    cfg = json.loads(SMALL_CONFIG.read_text())
+    cfg["potential"]["bulk_periodic"] = {"kind": "constant", "value": 0.3}
+    m = build_model(cfg)
+    assert m.bulk_periodic == ConstantBulk(0.3)
+    assert abs(estimate_bulk_bottom(m.bulk_periodic, m.d1, m.d2, m.a, M_probe=16) - 0.3) <= 1e-12
+    engine = StripEnsemble(m, L=4, M=8, master_seed=1)
+    (counts,) = ensemble_counts([(engine, 1, [0.2])])
+    assert counts.shape == (1, 1)
+    with pytest.raises(InvalidParam, match="bulk bottom"):
+        ensemble_counts([(engine, 1, [0.2, 0.35])])

@@ -1,6 +1,6 @@
 import numpy as np
 
-from striplab.rng import ROLE_BULK, ROLE_SURFACE, mix64, sample_seed, stream
+from striplab.rng import ROLE_BULK, ROLE_SURFACE, mix64, stream
 
 FROZEN_VECTORS = [
     ((0, 0), 16294208416658607535),
@@ -23,15 +23,15 @@ def test_mix64_range_and_distinctness():
 
 
 def test_stream_deterministic_and_role_separated():
-    a = stream(sample_seed(9, 3), ROLE_SURFACE).uniform(size=8)
-    b = stream(sample_seed(9, 3), ROLE_SURFACE).uniform(size=8)
-    c = stream(sample_seed(9, 3), ROLE_BULK).uniform(size=8)
+    a = stream(mix64(9, 3), ROLE_SURFACE).uniform(size=8)
+    b = stream(mix64(9, 3), ROLE_SURFACE).uniform(size=8)
+    c = stream(mix64(9, 3), ROLE_BULK).uniform(size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_sample_seeds_index_pure():
     # order of derivation must not matter
-    forward = [sample_seed(77, i) for i in range(50)]
-    backward = [sample_seed(77, i) for i in reversed(range(50))]
+    forward = [mix64(77, i) for i in range(50)]
+    backward = [mix64(77, i) for i in reversed(range(50))]
     assert forward == backward[::-1]
