@@ -11,10 +11,16 @@ idss curve at the same seeds and worker counts.  A certificates-scale
 variant (a = 4, L = 8, M = 24, M_ref = 28, L_values [4, 8], 17 theta
 points: strips of up to 768 sites, where the dense eigensolves take
 LAPACK's divide-and-conquer merges) runs band, gap, bounds, decay (chi and
-D) and dynamics at seeds 0-1.  Its first line names what the bytes may
-depend on besides the code: the Python, numpy and scipy versions, the CPU
-count and the BLAS thread variables as the BLAS libraries read them (after
-``import striplab``, which sets ``OPENBLAS_THREAD_TIMEOUT``):
+D) and dynamics at seeds 0-1.  Two d1 = 2 variants (L = 4, M = 8,
+M_ref = 12, L_values [3, 4], L_bounds [3, 5]), one with the small config's
+compact profile and one with a power-law profile (alpha = 3, truncation
+radius 4, tail_tol 1), run idss, lifshits (quantum and classical), decay,
+wegner, initial-scale and bounds at seeds 0-1: at d1 = 2 a strip's coupling
+window has (L + 2R)^2 cells for R the profile's radius.  The output's
+first line names what the bytes may depend on besides the code: the
+Python, numpy and scipy versions, the CPU count and the BLAS thread
+variables as the BLAS libraries read them (after ``import striplab``,
+which sets ``OPENBLAS_THREAD_TIMEOUT``):
 
     # platform {"python": ..., "numpy": ..., "scipy": ..., "nproc": ..., "blas_env": {...}}
 
@@ -76,6 +82,13 @@ for cfg in (A2, D2):
 CERT = copy.deepcopy(SMALL)
 CERT["geometry"].update(a=4, L=8, M=24, M_ref=28, L_values=[4, 8])
 CERT["run"]["theta_points"] = 17
+# two d1 = 2 strips of 4 x 4 cells, with a 16-cell and a 144-cell coupling window
+D1_2 = copy.deepcopy(SMALL)
+D1_2["geometry"].update(d1=2, L=4, M=8, M_ref=12, L_values=[3, 4])
+D1_2["run"]["L_bounds"] = [3, 5]
+D1_2_POWER = copy.deepcopy(D1_2)
+D1_2_POWER["potential"]["profile"] = {"kind": "power_law", "alpha": 3.0, "truncation_radius": 4}
+D1_2_POWER["potential"]["tail_tol"] = 1.0
 
 # (subcommand, run fields set over the config's, CSV it writes); the "D" and
 # 240-sample idss variants count the sandwich's chi ensemble apart from a
@@ -106,12 +119,16 @@ RUNS = [
 VARIANT_RUNS = [run for run in RUNS if run[0] in ("band", "gap", "bounds", "decay", "dynamics")
                 or run == ("idss", {}, "idss.csv")]
 CERT_RUNS = [run for run in VARIANT_RUNS if run[0] != "idss"]
+# the d1 = 2 variants run both lifshits modes and the default run of six subcommands
+D1_2_RUNS = [run for run in RUNS if run[1] in ({}, {"mode": "quantum"}, {"mode": "classical"})
+             and run[0] in ("idss", "lifshits", "decay", "wegner", "initial-scale", "bounds")]
 SEEDS = range(4)
 # name: (config, its runs, its seeds)
 PLAN = {"small": (SMALL, RUNS, SEEDS), "cosine": (COSINE, RUNS, SEEDS),
         "iid": (IID, RUNS, SEEDS), "power": (POWER, RUNS, SEEDS),
         "a2": (A2, VARIANT_RUNS, SEEDS), "d2": (D2, VARIANT_RUNS, SEEDS),
-        "cert": (CERT, CERT_RUNS, range(2))}
+        "cert": (CERT, CERT_RUNS, range(2)), "d1_2": (D1_2, D1_2_RUNS, range(2)),
+        "d1_2_power": (D1_2_POWER, D1_2_RUNS, range(2))}
 WORKERS = (1, 2)
 # the thread variables perfbench/run.py records, and the idle-thread timeout
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Cost of the counting kernels on real strip ensembles, and of ``lowest_k``'s dense path.
+"""Cost of the counting kernels on real strip ensembles, of ``lowest_k``'s dense path and of sampling.
 
-Five tables, each time the median of three runs.  Every pass runs on the
+Six tables, each time the median of three runs.  Every pass runs on the
 band ``StripEnsemble`` counts, its sites in ``grid.band_order()`` (the
 longest axis outermost), with the sampled diagonals in that order; the
 tables print that band's width ``bw`` beside the width ``grid bw`` of the
@@ -41,7 +41,14 @@ grid's own order (x1 outermost):
   being the 129 cells of one band curve) and the real chi strips at L = 8
   and 16 (n = 768 and 1536), with the full ``?syevd``/``?heevd`` against
   ``values_only=True``, which back-transforms the 2 returned vectors only.
-  Both give the same eigenvalues.
+  Both give the same eigenvalues;
+* sampling on the strips of ``SAMPLING``: the classical tail's, the
+  quantum tail's longest (L = 48) and a d1 = 2 strip (L = 20, M = 12, the
+  largest of a d1 = 2 quantum tail run with L_bounds [6, 20]).  It gives
+  the time ``f_weight_matrix`` takes to build the alloy weights (uncached),
+  the bytes they hold beside the n_cells * n_sites * 8 of a dense weight
+  matrix, and the time of one ``contract_couplings`` call on 96 samples,
+  the block of a quantum-tail ensemble.
 
     PYTHONPATH=src python scripts/kernel_timing.py
 """
@@ -61,7 +68,7 @@ from striplab.grid import bc_for_tag
 from striplab.idss import StripEnsemble
 from striplab.instances import default_model
 from striplab.operator import assemble
-from striplab.potential import TwoPointCouplings, periodic_bulk
+from striplab.potential import TwoPointCouplings, contract_couplings, f_weight_matrix, periodic_bulk
 
 # (d1, L, M) at a = 1 and d2 = 1: n = L^d1 * M sites at band width n / max(L, M)
 # (the grid's own order has n / L); L 8..48 at M=24 spans the quantum tail's
@@ -90,6 +97,14 @@ GRIDS = [
      lambda e0: e0 + np.geomspace(0.9, 3.0, 10),
      192),
 ]
+
+# (name, geometry, potential) of the strips the sampling table builds weights for
+SAMPLING = [
+    ("classical tail", {"d1": 1, "L": 16, "M": 24}, GRIDS[1][2]),
+    ("quantum tail", {"d1": 1, "L": 48, "M": 24}, {"profile": COMPACT, "distribution": TWO_POINT}),
+    ("d1 = 2", {"d1": 2, "L": 20, "M": 12}, {"profile": COMPACT, "distribution": TWO_POINT}),
+]
+SAMPLES = 96
 
 
 def median_seconds(fn) -> float:
@@ -205,6 +220,24 @@ def lowest_k_table():
               f"{fast / calls * 1e3:>19.2f} {full / fast:>16.2f}")
 
 
+def sampling_table():
+    print(f"{'strip':>14} {'d1':>2} {'n':>5} {'cells':>5} {'reached':>7} {'build ms':>8} "
+          f"{'held kB':>8} {'dense kB':>8} {f'contract ms ({SAMPLES})':>17}")
+    rng = np.random.default_rng(0)
+    for name, geometry, potential in SAMPLING:
+        model = build_model({"geometry": dict(geometry, d2=1, a=1, M_ref=geometry["M"] + 4),
+                             "potential": potential})
+        grid = model.strip_grid(geometry["L"], geometry["M"])
+        build = median_seconds(lambda: f_weight_matrix.__wrapped__(grid, model.profile))
+        weights = f_weight_matrix.__wrapped__(grid, model.profile)
+        q = rng.uniform(model.dist.q_min, model.dist.q_max, (SAMPLES, weights.n_cells))
+        contract = median_seconds(lambda: contract_couplings(q, weights))
+        held = weights.rows.nbytes + weights.sites.nbytes
+        print(f"{name:>14} {grid.d1:>2} {grid.n_sites:>5} {weights.n_cells:>5} "
+              f"{len(weights.sites):>7} {build * 1e3:>8.2f} {held / 1e3:>8.1f} "
+              f"{weights.n_cells * grid.n_sites * 8 / 1e3:>8.1f} {contract * 1e3:>17.2f}")
+
+
 def main():
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
           f"scipy {scipy.__version__}, {os.cpu_count()} cores, {platform.machine()}")
@@ -219,6 +252,8 @@ def main():
     grid_table()
     print()
     lowest_k_table()
+    print()
+    sampling_table()
 
 
 if __name__ == "__main__":

@@ -65,6 +65,13 @@ class StripEnsemble:
     ``ref`` and ``e0`` come from ``cached_reference(model, M, M_ref)``
     (``M_ref`` defaults to M + 4).  The reference does not depend on L, so
     ensembles of one (model, M, M_ref) share one solve per process.
+
+    ``weights`` are the strip's alloy weights from the cached
+    ``f_weight_matrix``: the sites some window cell reaches and one row of
+    weights per cell at those sites (``potential.AlloyWeights``), not a
+    dense cells x sites matrix.  With ``u_b``, ``order`` and ``base_band``
+    they are the ensemble's arrays; a pool task that carries the ensemble
+    pickles them with the model, grid and reference.
     """
 
     def __init__(
@@ -87,8 +94,7 @@ class StripEnsemble:
         self.u_b = periodic_bulk(self.grid, model.bulk_periodic)
         self.order = self.grid.band_order()
         self.base_band = lower_band(assemble(self.grid, self.u_b, self.bcs))
-        self.F = f_weight_matrix(self.grid, model.profile)
-        self.n_window_cells = self.F.shape[0]
+        self.weights = f_weight_matrix(self.grid, model.profile)
 
     def sample_diags(self, indices: Sequence[int]) -> np.ndarray:
         """Diagonal additions V_b + V_s of the given samples, shape (len(indices), n_sites).
@@ -97,12 +103,12 @@ class StripEnsemble:
         all of them; its per-row accumulation order keeps each row
         bit-identical to a one-sample draw.
         """
-        q = np.empty((len(indices), self.n_window_cells))
+        q = np.empty((len(indices), self.weights.n_cells))
         v_b = np.empty((len(indices), self.grid.n_sites))
         for row, i in enumerate(indices):
             q[row], v_b[row] = self.model.draw(mix64(self.master_seed, i),
-                                               self.n_window_cells, self.grid.n_sites)
-        return v_b + contract_couplings(q, self.F)
+                                               self.weights.n_cells, self.grid.n_sites)
+        return v_b + contract_couplings(q, self.weights)
 
     def sample_diag(self, index: int) -> np.ndarray:
         """Per-sample diagonal addition V_b + V_s (U_b lives in the base band)."""
@@ -326,10 +332,10 @@ def bracketing_check(
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     M_values = tuple(sorted(int(m) for m in M_values))
     grid_max = model.strip_grid(L, M_values[-1])
-    F = f_weight_matrix(grid_max, model.profile)
-    q, v_b = model.draw(seed, F.shape[0], grid_max.n_sites)
+    weights = f_weight_matrix(grid_max, model.profile)
+    q, v_b = model.draw(seed, weights.n_cells, grid_max.n_sites)
     values_max = ((periodic_bulk(grid_max, model.bulk_periodic) + v_b)
-                  + contract_couplings(q, F)).reshape(grid_max.shape)
+                  + contract_couplings(q, weights)).reshape(grid_max.shape)
 
     counts_dd, counts_nd = {}, {}
     for M in M_values:
@@ -552,9 +558,9 @@ def rayleigh_tail_bound(
     grid = model.strip_grid(L, M)
     ref = cached_reference(model, M, M_ref)
 
-    F = f_weight_matrix(grid, model.profile)
-    q, v_b = model.draw(seed, F.shape[0], grid.n_sites)
-    w_vals = contract_couplings(q - model.dist.q_min, F)
+    weights = f_weight_matrix(grid, model.profile)
+    q, v_b = model.draw(seed, weights.n_cells, grid.n_sites)
+    w_vals = contract_couplings(q - model.dist.q_min, weights)
     u_per_vals = periodic_bulk(grid, model.u_per())
 
     coords = grid.coords_of(np.arange(grid.n_sites))

@@ -21,7 +21,11 @@ Alloy sums use a per-site symmetric truncation window: a site in unit cell
 ``c`` sums contributions from cells within sup-distance ``R`` of ``c``
 (``R`` is the profile's support or truncation radius).  This keeps the
 pinned floor exactly periodic on the grid and preserves the pointwise
-ordering ``U_s <= V_s <= 0`` term by term.
+ordering ``U_s <= V_s <= 0`` term by term.  A strip's window weights are
+an ``AlloyWeights``: the sites some cell reaches and one row of weights per
+cell at those sites only, never a dense (cells x sites) matrix, whose size
+grows as L^(2 d1) M.  That is all an ensemble, a cached entry of
+``f_weight_matrix`` or a pool task holds of the profile.
 """
 
 from __future__ import annotations
@@ -226,44 +230,90 @@ def window_cells(grid: GridSpec, radius: int) -> list:
     return list(itertools.product(rng, repeat=grid.d1))
 
 
-@functools.lru_cache(maxsize=16)
-def f_weight_matrix(grid: GridSpec, profile) -> np.ndarray:
-    """Profile weights, shape (n_window_cells, n_sites).
+@dataclass(frozen=True, eq=False)
+class AlloyWeights:
+    """Profile weights of a strip's coupling window, kept at the sites they reach.
 
-    Row ``c`` holds f(x1 - c, x2) masked to sites whose own cell is within
-    the truncation radius of ``c``.  The most recent (grid, profile) pairs
-    are cached; the returned array is shared between callers and read-only.
+    ``sites`` holds, ascending, the indices of the sites at which some
+    window cell's weight is nonzero; ``rows[c]`` holds cell ``c``'s weights
+    at those sites, cells in the window's ascending order.  Every other
+    site has weight zero from every cell.  Both arrays are read-only.  A
+    profile whose transverse box covers a few layers reaches only those, so
+    this holds n_cells * len(sites) of a dense matrix's n_cells * n_sites
+    entries.
+    """
+
+    sites: np.ndarray
+    rows: np.ndarray
+    n_sites: int
+
+    @property
+    def n_cells(self) -> int:
+        """Window cells, one coupling each: the coupling count a realization draws."""
+        return self.rows.shape[0]
+
+
+# window cells whose weights one step of f_weight_matrix evaluates at once:
+# as many as make about this many (cell, site) pairs, so each step's
+# temporaries stay near 128 KiB while numpy's per-call cost is shared
+WEIGHT_BLOCK = 1 << 14
+
+
+@functools.lru_cache(maxsize=16)
+def f_weight_matrix(grid: GridSpec, profile) -> AlloyWeights:
+    """Profile weights of the coupling window of ``grid``, at the sites they reach.
+
+    Cell ``c``'s weight at a site is f(x1 - c, x2) if the site's own cell
+    is within the truncation radius of ``c``, else zero.  One pass over the
+    window cells, ``WEIGHT_BLOCK`` (cell, site) pairs a step, evaluates each
+    cell's weights at every site and keeps the nonzero ones; the reached
+    sites are their union.  The (n_cells, n_sites) matrix is never built.
+    The most recent (grid, profile) pairs are cached; the returned weights
+    are shared between callers and read-only.  The function keeps the name
+    it had when it returned that matrix, because the benchmark's tracer
+    wraps it by name; each row of its result is still a row of that matrix,
+    restricted to the reached sites.
     """
     radius = profile.window_radius(grid.a)
-    cells = window_cells(grid, radius)
+    cells = np.array(window_cells(grid, radius))
     x1 = grid.x1_positions()
     x2 = grid.x2_positions()
     site_cells = grid.cell_of_sites()
-    F = np.zeros((len(cells), grid.n_sites))
-    for row, c in enumerate(cells):
-        cvec = np.asarray(c, dtype=float)
-        dist = np.max(np.abs(site_cells - np.asarray(c)), axis=-1)
-        vals = profile.evaluate(x1 - cvec, x2)
-        F[row] = np.where(dist <= radius, vals, 0.0)
-    F.setflags(write=False)
-    return F
+    step = max(1, WEIGHT_BLOCK // grid.n_sites)
+    hit_cells, hit_sites, hit_vals = [], [], []
+    for lo in range(0, len(cells), step):
+        block = cells[lo : lo + step, None, :]
+        dist = np.max(np.abs(site_cells - block), axis=-1)
+        f = np.where(dist <= radius, profile.evaluate(x1 - block.astype(float), x2), 0.0)
+        cell, site = np.nonzero(f)
+        hit_cells.append(lo + cell)
+        hit_sites.append(site)
+        hit_vals.append(f[cell, site])
+    hit_sites = np.concatenate(hit_sites)
+    reached = np.zeros(grid.n_sites, dtype=bool)
+    reached[hit_sites] = True
+    sites = np.flatnonzero(reached)
+    rows = np.zeros((len(cells), len(sites)))
+    rows[np.concatenate(hit_cells), np.cumsum(reached)[hit_sites] - 1] = np.concatenate(hit_vals)
+    sites.setflags(write=False)
+    rows.setflags(write=False)
+    return AlloyWeights(sites, rows, grid.n_sites)
 
 
-def contract_couplings(couplings: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Sum_c q_c * F[c] accumulated in ascending cell order.
+def contract_couplings(couplings: np.ndarray, weights: AlloyWeights) -> np.ndarray:
+    """Sum_c q_c * f_c over the window cells, accumulated in ascending cell order.
 
-    A plain loop rather than a BLAS product: the fixed accumulation order
-    makes fields bit-identical across batch sizes and worker counts.  Only
-    the sites some cell reaches are summed; at any other site each term is
-    q * (+-0.0) = +-0.0, which leaves the sum +0.0.
+    ``couplings`` has one entry per window cell on its last axis.  A plain
+    loop rather than a BLAS product: the fixed accumulation order makes
+    fields bit-identical across batch sizes and worker counts.  Only the
+    reached sites are summed; every other site is +0.0, the value the loop
+    over every site would leave there (each of its terms is q * 0.0 = +-0.0).
     """
-    sites = np.flatnonzero(F.any(axis=0))
-    reached = F[:, sites]
-    part = np.zeros(couplings.shape[:-1] + (len(sites),))
-    for c in range(F.shape[0]):
-        part += couplings[..., c, None] * reached[c]
-    out = np.zeros(couplings.shape[:-1] + (F.shape[1],))
-    out[..., sites] = part
+    part = np.zeros(couplings.shape[:-1] + (len(weights.sites),))
+    for c in range(weights.n_cells):
+        part += couplings[..., c, None] * weights.rows[c]
+    out = np.zeros(couplings.shape[:-1] + (weights.n_sites,))
+    out[..., weights.sites] = part
     return out
 
 
@@ -287,7 +337,7 @@ def surface_cell_potential(profile, q_min: float, a: int) -> Callable:
 
     Sums relative cells in the same ascending order as the strip window of
     ``f_weight_matrix``, so tiling this function reproduces the pinned
-    contraction ``contract_couplings(full(n_cells, q_min), F)`` on any strip.
+    contraction ``contract_couplings(full(n_cells, q_min), weights)`` on any strip.
     """
     radius = profile.window_radius(a)
 

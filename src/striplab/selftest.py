@@ -95,10 +95,10 @@ def _ordering():
     ref = cached_reference(m, 10, 14)
     rng = np.random.default_rng(7)
     grid = m.strip_grid(6, 10)
-    F = f_weight_matrix(grid, m.profile)
+    weights = f_weight_matrix(grid, m.profile)
     for trial in range(5):
-        q, _ = m.draw(int(rng.integers(1 << 31)), F.shape[0], grid.n_sites)
-        v_s = contract_couplings(q, F)
+        q, _ = m.draw(int(rng.integers(1 << 31)), weights.n_cells, grid.n_sites)
+        v_s = contract_couplings(q, weights)
         levels = {}
         for tag, bcs in (
             ("N", bc_all_neumann()),

@@ -34,9 +34,9 @@ def surface_field(model, grid, seed):
     """V_s of one realization: the couplings ``model.draw(seed, ...)`` contracted on ``grid``."""
     from striplab.potential import contract_couplings, f_weight_matrix
 
-    F = f_weight_matrix(grid, model.profile)
-    q, _ = model.draw(seed, F.shape[0], grid.n_sites)
-    return contract_couplings(q, F)
+    weights = f_weight_matrix(grid, model.profile)
+    q, _ = model.draw(seed, weights.n_cells, grid.n_sites)
+    return contract_couplings(q, weights)
 
 
 def random_grid_hamiltonian(rng, L=None, M=None, bc="D"):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -26,6 +27,7 @@ from striplab.potential import (
     f_weight_matrix,
     periodic_bulk,
     surface_cell_potential,
+    window_cells,
 )
 from striplab.spectral import lowest_k
 
@@ -34,8 +36,8 @@ SMALL_CONFIG = Path(__file__).with_name("small_config.json")
 
 def pinned_floor(grid, profile, q_min):
     """The floor U_s: every window coupling pinned to ``q_min``, contracted on ``grid``."""
-    F = f_weight_matrix(grid, profile)
-    return contract_couplings(np.full(F.shape[0], float(q_min)), F)
+    weights = f_weight_matrix(grid, profile)
+    return contract_couplings(np.full(weights.n_cells, float(q_min)), weights)
 
 
 def test_periodic_bulk_zero_and_constant():
@@ -122,30 +124,57 @@ def test_pinned_sampling_matches_floor_bitwise():
 def test_sampling_seed_determinism():
     m = replace(default_model(), bulk_random=IidUniformBulk(1.0))
     g = m.strip_grid(6, 8)
-    F = f_weight_matrix(g, m.profile)
-    q1, v1 = m.draw(1234, F.shape[0], g.n_sites)
-    q2, v2 = m.draw(1234, F.shape[0], g.n_sites)
+    weights = f_weight_matrix(g, m.profile)
+    q1, v1 = m.draw(1234, weights.n_cells, g.n_sites)
+    q2, v2 = m.draw(1234, weights.n_cells, g.n_sites)
     assert np.array_equal(q1, q2) and np.array_equal(v1, v2)
-    assert np.array_equal(surface_field(m, g, 1234), contract_couplings(q1, F))
-    q3, v3 = m.draw(1235, F.shape[0], g.n_sites)
+    assert np.array_equal(surface_field(m, g, 1234), contract_couplings(q1, weights))
+    q3, v3 = m.draw(1235, weights.n_cells, g.n_sites)
     assert not np.array_equal(q1, q3) and not np.array_equal(v1, v3)
 
 
+def dense_weights(grid, profile):
+    """The dense (window cells, sites) weight matrix, row c = f(x1 - c, x2) within the radius."""
+    radius = profile.window_radius(grid.a)
+    cells = window_cells(grid, radius)
+    F = np.zeros((len(cells), grid.n_sites))
+    for row, c in enumerate(cells):
+        dist = np.max(np.abs(grid.cell_of_sites() - np.asarray(c)), axis=-1)
+        vals = profile.evaluate(grid.x1_positions() - np.asarray(c, dtype=float),
+                                grid.x2_positions())
+        F[row] = np.where(dist <= radius, vals, 0.0)
+    return F
+
+
 def test_contraction_skips_unreached_sites_bitwise():
-    # summing only the sites some cell reaches (12 of 48 here) gives the
-    # bytes of the loop over every site, for a compact and a power-law
-    # window, one sample and a batch, couplings of both signs
+    # the weights keep one column per reached site (those of the transverse
+    # layers in the box [-1, 1), M = 2a + 4 deep), equal to the dense
+    # matrix's columns there, and contracting them gives the bytes of the
+    # loop over every site of the dense matrix: at d1 = 1 and 2, a = 1, 2
+    # and 4, for a compact and a power-law window, one sample and a batch,
+    # couplings of both signs
     rng = np.random.default_rng(61)
-    g = build_grid(1, 1, L=6, a=1, M=8)
-    for profile in (default_model().profile, PowerLawProfile(alpha=1.5, truncation_radius=16)):
-        F = f_weight_matrix(g, profile)
-        assert 0 < np.count_nonzero(F.any(axis=0)) < F.shape[1]
-        for q in (rng.uniform(-2.0, 1.0, F.shape[0]), rng.uniform(-2.0, 1.0, (5, F.shape[0]))):
-            want = np.zeros(q.shape[:-1] + (F.shape[1],))
-            for c in range(F.shape[0]):
-                want += q[..., c, None] * F[c]
-            got = contract_couplings(q, F)
-            assert got.tobytes() == want.tobytes()
+    for d1, a in itertools.product((1, 2), (1, 2, 4)):
+        g = build_grid(d1, 1, L=6 if d1 == 1 else 3, a=a, M=2 * a + 4)
+        power_law = PowerLawProfile(alpha=1.5, truncation_radius=16) if d1 == 1 else (
+            PowerLawProfile(alpha=3.0, truncation_radius=2))
+        for profile in (default_model().profile, power_law):
+            F = dense_weights(g, profile)
+            weights = f_weight_matrix(g, profile)
+            assert (weights.n_cells, weights.n_sites) == F.shape
+            assert np.array_equal(weights.sites, np.flatnonzero(F.any(axis=0)))
+            assert 0 < len(weights.sites) < g.n_sites
+            assert weights.rows.shape == (F.shape[0], len(weights.sites))
+            assert weights.rows.tobytes() == F[:, weights.sites].tobytes()
+            assert not weights.rows.flags.writeable and not weights.sites.flags.writeable
+            assert np.all(weights.rows >= 0)
+            for q in (rng.uniform(-2.0, 1.0, F.shape[0]),
+                      rng.uniform(-2.0, 1.0, (5, F.shape[0]))):
+                want = np.zeros(q.shape[:-1] + (F.shape[1],))
+                for c in range(F.shape[0]):
+                    want += q[..., c, None] * F[c]
+                got = contract_couplings(q, weights)
+                assert got.tobytes() == want.tobytes()
 
 
 def test_coupling_mean_law_of_large_numbers():
@@ -188,7 +217,7 @@ def test_pointwise_ordering_invariants(seed, L, Mh):
     floor = pinned_floor(g, m.profile, m.dist.q_min)
     assert np.all(floor <= v_s)
     assert np.all(v_s <= 0)
-    _, v_b = m.draw(seed, f_weight_matrix(g, m.profile).shape[0], g.n_sites)
+    _, v_b = m.draw(seed, f_weight_matrix(g, m.profile).n_cells, g.n_sites)
     total = v_s + v_b
     assert np.all(total >= floor)
 
@@ -205,9 +234,12 @@ def test_cell_potential_matches_strip_floor():
 def test_window_radius_shapes():
     m = default_model()
     g = m.strip_grid(4, 6)
-    F = f_weight_matrix(g, m.profile)
-    assert F.shape == (4, g.n_sites)  # compact halfwidth 0.25, halo 0
-    assert np.all(F >= 0)
+    weights = f_weight_matrix(g, m.profile)
+    # compact halfwidth 0.25, halo 0: 4 cells, each reaching its own 2 sites
+    # of the two transverse layers in the box [-1, 1)
+    assert (weights.n_cells, weights.n_sites) == (4, g.n_sites)
+    assert weights.rows.shape == (4, 8)
+    assert np.all(weights.rows >= 0)
 
 
 def dirichlet_probe(fn, M_probe):

@@ -5,7 +5,7 @@ its output directory in ``tmp_path``, at a size that takes about a second.
 It must exit 0 and write its CSVs (header and row count as the script
 defines them, every value a number) and its JSON sidecar.  The two tooling
 scripts, ``kernel_timing.py`` and ``csv_digests.py``, are imported as
-modules and make one small call each, so a renamed helper they read fails
+modules and make small calls, so a renamed helper they read fails
 here.
 """
 
@@ -83,3 +83,15 @@ def test_csv_digests_digests_a_band_run(tmp_path, capsys):
     assert rc == "0"
     assert all(len(sha) == 64 for sha in (csv_sha, checks_sha, results_sha))
     assert capsys.readouterr().out == ""  # the PASS/FAIL lines go into their digest
+
+
+def test_kernel_timing_sampling_table_times_the_alloy_weights(monkeypatch, capsys):
+    kernel_timing = load_script("kernel_timing.py")
+    strip = ("d1 = 2", {"d1": 2, "L": 3, "M": 4}, kernel_timing.SAMPLING[-1][2])
+    monkeypatch.setattr(kernel_timing, "SAMPLING", [strip])
+    kernel_timing.sampling_table()
+    # 9 cells (radius 0) reach the 2 transverse layers in the box: 9 x 18
+    # weights and 18 indices held (1.44 kB), against a dense 9 x 36 (2.59 kB)
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[3:7] == ["2", "36", "9", "18"]
+    assert row[8:10] == ["1.4", "2.6"]
