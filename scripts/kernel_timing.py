@@ -45,10 +45,11 @@ grid's own order (x1 outermost):
 * sampling on the strips of ``SAMPLING``: the classical tail's, the
   quantum tail's longest (L = 48) and a d1 = 2 strip (L = 20, M = 12, the
   largest of a d1 = 2 quantum tail run with L_bounds [6, 20]).  It gives
-  the time ``f_weight_matrix`` takes to build the alloy weights (uncached),
-  the bytes they hold beside the n_cells * n_sites * 8 of a dense weight
-  matrix, and the time of one ``contract_couplings`` call on 96 samples,
-  the block of a quantum-tail ensemble.
+  the window cells (couplings drawn per sample), the alloy kernel's
+  relative cells (offsets) and reached cell-local sites, the time
+  ``alloy_kernel`` takes to build it (uncached), the bytes it holds, and
+  the time of one ``contract_couplings`` call on 96 samples, the block of
+  a quantum-tail ensemble.
 
     PYTHONPATH=src python scripts/kernel_timing.py
 """
@@ -68,7 +69,7 @@ from striplab.grid import bc_for_tag
 from striplab.idss import StripEnsemble
 from striplab.instances import default_model
 from striplab.operator import assemble
-from striplab.potential import TwoPointCouplings, contract_couplings, f_weight_matrix, periodic_bulk
+from striplab.potential import TwoPointCouplings, alloy_kernel, contract_couplings, periodic_bulk
 
 # (d1, L, M) at a = 1 and d2 = 1: n = L^d1 * M sites at band width n / max(L, M)
 # (the grid's own order has n / L); L 8..48 at M=24 spans the quantum tail's
@@ -221,21 +222,23 @@ def lowest_k_table():
 
 
 def sampling_table():
-    print(f"{'strip':>14} {'d1':>2} {'n':>5} {'cells':>5} {'reached':>7} {'build ms':>8} "
-          f"{'held kB':>8} {'dense kB':>8} {f'contract ms ({SAMPLES})':>17}")
+    print(f"{'strip':>14} {'d1':>2} {'n':>5} {'cells':>5} {'offsets':>7} {'reached':>7} "
+          f"{'build ms':>8} {'held B':>7} {f'contract ms ({SAMPLES})':>17}")
     rng = np.random.default_rng(0)
     for name, geometry, potential in SAMPLING:
         model = build_model({"geometry": dict(geometry, d2=1, a=1, M_ref=geometry["M"] + 4),
                              "potential": potential})
         grid = model.strip_grid(geometry["L"], geometry["M"])
-        build = median_seconds(lambda: f_weight_matrix.__wrapped__(grid, model.profile))
-        weights = f_weight_matrix.__wrapped__(grid, model.profile)
-        q = rng.uniform(model.dist.q_min, model.dist.q_max, (SAMPLES, weights.n_cells))
-        contract = median_seconds(lambda: contract_couplings(q, weights))
-        held = weights.rows.nbytes + weights.sites.nbytes
-        print(f"{name:>14} {grid.d1:>2} {grid.n_sites:>5} {weights.n_cells:>5} "
-              f"{len(weights.sites):>7} {build * 1e3:>8.2f} {held / 1e3:>8.1f} "
-              f"{weights.n_cells * grid.n_sites * 8 / 1e3:>8.1f} {contract * 1e3:>17.2f}")
+        key = (model.profile, grid.a, grid.d1, grid.d2, grid.M)
+        build = median_seconds(lambda: alloy_kernel.__wrapped__(*key))
+        kernel = alloy_kernel.__wrapped__(*key)
+        n_cells = kernel.n_cells(grid.L)
+        q = rng.uniform(model.dist.q_min, model.dist.q_max, (SAMPLES, n_cells))
+        contract = median_seconds(lambda: contract_couplings(q, kernel))
+        held = kernel.rows.nbytes + kernel.sites.nbytes + kernel.offsets.nbytes
+        print(f"{name:>14} {grid.d1:>2} {grid.n_sites:>5} {n_cells:>5} {len(kernel.offsets):>7} "
+              f"{len(kernel.sites):>7} {build * 1e3:>8.2f} {held:>7} "
+              f"{contract * 1e3:>17.2f}")
 
 
 def main():

@@ -66,12 +66,12 @@ class StripEnsemble:
     (``M_ref`` defaults to M + 4).  The reference does not depend on L, so
     ensembles of one (model, M, M_ref) share one solve per process.
 
-    ``weights`` are the strip's alloy weights from the cached
-    ``f_weight_matrix``: the sites some window cell reaches and one row of
-    weights per cell at those sites (``potential.AlloyWeights``), not a
-    dense cells x sites matrix.  With ``u_b``, ``order`` and ``base_band``
-    they are the ensemble's arrays; a pool task that carries the ensemble
-    pickles them with the model, grid and reference.
+    ``weights`` is the alloy kernel of the cached ``f_weight_matrix``:
+    one cell's weights, a row per relative cell at the cell-local sites
+    some row reaches (``potential.AlloyKernel``), the same for every L.
+    It, ``u_b``, ``order`` and ``base_band`` are the ensemble's arrays; a
+    pool task that carries the ensemble pickles them with the model, grid
+    and reference.
     """
 
     def __init__(
@@ -103,11 +103,11 @@ class StripEnsemble:
         all of them; its per-row accumulation order keeps each row
         bit-identical to a one-sample draw.
         """
-        q = np.empty((len(indices), self.weights.n_cells))
+        q = np.empty((len(indices), self.weights.n_cells(self.L)))
         v_b = np.empty((len(indices), self.grid.n_sites))
         for row, i in enumerate(indices):
             q[row], v_b[row] = self.model.draw(mix64(self.master_seed, i),
-                                               self.weights.n_cells, self.grid.n_sites)
+                                               self.weights.n_cells(self.L), self.grid.n_sites)
         return v_b + contract_couplings(q, self.weights)
 
     def sample_diag(self, index: int) -> np.ndarray:
@@ -333,7 +333,7 @@ def bracketing_check(
     M_values = tuple(sorted(int(m) for m in M_values))
     grid_max = model.strip_grid(L, M_values[-1])
     weights = f_weight_matrix(grid_max, model.profile)
-    q, v_b = model.draw(seed, weights.n_cells, grid_max.n_sites)
+    q, v_b = model.draw(seed, weights.n_cells(L), grid_max.n_sites)
     values_max = ((periodic_bulk(grid_max, model.bulk_periodic) + v_b)
                   + contract_couplings(q, weights)).reshape(grid_max.shape)
 
@@ -559,7 +559,7 @@ def rayleigh_tail_bound(
     ref = cached_reference(model, M, M_ref)
 
     weights = f_weight_matrix(grid, model.profile)
-    q, v_b = model.draw(seed, weights.n_cells, grid.n_sites)
+    q, v_b = model.draw(seed, weights.n_cells(L), grid.n_sites)
     w_vals = contract_couplings(q - model.dist.q_min, weights)
     u_per_vals = periodic_bulk(grid, model.u_per())
 

@@ -18,14 +18,14 @@ pure function of (parameters, seed): identical seeds give bit-identical
 fields no matter how samples are partitioned across workers.
 
 Alloy sums use a per-site symmetric truncation window: a site in unit cell
-``c`` sums contributions from cells within sup-distance ``R`` of ``c``
-(``R`` is the profile's support or truncation radius).  This keeps the
-pinned floor exactly periodic on the grid and preserves the pointwise
-ordering ``U_s <= V_s <= 0`` term by term.  A strip's window weights are
-an ``AlloyWeights``: the sites some cell reaches and one row of weights per
-cell at those sites only, never a dense (cells x sites) matrix, whose size
-grows as L^(2 d1) M.  That is all an ensemble, a cached entry of
-``f_weight_matrix`` or a pool task holds of the profile.
+``s`` sums the cells ``s + r``, ``r`` in [-R, R]^d1 (``R`` the profile's
+support or truncation radius).  The terms do not depend on where the cell
+sits, so ``alloy_kernel`` evaluates the profile once, on one cell, and an
+ensemble or pool task holds only that kernel, whatever the strip length.
+``contract_couplings`` sums it against a strip's couplings and
+``surface_cell_potential`` against the pinned ones, so the floor is
+exactly periodic, equal to the pinned contraction bit for bit, and the
+ordering ``U_s <= V_s <= 0`` holds term by term.
 """
 
 from __future__ import annotations
@@ -224,97 +224,88 @@ class CosineBulk:
 # -- alloy machinery ----------------------------------------------------------
 
 
-def window_cells(grid: GridSpec, radius: int) -> list:
-    """Cell multi-indices of the coupling window, ascending cell-major."""
-    rng = range(-radius, grid.L + radius)
-    return list(itertools.product(rng, repeat=grid.d1))
-
-
 @dataclass(frozen=True, eq=False)
-class AlloyWeights:
-    """Profile weights of a strip's coupling window, kept at the sites they reach.
+class AlloyKernel:
+    """One unit cell's alloy terms, kept at the cell's sites they reach.
 
-    ``sites`` holds, ascending, the indices of the sites at which some
-    window cell's weight is nonzero; ``rows[c]`` holds cell ``c``'s weights
-    at those sites, cells in the window's ascending order.  Every other
-    site has weight zero from every cell.  Both arrays are read-only.  A
-    profile whose transverse box covers a few layers reaches only those, so
-    this holds n_cells * len(sites) of a dense matrix's n_cells * n_sites
-    entries.
+    ``rows[o]`` holds f(x1_frac - r, x2) for the o-th relative cell r of
+    ``offsets`` ([-R, R]^d1 ascending, R = ``radius``) at ``sites``, the
+    ascending flat indices into ``cell_shape`` = (a,)*d1 + (M,)*d2 where
+    some row is nonzero; every other cell-local site has weight zero.  The
+    arrays are read-only, and nothing depends on the strip length.
     """
 
+    radius: int
+    cell_shape: tuple
+    offsets: np.ndarray
     sites: np.ndarray
     rows: np.ndarray
-    n_sites: int
 
-    @property
-    def n_cells(self) -> int:
-        """Window cells, one coupling each: the coupling count a realization draws."""
-        return self.rows.shape[0]
-
-
-# window cells whose weights one step of f_weight_matrix evaluates at once:
-# as many as make about this many (cell, site) pairs, so each step's
-# temporaries stay near 128 KiB while numpy's per-call cost is shared
-WEIGHT_BLOCK = 1 << 14
+    def n_cells(self, L: int) -> int:
+        """Window cells of an L-cell strip, one coupling each: (L + 2R)^d1."""
+        return (L + 2 * self.radius) ** self.offsets.shape[1]
 
 
 @functools.lru_cache(maxsize=16)
-def f_weight_matrix(grid: GridSpec, profile) -> AlloyWeights:
-    """Profile weights of the coupling window of ``grid``, at the sites they reach.
+def alloy_kernel(profile, a: int, d1: int, d2: int, M: int) -> AlloyKernel:
+    """The profile's one evaluation: one ``evaluate`` call at every (relative cell, cell site).
 
-    Cell ``c``'s weight at a site is f(x1 - c, x2) if the site's own cell
-    is within the truncation radius of ``c``, else zero.  One pass over the
-    window cells, ``WEIGHT_BLOCK`` (cell, site) pairs a step, evaluates each
-    cell's weights at every site and keeps the nonzero ones; the reached
-    sites are their union.  The (n_cells, n_sites) matrix is never built.
-    The most recent (grid, profile) pairs are cached; the returned weights
-    are shared between callers and read-only.  The function keeps the name
-    it had when it returned that matrix, because the benchmark's tracer
-    wraps it by name; each row of its result is still a row of that matrix,
-    restricted to the reached sites.
+    The columns zero in every term are dropped.  The most recent kernels
+    are cached and shared between callers.
     """
-    radius = profile.window_radius(grid.a)
-    cells = np.array(window_cells(grid, radius))
-    x1 = grid.x1_positions()
-    x2 = grid.x2_positions()
-    site_cells = grid.cell_of_sites()
-    step = max(1, WEIGHT_BLOCK // grid.n_sites)
-    hit_cells, hit_sites, hit_vals = [], [], []
-    for lo in range(0, len(cells), step):
-        block = cells[lo : lo + step, None, :]
-        dist = np.max(np.abs(site_cells - block), axis=-1)
-        f = np.where(dist <= radius, profile.evaluate(x1 - block.astype(float), x2), 0.0)
-        cell, site = np.nonzero(f)
-        hit_cells.append(lo + cell)
-        hit_sites.append(site)
-        hit_vals.append(f[cell, site])
-    hit_sites = np.concatenate(hit_sites)
-    reached = np.zeros(grid.n_sites, dtype=bool)
-    reached[hit_sites] = True
-    sites = np.flatnonzero(reached)
-    rows = np.zeros((len(cells), len(sites)))
-    rows[np.concatenate(hit_cells), np.cumsum(reached)[hit_sites] - 1] = np.concatenate(hit_vals)
-    sites.setflags(write=False)
-    rows.setflags(write=False)
-    return AlloyWeights(sites, rows, grid.n_sites)
+    radius = profile.window_radius(a)
+    cell = build_grid(d1, d2, L=1, a=a, M=M)
+    offsets = np.array(list(itertools.product(range(-radius, radius + 1), repeat=d1)))
+    terms = profile.evaluate(cell.x1_frac_positions() - offsets[:, None, :].astype(float),
+                             cell.x2_positions())
+    sites = np.flatnonzero(terms.any(axis=0))
+    rows = np.ascontiguousarray(terms[:, sites])
+    for arr in (offsets, sites, rows):
+        arr.setflags(write=False)
+    return AlloyKernel(radius, cell.shape, offsets, sites, rows)
 
 
-def contract_couplings(couplings: np.ndarray, weights: AlloyWeights) -> np.ndarray:
-    """Sum_c q_c * f_c over the window cells, accumulated in ascending cell order.
+def f_weight_matrix(grid: GridSpec, profile) -> AlloyKernel:
+    """The alloy kernel of ``grid``'s depth, shared by strips of every L.
 
-    ``couplings`` has one entry per window cell on its last axis.  A plain
-    loop rather than a BLAS product: the fixed accumulation order makes
-    fields bit-identical across batch sizes and worker counts.  Only the
-    reached sites are summed; every other site is +0.0, the value the loop
-    over every site would leave there (each of its terms is q * 0.0 = +-0.0).
+    It keeps the name it had when it returned a dense (window cells, sites)
+    matrix, because the benchmark's tracer wraps it by name.
     """
-    part = np.zeros(couplings.shape[:-1] + (len(weights.sites),))
-    for c in range(weights.n_cells):
-        part += couplings[..., c, None] * weights.rows[c]
-    out = np.zeros(couplings.shape[:-1] + (weights.n_sites,))
-    out[..., weights.sites] = part
-    return out
+    return alloy_kernel(profile, grid.a, grid.d1, grid.d2, grid.M)
+
+
+def contract_couplings(couplings: np.ndarray, kernel: AlloyKernel) -> np.ndarray:
+    """Sum_c q_c * f_c at every site of the strip whose window ``couplings`` covers.
+
+    The last axis holds the (L + 2R)^d1 window cells, ascending cell-major,
+    which fix L.  One term per relative cell r, in ascending order, adds
+    q_{s+r} * rows[r] to every strip cell s, so each site sums its cells in
+    ascending order: a plain loop, not a BLAS product, whose fixed order
+    makes fields bit-identical across batch sizes and worker counts.
+    Unreached sites are +0.0, what the skipped terms q * 0.0 would leave.
+    """
+    R, d1, a = kernel.radius, kernel.offsets.shape[1], kernel.cell_shape[0]
+    n, batch = couplings.shape[-1], couplings.shape[:-1]
+    width, nb = (n if d1 == 1 else math.isqrt(n)), len(batch)
+    if width ** d1 != n or width <= 2 * R:
+        raise ShapeMismatch(f"{n} couplings is no window of radius {R} at d1 = {d1}")
+    L = width - 2 * R
+    # samples last, so a term is one run over (strip cells, samples)
+    q = np.ascontiguousarray(np.moveaxis(couplings.reshape(batch + (width,) * d1),
+                                         range(nb), range(d1, d1 + nb)))
+    windows = np.lib.stride_tricks.sliding_window_view(q, (L,) * d1 + batch)
+    rows = kernel.rows.reshape(kernel.rows.shape + (1,) * (d1 + nb))
+    part = np.zeros((len(kernel.sites),) + (L,) * d1 + batch)
+    for start, row in zip((kernel.offsets + R).tolist(), rows):
+        part += row * windows[tuple(start) + (0,) * nb]
+    # the strip with each x1 axis split into (cell, site in cell), viewed
+    # as (strip cells, cell-local sites, samples)
+    out = np.zeros(batch + (L, a) * d1 + kernel.cell_shape[d1:])
+    axes = [*range(nb, nb + 2 * d1, 2), *range(nb + 1, nb + 2 * d1, 2),
+            *range(nb + 2 * d1, out.ndim), *range(nb)]
+    local = np.unravel_index(kernel.sites, kernel.cell_shape)
+    out.transpose(axes)[(slice(None),) * d1 + local] = np.moveaxis(part, 0, d1)
+    return out.reshape(batch + (L ** d1 * math.prod(kernel.cell_shape),))
 
 
 def periodic_bulk(grid: GridSpec, cell_function: Callable) -> np.ndarray:
@@ -335,18 +326,18 @@ def periodic_bulk(grid: GridSpec, cell_function: Callable) -> np.ndarray:
 def surface_cell_potential(profile, q_min: float, a: int) -> Callable:
     """Floor (every coupling pinned to ``q_min``) as a cell function, ``a`` sites per cell axis.
 
-    Sums relative cells in the same ascending order as the strip window of
-    ``f_weight_matrix``, so tiling this function reproduces the pinned
-    contraction ``contract_couplings(full(n_cells, q_min), weights)`` on any strip.
+    It is ``contract_couplings`` of the pinned one-cell window on the kernel
+    of the depth M its transverse layers span, so on a grid of depth M it
+    tiles to that grid's pinned contraction bit for bit.
     """
-    radius = profile.window_radius(a)
 
     def fn(x1f: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        d1 = x1f.shape[-1]
-        out = np.zeros(x1f.shape[0])
-        for c in itertools.product(range(-radius, radius + 1), repeat=d1):
-            out += q_min * profile.evaluate(x1f - np.asarray(c, dtype=float), x2)
-        return out
+        layer = np.rint(x2 * a - 0.5).astype(int)  # in [-M/2, M/2) on a grid of depth M
+        M = 2 * int(max(-layer.min(), layer.max() + 1))
+        kernel = alloy_kernel(profile, a, x1f.shape[-1], x2.shape[-1], M)
+        cell = contract_couplings(np.full(kernel.n_cells(1), float(q_min)), kernel)
+        local = tuple(np.rint(x1f * a).astype(int).T) + tuple((layer + M // 2).T)
+        return cell[np.ravel_multi_index(local, kernel.cell_shape)]
 
     return fn
 

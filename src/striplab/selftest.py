@@ -97,7 +97,7 @@ def _ordering():
     grid = m.strip_grid(6, 10)
     weights = f_weight_matrix(grid, m.profile)
     for trial in range(5):
-        q, _ = m.draw(int(rng.integers(1 << 31)), weights.n_cells, grid.n_sites)
+        q, _ = m.draw(int(rng.integers(1 << 31)), weights.n_cells(grid.L), grid.n_sites)
         v_s = contract_couplings(q, weights)
         levels = {}
         for tag, bcs in (

@@ -35,7 +35,7 @@ def surface_field(model, grid, seed):
     from striplab.potential import contract_couplings, f_weight_matrix
 
     weights = f_weight_matrix(grid, model.profile)
-    q, _ = model.draw(seed, weights.n_cells, grid.n_sites)
+    q, _ = model.draw(seed, weights.n_cells(grid.L), grid.n_sites)
     return contract_couplings(q, weights)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,12 +23,12 @@ from striplab.potential import (
     PowerLawProfile,
     TwoPointCouplings,
     UniformCouplings,
+    alloy_kernel,
     contract_couplings,
     estimate_bulk_bottom,
     f_weight_matrix,
     periodic_bulk,
     surface_cell_potential,
-    window_cells,
 )
 from striplab.spectral import lowest_k
 
@@ -37,7 +38,7 @@ SMALL_CONFIG = Path(__file__).with_name("small_config.json")
 def pinned_floor(grid, profile, q_min):
     """The floor U_s: every window coupling pinned to ``q_min``, contracted on ``grid``."""
     weights = f_weight_matrix(grid, profile)
-    return contract_couplings(np.full(weights.n_cells, float(q_min)), weights)
+    return contract_couplings(np.full(weights.n_cells(grid.L), float(q_min)), weights)
 
 
 def test_periodic_bulk_zero_and_constant():
@@ -125,18 +126,18 @@ def test_sampling_seed_determinism():
     m = replace(default_model(), bulk_random=IidUniformBulk(1.0))
     g = m.strip_grid(6, 8)
     weights = f_weight_matrix(g, m.profile)
-    q1, v1 = m.draw(1234, weights.n_cells, g.n_sites)
-    q2, v2 = m.draw(1234, weights.n_cells, g.n_sites)
+    q1, v1 = m.draw(1234, weights.n_cells(g.L), g.n_sites)
+    q2, v2 = m.draw(1234, weights.n_cells(g.L), g.n_sites)
     assert np.array_equal(q1, q2) and np.array_equal(v1, v2)
     assert np.array_equal(surface_field(m, g, 1234), contract_couplings(q1, weights))
-    q3, v3 = m.draw(1235, weights.n_cells, g.n_sites)
+    q3, v3 = m.draw(1235, weights.n_cells(g.L), g.n_sites)
     assert not np.array_equal(q1, q3) and not np.array_equal(v1, v3)
 
 
 def dense_weights(grid, profile):
     """The dense (window cells, sites) weight matrix, row c = f(x1 - c, x2) within the radius."""
     radius = profile.window_radius(grid.a)
-    cells = window_cells(grid, radius)
+    cells = list(itertools.product(range(-radius, grid.L + radius), repeat=grid.d1))
     F = np.zeros((len(cells), grid.n_sites))
     for row, c in enumerate(cells):
         dist = np.max(np.abs(grid.cell_of_sites() - np.asarray(c)), axis=-1)
@@ -146,13 +147,30 @@ def dense_weights(grid, profile):
     return F
 
 
+def kernel_as_dense(grid, kernel):
+    """The (window cells, sites) matrix the kernel stands for: rows[c - s] at each site of cell s."""
+    R, d1 = kernel.radius, grid.d1
+    width = grid.L + 2 * R
+    coords = grid.coords_of(np.arange(grid.n_sites))
+    local = np.ravel_multi_index(tuple((coords[:, :d1] % grid.a).T) + tuple(coords[:, d1:].T),
+                                 kernel.cell_shape)
+    column = {site: j for j, site in enumerate(kernel.sites)}
+    F = np.zeros((kernel.n_cells(grid.L), grid.n_sites))
+    for site, (cell, loc) in enumerate(zip(grid.cell_of_sites(), local)):
+        if loc not in column:
+            continue
+        for o, r in enumerate(kernel.offsets):
+            F[np.ravel_multi_index(tuple(cell + r + R), (width,) * d1), site] = kernel.rows[o, column[loc]]
+    return F
+
+
 def test_contraction_skips_unreached_sites_bitwise():
-    # the weights keep one column per reached site (those of the transverse
-    # layers in the box [-1, 1), M = 2a + 4 deep), equal to the dense
-    # matrix's columns there, and contracting them gives the bytes of the
-    # loop over every site of the dense matrix: at d1 = 1 and 2, a = 1, 2
-    # and 4, for a compact and a power-law window, one sample and a batch,
-    # couplings of both signs
+    # the kernel keeps one column per reached cell-local site (those of the
+    # transverse layers in the box [-1, 1), M = 2a + 4 deep) and stands for
+    # the dense weight matrix byte for byte; contracting it gives
+    # the bytes of the loop over every site of the dense matrix: at d1 = 1
+    # and 2, a = 1, 2 and 4 (where x1 - c is exact), for a compact and a
+    # power-law window, one sample and a batch, couplings of both signs
     rng = np.random.default_rng(61)
     for d1, a in itertools.product((1, 2), (1, 2, 4)):
         g = build_grid(d1, 1, L=6 if d1 == 1 else 3, a=a, M=2 * a + 4)
@@ -160,21 +178,47 @@ def test_contraction_skips_unreached_sites_bitwise():
             PowerLawProfile(alpha=3.0, truncation_radius=2))
         for profile in (default_model().profile, power_law):
             F = dense_weights(g, profile)
-            weights = f_weight_matrix(g, profile)
-            assert (weights.n_cells, weights.n_sites) == F.shape
-            assert np.array_equal(weights.sites, np.flatnonzero(F.any(axis=0)))
-            assert 0 < len(weights.sites) < g.n_sites
-            assert weights.rows.shape == (F.shape[0], len(weights.sites))
-            assert weights.rows.tobytes() == F[:, weights.sites].tobytes()
-            assert not weights.rows.flags.writeable and not weights.sites.flags.writeable
-            assert np.all(weights.rows >= 0)
+            kernel = f_weight_matrix(g, profile)
+            R = profile.window_radius(a)
+            assert kernel.n_cells(g.L) == F.shape[0]
+            assert kernel.offsets.tolist() == [list(r) for r in
+                                               itertools.product(range(-R, R + 1), repeat=d1)]
+            assert 0 < len(kernel.sites) < a ** d1 * g.M
+            assert kernel.rows.shape == ((2 * R + 1) ** d1, len(kernel.sites))
+            assert kernel_as_dense(g, kernel).tobytes() == F.tobytes()
+            assert not any(arr.flags.writeable for arr in (kernel.rows, kernel.sites, kernel.offsets))
+            assert np.all(kernel.rows >= 0)
             for q in (rng.uniform(-2.0, 1.0, F.shape[0]),
                       rng.uniform(-2.0, 1.0, (5, F.shape[0]))):
                 want = np.zeros(q.shape[:-1] + (F.shape[1],))
                 for c in range(F.shape[0]):
                     want += q[..., c, None] * F[c]
-                got = contract_couplings(q, weights)
+                got = contract_couplings(q, kernel)
                 assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_does_not_depend_on_strip_length():
+    # strips of one (profile, a, d1, d2, M) share one kernel of one cell's
+    # terms, so a d1 = 2 strip of L = 40 holds the L = 4 strip's bytes and
+    # contracts a block of samples in well under a second
+    profile = PowerLawProfile(alpha=3.0, truncation_radius=2)
+    short, long = build_grid(2, 1, L=4, a=1, M=12), build_grid(2, 1, L=40, a=1, M=12)
+    built = alloy_kernel.__wrapped__(profile, 1, 2, 1, 12)
+    for kernel in (f_weight_matrix(short, profile), f_weight_matrix(long, profile)):
+        assert kernel.rows.tobytes() == built.rows.tobytes()
+        assert kernel.sites.tobytes() == built.sites.tobytes()
+    assert f_weight_matrix(short, profile) is f_weight_matrix(long, profile)
+    assert built.rows.shape == (25, 2)
+    kernel = f_weight_matrix(long, profile)
+    q = np.random.default_rng(3).uniform(-2.0, -1.0, (96, kernel.n_cells(40)))
+    start = time.perf_counter()
+    fields = contract_couplings(q, kernel)
+    assert time.perf_counter() - start < 0.5
+    assert fields.shape == (96, long.n_sites)
+    assert fields[7].tobytes() == contract_couplings(q[7], kernel).tobytes()
+    assert contract_couplings(q[:0], kernel).shape == (0, long.n_sites)
+    with pytest.raises(ShapeMismatch):  # 44^2 - 1 couplings: no square window
+        contract_couplings(q[:, 1:], kernel)
 
 
 def test_coupling_mean_law_of_large_numbers():
@@ -217,29 +261,34 @@ def test_pointwise_ordering_invariants(seed, L, Mh):
     floor = pinned_floor(g, m.profile, m.dist.q_min)
     assert np.all(floor <= v_s)
     assert np.all(v_s <= 0)
-    _, v_b = m.draw(seed, f_weight_matrix(g, m.profile).n_cells, g.n_sites)
+    _, v_b = m.draw(seed, f_weight_matrix(g, m.profile).n_cells(g.L), g.n_sites)
     total = v_s + v_b
     assert np.all(total >= floor)
 
 
 def test_cell_potential_matches_strip_floor():
-    """Tiling the cell floor reproduces the strip floor exactly."""
-    m = default_model()
-    for a in (1, 2):
-        g = build_grid(1, 1, L=5, a=a, M=6)
-        fn = surface_cell_potential(m.profile, -2.0, a)
-        assert np.array_equal(periodic_bulk(g, fn), pinned_floor(g, m.profile, -2.0))
+    """Tiling the cell floor reproduces the strip floor byte for byte."""
+    compact = default_model().profile
+    for d1, a in itertools.product((1, 2), range(1, 7)):
+        power_law = PowerLawProfile(alpha=1.5, truncation_radius=16) if d1 == 1 else (
+            PowerLawProfile(alpha=3.0, truncation_radius=2))
+        g = build_grid(d1, 1, L=5 if d1 == 1 else 3, a=a, M=2 * a + 4)
+        for profile in (compact, power_law):
+            fn = surface_cell_potential(profile, -2.0, a)
+            assert periodic_bulk(g, fn).tobytes() == pinned_floor(g, profile, -2.0).tobytes()
 
 
 def test_window_radius_shapes():
     m = default_model()
     g = m.strip_grid(4, 6)
-    weights = f_weight_matrix(g, m.profile)
-    # compact halfwidth 0.25, halo 0: 4 cells, each reaching its own 2 sites
-    # of the two transverse layers in the box [-1, 1)
-    assert (weights.n_cells, weights.n_sites) == (4, g.n_sites)
-    assert weights.rows.shape == (4, 8)
-    assert np.all(weights.rows >= 0)
+    kernel = f_weight_matrix(g, m.profile)
+    # compact halfwidth 0.25, halo 0: one relative cell (the cell itself),
+    # reaching the cell's 2 sites on the two transverse layers in the box
+    # [-1, 1); 4 window cells on an L = 4 strip
+    assert kernel.offsets.tolist() == [[0]]
+    assert kernel.rows.shape == (1, 2)
+    assert kernel.n_cells(g.L) == 4
+    assert np.all(kernel.rows > 0)
 
 
 def dirichlet_probe(fn, M_probe):

@@ -90,8 +90,9 @@ def test_kernel_timing_sampling_table_times_the_alloy_weights(monkeypatch, capsy
     strip = ("d1 = 2", {"d1": 2, "L": 3, "M": 4}, kernel_timing.SAMPLING[-1][2])
     monkeypatch.setattr(kernel_timing, "SAMPLING", [strip])
     kernel_timing.sampling_table()
-    # 9 cells (radius 0) reach the 2 transverse layers in the box: 9 x 18
-    # weights and 18 indices held (1.44 kB), against a dense 9 x 36 (2.59 kB)
+    # 9 cells (radius 0): one relative cell reaching the cell's 2 sites on
+    # the transverse layers in the box: 2 weights, 2 indices and one offset
+    # held, 48 bytes
     row = capsys.readouterr().out.splitlines()[1].split()
-    assert row[3:7] == ["2", "36", "9", "18"]
-    assert row[8:10] == ["1.4", "2.6"]
+    assert row[3:8] == ["2", "36", "9", "1", "2"]
+    assert row[9] == "48"
