@@ -80,10 +80,6 @@ class ProfileUnderflow(StripLabError):
     """All layers of a decay profile are below the underflow guard."""
 
 
-class DenseCapExceeded(StripLabError):
-    """Operator too large for the dense-only operation."""
-
-
 class ConfigInvalid(StripLabError):
     """Experiment config failed schema validation.
 

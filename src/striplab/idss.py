@@ -106,8 +106,7 @@ class StripEnsemble:
         q = np.empty((len(indices), self.weights.n_cells(self.L)))
         v_b = np.empty((len(indices), self.grid.n_sites))
         for row, i in enumerate(indices):
-            q[row], v_b[row] = self.model.draw(mix64(self.master_seed, i),
-                                               self.weights.n_cells(self.L), self.grid.n_sites)
+            q[row], v_b[row] = self.model.draw(mix64(self.master_seed, i), self.grid)
         return v_b + contract_couplings(q, self.weights)
 
     def sample_diag(self, index: int) -> np.ndarray:
@@ -333,7 +332,7 @@ def bracketing_check(
     M_values = tuple(sorted(int(m) for m in M_values))
     grid_max = model.strip_grid(L, M_values[-1])
     weights = f_weight_matrix(grid_max, model.profile)
-    q, v_b = model.draw(seed, weights.n_cells(L), grid_max.n_sites)
+    q, v_b = model.draw(seed, grid_max)
     values_max = ((periodic_bulk(grid_max, model.bulk_periodic) + v_b)
                   + contract_couplings(q, weights)).reshape(grid_max.shape)
 
@@ -559,7 +558,7 @@ def rayleigh_tail_bound(
     ref = cached_reference(model, M, M_ref)
 
     weights = f_weight_matrix(grid, model.profile)
-    q, v_b = model.draw(seed, weights.n_cells(L), grid.n_sites)
+    q, v_b = model.draw(seed, grid)
     w_vals = contract_couplings(q - model.dist.q_min, weights)
     u_per_vals = periodic_bulk(grid, model.u_per())
 

@@ -61,15 +61,17 @@ class SurfaceModel:
         floor = surface_cell_potential(self.profile, self.dist.q_min, self.a)
         return lambda x1f, x2: self.bulk_periodic(x1f, x2) + floor(x1f, x2)
 
-    def draw(self, seed: int, n_cells: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-        """Couplings q of ``n_cells`` window cells and random bulk V_b of ``n_sites`` sites.
+    def draw(self, seed: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Couplings q of ``grid``'s (L + 2R)^d1 window cells and random bulk V_b of its sites.
 
         The one sampling path: every realization maps its seed to the
         surface and bulk streams here, so q and V_b of a seed do not depend
         on who draws them or on how samples are split across workers.
+        R is the profile's window radius, as in ``potential.AlloyKernel``.
         """
+        n_cells = (grid.L + 2 * self.profile.window_radius(grid.a)) ** grid.d1
         q = self.dist.sample(stream(seed, ROLE_SURFACE), n_cells)
-        v_b = self.bulk_random.sample(stream(seed, ROLE_BULK), n_sites)
+        v_b = self.bulk_random.sample(stream(seed, ROLE_BULK), grid.n_sites)
         return q, v_b
 
     def cell_grid(self, M: int) -> GridSpec:

@@ -2,7 +2,8 @@
 
 Transverse decay-rate fits for surface states, empirical level-in-window
 probabilities over shrinking energy windows, finite-volume ground-energy
-statistics, and dense spectral time evolution with moment tracking.
+statistics, and spectral time evolution of an energy window with moment
+tracking.
 """
 
 from __future__ import annotations
@@ -13,16 +14,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DenseCapExceeded,
-    InequalityViolated,
-    InvalidParam,
-    ProfileUnderflow,
-)
+from .errors import InequalityViolated, InvalidParam, NoConvergence, ProfileUnderflow
 from .grid import GridSpec
 from .idss import StripEnsemble, ensemble_counts, hit_rate, line_fit
 from .instances import SurfaceModel
-from .spectral import DENSE_CAP, eigh_dense
+from .spectral import TIE_REL, count_below, lowest_k
 
 PROFILE_GUARD = 1e-300
 
@@ -204,7 +200,7 @@ def initial_scale_probe(
     )
 
 
-# -- dense dynamics -------------------------------------------------------------------
+# -- window dynamics -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -217,43 +213,49 @@ class DynamicsReport:
     n_window: int  # eigenvalues inside the interval; at 0 every moment and the drift are 0
 
 
-def dynamics_moment(
-    H,
-    interval: tuple,
-    p: float,
-    times,
-    sites: Sequence[int],
-) -> DynamicsReport:
+def dynamics_moment(H, interval: tuple, p: float, times, sites: Sequence[int]) -> DynamicsReport:
     """Spectrally exact evolution of an interval-filtered local state.
 
     The initial state is uniform on ``sites``.  M_p(t) sums |x1 -
     x1_center(K)|^p against the evolved probability density; the spectral
-    filter projects onto eigenvalues inside ``interval``.  Unitarity of the
-    filtered evolution is certified via the norm drift.  The eigenpairs come
-    from ``eigh_dense``: ``?syevd``/``?heevd`` in place on one dense copy of
-    ``H`` (a peak of about 3.3 n^2 doubles for a real operator), bit-equal to
-    ``np.linalg.eigh``.
+    filter projects onto eigenvalues inside ``interval`` = [lo, hi].
+    Unitarity of the filtered evolution is certified via the norm drift.
+
+    The pairs come from ``count_below`` and ``lowest_k`` alone: k =
+    ``count_below(H, hi)`` counts the eigenvalues <= hi + tie, tie = 1e-12
+    (||H||_inf + |hi| + 1), and ``lowest_k(H, k)`` solves them (none at k =
+    0, where every moment and the drift are 0); the window keeps those in
+    [lo, hi].  Up to ``DENSE_CAP`` sites they are ``eigh_dense``'s first k,
+    the bits of a whole-spectrum solve, whose eigenvalues differ from the
+    count's banded ones by a few eps ||H||_inf, far inside the tie: no pair
+    at or below hi is missed.  Above the cap Lanczos certifies residuals at
+    tol = 1e-9, so each eigenvalue lies within tol of the operator's own and
+    a pair within tol of an edge may fall on either side.  One above hi +
+    tie + tol was never counted, so Lanczos missed a counted pair: that
+    raises ``NoConvergence`` rather than drop it.
     """
-    grid: GridSpec = H.grid
-    mat = H.matrix
-    n = mat.shape[0]
-    if n > DENSE_CAP:
-        raise DenseCapExceeded(f"dense evolution capped at {DENSE_CAP} sites, got {n}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     sites = np.asarray(sites, dtype=int)
-    u = np.zeros(n)
+    u = np.zeros(H.n)
     u[sites] = 1.0 / math.sqrt(len(sites))
 
-    evals, evecs = eigh_dense(mat)
     lo, hi = interval
+    k, tol = count_below(H, hi), 1e-9
+    evals, evecs = np.empty(0), np.empty((H.n, 0))
+    if k:
+        pairs = lowest_k(H, k, tol)
+        evals, evecs = pairs.eigenvalues, pairs.eigenvectors
+        edge = hi + TIE_REL * (abs(H.matrix).sum(axis=1).max() + abs(hi) + 1.0) + tol
+        if evals[-1] > edge:
+            raise NoConvergence(f"eigenvalue {evals[-1]:.12g} of the {k} counted up to {hi} "
+                                f"lies above {edge:.12g}: a counted pair was missed")
     keep = (evals >= lo) & (evals <= hi)
     coef = evecs[:, keep].conj().T @ u
     basis = evecs[:, keep]
     filtered_norm_sq = float(np.sum(np.abs(coef) ** 2))
 
-    x1 = grid.x1_positions()
-    center = x1[sites].mean(axis=0)
-    weight = np.linalg.norm(x1 - center, axis=1) ** p
+    x1 = H.grid.x1_positions()
+    weight = np.linalg.norm(x1 - x1[sites].mean(axis=0), axis=1) ** p
 
     moments = np.empty(len(times))
     drift = 0.0
@@ -264,11 +266,6 @@ def dynamics_moment(
         drift = max(drift, abs(float(dens.sum()) - filtered_norm_sq))
     if drift > 1e-9:
         raise InequalityViolated(f"filtered evolution norm drift {drift:.2e} exceeds 1e-9")
-    return DynamicsReport(
-        times=times,
-        moments=moments,
-        sup_moment=float(moments.max()),
-        projected_norm_sq=filtered_norm_sq,
-        norm_drift=drift,
-        n_window=int(keep.sum()),
-    )
+    return DynamicsReport(times=times, moments=moments, sup_moment=float(moments.max()),
+                          projected_norm_sq=filtered_norm_sq, norm_drift=drift,
+                          n_window=int(keep.sum()))

@@ -1,15 +1,16 @@
 """Eigenvalue machinery: lowest eigenpairs, counting, certified bounds.
 
-Up to ``DENSE_CAP`` sites an eigensolve takes one of two LAPACK paths, each
-on its own Fortran copy of the operator, which it overwrites:
+Every eigenpair the lab reads comes from ``lowest_k``: seeded Lanczos above
+``DENSE_CAP`` sites, and up to it one of two LAPACK paths, each on its own
+Fortran copy of the operator, which it overwrites:
 
 * ``eigh_dense`` runs the divide-and-conquer driver ``?syevd``/``?heevd``,
   the one numpy's ``eigh`` runs, so every eigenpair is bit-equal to numpy's.
   A real operator peaks at about 3.3 n^2 doubles where
   ``np.linalg.eigh(mat.toarray())`` took 5.3 n^2 (59 against 95 MiB at
-  n = 1536).  ``localization.dynamics_moment`` and ``lowest_k`` by default
-  take it: the reference ground state, ``striplab decay``'s profile and the
-  filtered evolution read the vectors' bits.
+  n = 1536).  ``lowest_k`` takes it by default, and nothing else calls
+  it: the reference ground state, ``striplab decay``'s profile and the
+  pairs of ``striplab dynamics``' window read the vectors' bits.
 * ``lowest_k(..., values_only=True)`` runs the driver's own two steps,
   ``?sytrd``/``?hetrd`` and then ``?stevd``, which calls ``?stedc('I')`` as
   the driver does, so its eigenvalues are bit-equal to ``eigh_dense``'s by
@@ -28,7 +29,7 @@ thread count: on the benchmark's certificates config (seed 0)
 ``OPENBLAS_NUM_THREADS=1`` changes the n = 1536 solves (the L=16 row of
 ``gap.csv``, both ``direct_e0`` values in ``bounds.csv``, ``decay.csv``) and
 leaves ``band.csv`` (n = 96) and the ARPACK rows of ``gap.csv`` as they are
-(``dynamics.csv`` too, but its window holds no eigenvalue there).
+(``dynamics.csv`` too, but its window there holds no eigenvalue to solve).
 ``OPENBLAS_THREAD_TIMEOUT``, which ``import striplab`` sets, changes no
 byte: it decides only when an idle BLAS thread sleeps.
 
@@ -209,9 +210,8 @@ def eigh_dense(H):
     so a real operator peaks at about 3.3 n^2 doubles (the copy and the
     driver's 2 n^2 workspace); ``H`` itself is never written.  numpy's
     ``eigh`` runs the same driver on the same (lower) triangle, so the pairs
-    are bit-equal to ``np.linalg.eigh`` of the dense matrix.
-    ``localization.dynamics_moment`` and ``lowest_k`` without
-    ``values_only`` take it: their callers read the vectors' bits.
+    are bit-equal to ``np.linalg.eigh`` of the dense matrix.  ``lowest_k``
+    without ``values_only`` takes it: its callers read the vectors' bits.
     """
     a = _as_matrix(H).toarray(order="F")
     return sla.eigh(a, driver="evd", overwrite_a=True, check_finite=False)
@@ -265,13 +265,15 @@ def lowest_k(
     An operator whose largest entry lies outside [2n 1e-146, 1e146 / 2n],
     where LAPACK would rescale it, takes the driver anyway.
     Seeded Lanczos (full reorthogonalization via ARPACK) above ``dense_cap``,
-    where ``values_only`` changes nothing.  Deterministic for a given
-    operator.
+    where ``values_only`` changes nothing and k must stay below n.
+    Deterministic for a given operator.
     """
     mat = _as_matrix(H)
     n = mat.shape[0]
     if not 1 <= k <= n:
         raise InvalidParam(f"need 1 <= k <= {n}, got k={k}")
+    if k == n > dense_cap:
+        raise InvalidParam(f"Lanczos above dense_cap = {dense_cap} needs k < n = {n}")
 
     if n <= dense_cap:
         if values_only and 2 * n * _RMIN <= abs(mat).max() <= 1 / (2 * n * _RMIN):

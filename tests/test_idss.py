@@ -359,7 +359,7 @@ def test_bracketing_restricts_one_deep_realization(monkeypatch):
     monkeypatch.setattr(idss, "assemble", recording)
     bracketing_check(m, L=3, M_values=[8, 4], energies=[-1.0, -0.5], seed=5)
     grid_max = m.strip_grid(3, 8)
-    q, v_b_max = m.draw(5, f_weight_matrix(grid_max, m.profile).n_cells(3), grid_max.n_sites)
+    q, v_b_max = m.draw(5, grid_max)
     for M in (4, 8):
         grid = m.strip_grid(3, M)
         v_s = contract_couplings(q, f_weight_matrix(grid, m.profile))
@@ -438,7 +438,7 @@ def test_coupling_monotonicity_raises_levels(model, ref14):
     from striplab.potential import f_weight_matrix, contract_couplings
 
     weights = f_weight_matrix(grid, model.profile)
-    q, _ = model.draw(77, weights.n_cells(grid.L), grid.n_sites)
+    q, _ = model.draw(77, grid)
     before = np.linalg.eigvalsh(
         assemble(grid, contract_couplings(q, weights), bc_all_dirichlet()).dense()
     )

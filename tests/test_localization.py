@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import striplab.localization as localization
-from striplab.errors import DenseCapExceeded, InvalidParam
+from striplab.errors import InvalidParam, NoConvergence
 from striplab.grid import BoundarySpec, Dirichlet, Neumann, bc_all_dirichlet, build_grid
 from striplab.idss import StripEnsemble
 from striplab.localization import (
@@ -14,7 +14,7 @@ from striplab.localization import (
 )
 from striplab.operator import assemble
 from striplab.potential import periodic_bulk
-from striplab.spectral import lowest_k
+from striplab.spectral import DENSE_CAP, SpectralResult, count_below, eigh_dense, lowest_k
 
 
 def test_decay_separable_matches_transfer_matrix_oracle(model):
@@ -128,7 +128,7 @@ def test_initial_scale_monotone_in_L(model, e0_default):
     assert rep.probs[-1, 0] > rep.probs[0, 0]  # strictly more likely on longer strips
 
 
-def test_dynamics_single_eigenvector_is_stationary(model):
+def test_dynamics_single_eigenvector_is_stationary(model, monkeypatch):
     grid = model.strip_grid(6, 8)
     fld = periodic_bulk(grid, model.u_per())
     H = assemble(grid, fld, bc_all_dirichlet())
@@ -139,8 +139,12 @@ def test_dynamics_single_eigenvector_is_stationary(model):
     rep = dynamics_moment(H, (lo - 1e-9, lo + 1e-9), 2.0, np.linspace(0, 50, 11), sites)
     assert rep.n_window == 1
     assert np.max(np.abs(rep.moments - rep.moments[0])) <= 1e-9
-    # a window below the spectrum holds no eigenvalue: the run says so, and its
-    # moments and drift are all 0
+    # a window below the spectrum holds no eigenvalue: nothing is solved, the
+    # run says so, and its moments and drift are all 0
+    def no_solve(*args):
+        raise AssertionError("an empty window solved eigenpairs")
+
+    monkeypatch.setattr(localization, "lowest_k", no_solve)
     rep = dynamics_moment(H, (lo - 2.0, lo - 1.0), 2.0, np.linspace(0, 50, 11), sites)
     assert rep.n_window == 0 and rep.projected_norm_sq == 0
     assert not rep.moments.any() and rep.norm_drift == 0
@@ -158,9 +162,54 @@ def test_dynamics_free_ballistic_growth(model):
     assert rep.norm_drift <= 1e-9
 
 
-def test_dynamics_dense_cap(model, monkeypatch):
-    grid = model.strip_grid(40, 10)
-    H = assemble(grid, np.zeros(grid.n_sites), bc_all_dirichlet())
-    monkeypatch.setattr(localization, "DENSE_CAP", 100)
-    with pytest.raises(DenseCapExceeded):
-        dynamics_moment(H, (-10, 10), 2.0, [0.0], [0])
+def dense_window_reference(H, interval, p, times, sites):
+    """The window's evolution from every eigenpair of ``eigh_dense``, masked to the interval."""
+    u = np.zeros(H.n)
+    u[sites] = 1.0 / np.sqrt(len(sites))
+    evals, evecs = eigh_dense(H)
+    keep = (evals >= interval[0]) & (evals <= interval[1])
+    coef = evecs[:, keep].conj().T @ u
+    x1 = H.grid.x1_positions()
+    weight = np.linalg.norm(x1 - x1[sites].mean(axis=0), axis=1) ** p
+    moments = [weight @ np.abs(evecs[:, keep] @ (np.exp(-1j * evals[keep] * t) * coef)) ** 2
+               for t in times]
+    return np.array(moments), float(np.sum(np.abs(coef) ** 2)), int(keep.sum())
+
+
+def test_dynamics_window_bit_equal_to_full_dense_solve(model):
+    eng = StripEnsemble(model, 24, 12, bc="D", master_seed=3)
+    H = eng.hamiltonian(0)
+    evals = np.linalg.eigvalsh(H.dense())
+    interval = ((evals[2] + evals[3]) / 2, (evals[9] + evals[10]) / 2)  # pairs 3..9
+    times, sites = np.linspace(0, 40, 9), eng.grid.center_sites()
+    rep = dynamics_moment(H, interval, 2.0, times, sites)
+    moments, norm_sq, n_window = dense_window_reference(H, interval, 2.0, times, sites)
+    assert rep.n_window == n_window == 7
+    assert rep.moments.tobytes() == moments.tobytes()
+    assert rep.projected_norm_sq == norm_sq
+
+
+def test_dynamics_window_above_dense_cap(model):
+    eng = StripEnsemble(model, 170, 12, bc="D", master_seed=0)
+    H = eng.hamiltonian(0)
+    assert H.n == 2040 > DENSE_CAP
+    interval = (eng.e0, eng.e0 + 0.3 * abs(eng.e0))
+    rep = dynamics_moment(H, interval, 2.0, np.linspace(0, 100, 11), eng.grid.center_sites())
+    assert rep.n_window >= 1
+    assert rep.n_window == count_below(H, interval[1]) - count_below(H, interval[0])
+    assert rep.norm_drift <= 1e-9
+
+
+def test_dynamics_missed_pair_raises(model, monkeypatch):
+    # a solver that skips the lowest pair returns one above the window in its place
+    def skips_lowest(H, k, tol):
+        res = lowest_k(H, k + 1, tol)
+        return SpectralResult(res.eigenvalues[1:], res.eigenvectors[:, 1:], res.residuals[1:],
+                              res.method)
+
+    monkeypatch.setattr(localization, "lowest_k", skips_lowest)
+    grid = model.strip_grid(6, 8)
+    H = assemble(grid, periodic_bulk(grid, model.u_per()), bc_all_dirichlet())
+    evals = np.linalg.eigvalsh(H.dense())
+    with pytest.raises(NoConvergence, match="missed"):
+        dynamics_moment(H, (evals[0] - 1.0, (evals[1] + evals[2]) / 2), 2.0, [0.0], [0])

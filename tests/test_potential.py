@@ -126,11 +126,11 @@ def test_sampling_seed_determinism():
     m = replace(default_model(), bulk_random=IidUniformBulk(1.0))
     g = m.strip_grid(6, 8)
     weights = f_weight_matrix(g, m.profile)
-    q1, v1 = m.draw(1234, weights.n_cells(g.L), g.n_sites)
-    q2, v2 = m.draw(1234, weights.n_cells(g.L), g.n_sites)
+    q1, v1 = m.draw(1234, g)
+    q2, v2 = m.draw(1234, g)
     assert np.array_equal(q1, q2) and np.array_equal(v1, v2)
     assert np.array_equal(surface_field(m, g, 1234), contract_couplings(q1, weights))
-    q3, v3 = m.draw(1235, weights.n_cells(g.L), g.n_sites)
+    q3, v3 = m.draw(1235, g)
     assert not np.array_equal(q1, q3) and not np.array_equal(v1, v3)
 
 
@@ -232,15 +232,16 @@ def test_coupling_mean_law_of_large_numbers():
 
 def test_bulk_sampling():
     m = default_model()
-    _, zero = m.draw(4, 8, 100)
+    small, large = m.strip_grid(10, 10), m.strip_grid(100, 100)
+    _, zero = m.draw(4, small)
     assert zero.shape == (100,) and np.all(zero == 0)
     m = replace(m, bulk_random=IidUniformBulk(1.0))
-    _, vals = m.draw(4, 8, 100)
+    _, vals = m.draw(4, small)
     assert np.all((vals >= 0) & (vals <= 1.0))
-    _, vals = m.draw(4, 8, 10_000)
+    _, vals = m.draw(4, large)
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - 0.5) <= 3 * se
-    assert np.array_equal(vals, m.draw(4, 8, 10_000)[1])
+    assert np.array_equal(vals, m.draw(4, large)[1])
 
 
 def test_distribution_validation():
@@ -261,7 +262,7 @@ def test_pointwise_ordering_invariants(seed, L, Mh):
     floor = pinned_floor(g, m.profile, m.dist.q_min)
     assert np.all(floor <= v_s)
     assert np.all(v_s <= 0)
-    _, v_b = m.draw(seed, f_weight_matrix(g, m.profile).n_cells(g.L), g.n_sites)
+    _, v_b = m.draw(seed, g)
     total = v_s + v_b
     assert np.all(total >= floor)
 

@@ -73,6 +73,16 @@ def test_lowest_k_validates_k():
         lowest_k(A, 4)
 
 
+def test_lowest_k_every_pair_above_dense_cap():
+    # ARPACK needs k < n; the Lanczos path says so instead of letting scipy's TypeError out
+    rng = np.random.default_rng(4)
+    H, _ = random_grid_hamiltonian(rng, L=4, M=6)
+    with pytest.raises(InvalidParam, match="k < n"):
+        lowest_k(H, H.n, dense_cap=1)
+    assert lowest_k(H, H.n).method == "dense"
+    assert lowest_k(H, H.n - 1, dense_cap=1).method == "iterative"
+
+
 def test_lowest_k_orthonormal_and_certified():
     rng = np.random.default_rng(5)
     H, _ = random_grid_hamiltonian(rng, L=6, M=10)
