@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Cost of the counting kernels on real strip ensembles, of ``lowest_k``'s dense path and of sampling.
+"""Cost of the counting kernels on real strip ensembles, of ``lowest_k``'s dense path, of sampling
+and of a striplab process.
 
-Six tables, each time the median of three runs.  Every pass runs on the
+Seven tables, each time the median of three runs.  Every pass runs on the
 band ``StripEnsemble`` counts, its sites in ``grid.band_order()`` (the
 longest axis outermost), with the sampled diagonals in that order; the
 tables print that band's width ``bw`` beside the width ``grid bw`` of the
@@ -49,19 +50,29 @@ grid's own order (x1 outermost):
   relative cells (offsets) and reached cell-local sites, the time
   ``alloy_kernel`` takes to build it (uncached), the bytes it holds, and
   the time of one ``contract_couplings`` call on 96 samples, the block of
-  a quantum-tail ensemble.
+  a quantum-tail ensemble;
+* the fixed cost of a striplab process: ``PROCESSES`` fresh ``python -c
+  "import striplab.cli"`` runs, timed from spawn to reap and split by the
+  monotonic clock readings the child prints before and after the import
+  into import and teardown (the time after the import, mostly the
+  interpreter's shutdown), with the child's ``gc.get_freeze_count()``, the
+  objects ``import striplab`` moved out of the collector's reach.  Medians
+  over the processes, not of three runs.
 
     PYTHONPATH=src python scripts/kernel_timing.py
 """
 
 import os
 import platform
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
 import numpy as np
 import scipy
 
+import striplab
 from striplab import spectral
 from striplab.config import build_model, energy_grid
 from striplab.floquet import cached_reference, reduced_operator
@@ -106,6 +117,10 @@ SAMPLING = [
     ("d1 = 2", {"d1": 2, "L": 20, "M": 12}, {"profile": COMPACT, "distribution": TWO_POINT}),
 ]
 SAMPLES = 96
+PROCESSES = 15
+# the child: clock readings around the import, then the objects the import froze
+CHILD = ("import time; t0 = time.monotonic(); import gc, striplab.cli; "
+         "print(t0, time.monotonic(), gc.get_freeze_count())")
 
 
 def median_seconds(fn) -> float:
@@ -241,6 +256,25 @@ def sampling_table():
               f"{contract * 1e3:>17.2f}")
 
 
+def process_table():
+    print(f"{'processes':>9} {'process ms':>10} {'import ms':>9} {'teardown ms':>11} {'frozen':>7}")
+    src = os.path.dirname(os.path.dirname(striplab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    rows = []
+    for _ in range(PROCESSES):
+        spawn = time.monotonic()
+        out = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        reap = time.monotonic()
+        started, imported, frozen = out.split()
+        rows.append((reap - spawn, float(imported) - float(started), reap - float(imported),
+                     int(frozen)))
+    total, imported, teardown, frozen = np.median(rows, axis=0)
+    print(f"{PROCESSES:>9} {total * 1e3:>10.1f} {imported * 1e3:>9.1f} {teardown * 1e3:>11.1f} "
+          f"{frozen:>7.0f}")
+
+
 def main():
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
           f"scipy {scipy.__version__}, {os.cpu_count()} cores, {platform.machine()}")
@@ -257,6 +291,8 @@ def main():
     lowest_k_table()
     print()
     sampling_table()
+    print()
+    process_table()
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .errors import InequalityViolated, InvalidParam, NoConvergence, ProfileUnde
 from .grid import GridSpec
 from .idss import StripEnsemble, ensemble_counts, hit_rate, line_fit
 from .instances import SurfaceModel
-from .spectral import TIE_REL, count_below, lowest_k
+from .spectral import DENSE_CAP, TIE_REL, count_below, lowest_k
 
 PROFILE_GUARD = 1e-300
 
@@ -232,7 +232,9 @@ def dynamics_moment(H, interval: tuple, p: float, times, sites: Sequence[int]) -
     tol = 1e-9, so each eigenvalue lies within tol of the operator's own and
     a pair within tol of an edge may fall on either side.  One above hi +
     tie + tol was never counted, so Lanczos missed a counted pair: that
-    raises ``NoConvergence`` rather than drop it.
+    raises ``NoConvergence`` rather than drop it.  Lanczos solves k < n
+    pairs only, so above the cap a window up to the top of the spectrum (k =
+    n) raises ``InvalidParam``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     sites = np.asarray(sites, dtype=int)
@@ -241,6 +243,10 @@ def dynamics_moment(H, interval: tuple, p: float, times, sites: Sequence[int]) -
 
     lo, hi = interval
     k, tol = count_below(H, hi), 1e-9
+    if k == H.n > DENSE_CAP:
+        raise InvalidParam(f"window [{lo:.12g}, {hi:.12g}] reaches the top of the spectrum: all "
+                           f"k = {k} of n = {H.n} eigenvalues lie at or below {hi:.12g}, and "
+                           f"above DENSE_CAP = {DENSE_CAP} sites Lanczos solves k < n only")
     evals, evecs = np.empty(0), np.empty((H.n, 0))
     if k:
         pairs = lowest_k(H, k, tol)

@@ -438,6 +438,22 @@ def test_import_sets_openblas_thread_timeout():
         assert proc.stdout.split() == [expected, expected]
 
 
+def test_import_freezes_its_heap_and_keeps_the_collector_state():
+    # `import striplab` collects nothing while numpy, scipy and striplab load,
+    # then freezes what they left; a collector the caller disabled stays off
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for before, enabled in (("", "True"), ("gc.disable()\n", "False")):
+        code = f"import gc\n{before}import striplab\nprint(gc.isenabled(), gc.get_freeze_count())\n"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        state, frozen = proc.stdout.split()
+        assert state == enabled
+        assert int(frozen) > 10_000
+
+
 def test_bounds_bump_at_x1_center(tmp_path, monkeypatch):
     # at d1 = 2 the Temple bump sits on the x1 site (aL/2, aL/2), not on an edge
     from striplab import cli

@@ -200,6 +200,14 @@ def test_dynamics_window_above_dense_cap(model):
     assert rep.norm_drift <= 1e-9
 
 
+def test_dynamics_window_of_every_pair_above_dense_cap_names_the_window(model):
+    # Lanczos needs k < n: a window up to the top of the spectrum says so
+    eng = StripEnsemble(model, 170, 12, bc="D", master_seed=0)
+    H = eng.hamiltonian(0)
+    with pytest.raises(InvalidParam, match=r"window \[.*, 100\].* k = 2040 of n = 2040"):
+        dynamics_moment(H, (eng.e0, 100.0), 2.0, [0.0], eng.grid.center_sites())
+
+
 def test_dynamics_missed_pair_raises(model, monkeypatch):
     # a solver that skips the lowest pair returns one above the window in its place
     def skips_lowest(H, k, tol):

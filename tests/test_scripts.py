@@ -96,3 +96,17 @@ def test_kernel_timing_sampling_table_times_the_alloy_weights(monkeypatch, capsy
     row = capsys.readouterr().out.splitlines()[1].split()
     assert row[3:8] == ["2", "36", "9", "1", "2"]
     assert row[9] == "48"
+
+
+def test_kernel_timing_process_table_splits_a_fresh_process(monkeypatch, capsys):
+    kernel_timing = load_script("kernel_timing.py")
+    monkeypatch.setattr(kernel_timing, "PROCESSES", 1)
+    kernel_timing.process_table()
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[-1] == "frozen"
+    processes, total, imported, teardown, frozen = row.split()
+    assert processes == "1"
+    # spawn to reap holds the interpreter's start, the import and the teardown
+    assert 0 < float(imported) and 0 < float(teardown)
+    assert float(imported) + float(teardown) < float(total)
+    assert int(frozen) > 10_000  # the heap `import striplab` froze
